@@ -23,7 +23,10 @@ pytest-benchmark view at one scale.
 
 import pytest
 
-from repro.staircase.kernels_vec import staircase_join
+from repro.staircase.kernels_vec import (
+    resolve_staircase_pool,
+    staircase_join,
+)
 from repro.xquery import bulk
 from repro.xquery.axes import STAIRCASE_AXES
 from repro.xquery.context import DynamicContext
@@ -53,7 +56,8 @@ def inputs(xmark_db):
         assert maskers is not None, step_text
         rows = [(i, int(pre)) for i, pre in enumerate(
             shredded.elements_named(anchor_tag).tolist())]
-        candidates = bulk._staircase_candidates(shredded, step.test)
+        candidates = resolve_staircase_pool(
+            shredded, bulk._staircase_candidate_desc(step.test))
         prepared[name] = (step, axis, or_self, maskers,
                           step.axis in bulk.REVERSE_AXES, rows,
                           candidates)

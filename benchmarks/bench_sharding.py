@@ -9,11 +9,11 @@ pytest-benchmark view at one scale):
   the context into contiguous iteration ranges, one batched kernel
   call per shard.  This is the workload where the thread fan-out wins
   (the vectorized kernel's sort/searchsorted phases release the GIL).
-* **Staircase pool sharding** — the XMark following-axis step through
-  :func:`repro.staircase.kernels_vec.staircase_join` with the bidder
-  pool split into contiguous pre-order ranges.  Output-bound
-  (memory-bandwidth-saturated) axes gain little from threads; the
-  scenario documents that honestly.
+* **Staircase iteration sharding** — the XMark following-axis step
+  through :func:`repro.staircase.kernels_vec.staircase_join`, the same
+  plan: the context cut between iterations, every shard against the
+  whole bidder pool.  Output-bound (memory-bandwidth-saturated) axes
+  gain little from threads; the scenario documents that honestly.
 """
 
 import pytest

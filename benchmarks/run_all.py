@@ -686,7 +686,10 @@ def scenario_positional(r: Runner) -> dict | None:
     shared anchor step and result decode; the step-level records carry
     the headline.  Returns the forward-axis speedup at the largest
     scale."""
-    from repro.staircase.kernels_vec import staircase_join
+    from repro.staircase.kernels_vec import (
+        resolve_staircase_pool,
+        staircase_join,
+    )
     from repro.xquery import bulk
     from repro.xquery.axes import STAIRCASE_AXES
     from repro.xquery.context import DynamicContext
@@ -719,7 +722,8 @@ def scenario_positional(r: Runner) -> dict | None:
             reverse = step.axis in bulk.REVERSE_AXES
             rows = [(i, pre)
                     for i, pre in enumerate(anchor_pres[anchor_tag])]
-            candidates = bulk._staircase_candidates(shredded, step.test)
+            candidates = resolve_staircase_pool(
+                shredded, bulk._staircase_candidate_desc(step.test))
             n = len(rows) + len(candidates)
 
             def vectorized(rows=rows, candidates=candidates, axis=axis,
@@ -970,7 +974,10 @@ def scenario_procpool(r: Runner) -> dict | None:
     from repro import storage
     from repro.core.steps import Strategy, standoff_step
     from repro.exec import procpool
-    from repro.staircase.kernels_vec import staircase_join
+    from repro.staircase.kernels_vec import (
+        resolve_staircase_pool,
+        staircase_join,
+    )
 
     file = "bench_procpool.py"
     scales = (0.25,) if r.smoke else (0.5, 4.0, 16.0)
@@ -997,7 +1004,7 @@ def scenario_procpool(r: Runner) -> dict | None:
             procpool.warm_pool(workers)    # spawn cost paid up front
 
             desc = ("name", "bidder")
-            pool = procpool.resolve_staircase_pool(shredded, desc)
+            pool = resolve_staircase_pool(shredded, desc)
             context_rows = [
                 (it, int(pre)) for it, pre in enumerate(
                     shredded.elements_named("open_auction").tolist())]

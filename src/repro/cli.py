@@ -49,6 +49,7 @@ from pathlib import Path
 from repro.config import (
     DEFAULT_EXECUTOR,
     DEFAULT_KERNEL,
+    DEFAULT_SERVE_TIMEOUT,
     DEFAULT_SHARD_MIN_ROWS,
     DEFAULT_STAIRCASE_KERNEL,
     DEFAULT_STORAGE_BACKEND,
@@ -307,8 +308,11 @@ class CliSession:
 def run_serve(session: CliSession, *, host: str, port: int,
               timeout: float | None,
               store_path: str | None = None) -> int:
-    """Serve the session's database over TCP until interrupted."""
+    """Serve the session's database over TCP until SIGINT or SIGTERM;
+    either stops the server and exits normally, so the exit hooks run
+    (the default SIGTERM action would orphan the process pool)."""
     import asyncio
+    import signal
 
     from repro.serve import QueryServer, serve
 
@@ -326,6 +330,8 @@ def run_serve(session: CliSession, *, host: str, port: int,
     server.store_path = store_path
 
     async def _serve_forever() -> None:
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
         tcp = await serve(server, host=host, port=port)
         bound = tcp.sockets[0].getsockname()
         print(f"serving on {bound[0]}:{bound[1]}", flush=True)
@@ -338,7 +344,7 @@ def run_serve(session: CliSession, *, host: str, port: int,
 
     try:
         asyncio.run(_serve_forever())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("shutting down", flush=True)
     return 0
 
@@ -377,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--executor", default=DEFAULT_EXECUTOR,
                         choices=list(SUPPORTED_EXECUTORS),
                         help="where sharded joins run: 'thread' (shared "
-                             "pool, default from REPRO_EXECUTOR) or "
+                             "pool, the default) or "
                              "'process' (store-backed jobs fan out to "
                              "worker processes mapping the same store "
                              "file)")
@@ -393,8 +399,8 @@ def main(argv: list[str] | None = None) -> int:
                              "O(1) cold start off the mapped columns")
     parser.add_argument("--shard-min-rows", type=int,
                         default=DEFAULT_SHARD_MIN_ROWS, metavar="ROWS",
-                        help="minimum rows per shard before a join "
-                             f"fans out (default "
+                        help="minimum context rows per shard before a "
+                             f"join fans out (default "
                              f"{DEFAULT_SHARD_MIN_ROWS})")
     parser.add_argument("--plan-cache-size", type=int, default=None,
                         metavar="N",
@@ -412,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--serve-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-query timeout for --serve (default "
-                             "from REPRO_SERVE_TIMEOUT; 0 disables)")
+                             f"{DEFAULT_SERVE_TIMEOUT:g}; 0 disables)")
     args = parser.parse_args(argv)
 
     try:

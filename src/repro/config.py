@@ -126,15 +126,15 @@ WORKERS_SERIAL = "serial"
 #: engine-level test exercises the sharded dispatch path).
 DEFAULT_WORKERS = os.environ.get("REPRO_WORKERS", WORKERS_SERIAL)
 
-#: Minimum rows of the partitioned dimension (candidate pool rows for
-#: staircase shards, context rows for StandOff iteration shards) a
-#: shard must own before the planner fans out: per-shard dispatch costs
-#: roughly a thread hop plus one extra round of fixed NumPy call
-#: overhead (~100-200 us), so workloads below a few thousand rows are
-#: faster executed as the single serial call.  ``REPRO_SHARD_MIN_ROWS``
-#: overrides it process-wide — CI pairs ``REPRO_WORKERS=4`` with
-#: ``REPRO_SHARD_MIN_ROWS=1`` so the tier-1 rerun genuinely fans out
-#: on its small test documents instead of planning single shards.
+#: Minimum *context rows* a shard must own before the planner fans out
+#: (both join families: the plan cuts the context between iterations):
+#: per-shard dispatch costs roughly a thread or process hop plus one
+#: extra round of fixed NumPy call overhead (~100-200 us), so contexts
+#: below a few thousand rows are faster executed as the single serial
+#: call.  ``REPRO_SHARD_MIN_ROWS`` overrides it process-wide — CI pairs
+#: ``REPRO_WORKERS=4`` with ``REPRO_SHARD_MIN_ROWS=1`` so the tier-1
+#: rerun genuinely fans out on its small test documents instead of
+#: planning single shards.
 DEFAULT_SHARD_MIN_ROWS = int(os.environ.get("REPRO_SHARD_MIN_ROWS",
                                             "8192"))
 
@@ -146,14 +146,15 @@ DEFAULT_SHARD_MIN_ROWS = int(os.environ.get("REPRO_SHARD_MIN_ROWS",
 #: bandwidth-bound ``following``/``preceding`` axes, where threads gain
 #: nothing under the GIL.  The process executor requires store-backed
 #: columns (a ``store_ref``); jobs without one fall back to threads, so
-#: the knob is always safe to set.
+#: the knob is always safe to set.  A one-shard plan runs inline under
+#: either.
 EXECUTOR_THREAD = "thread"
 EXECUTOR_PROCESS = "process"
 
 SUPPORTED_EXECUTORS = (EXECUTOR_THREAD, EXECUTOR_PROCESS)
 
-#: Default shard executor; ``REPRO_EXECUTOR`` overrides process-wide.
-DEFAULT_EXECUTOR = os.environ.get("REPRO_EXECUTOR", EXECUTOR_THREAD)
+#: Default shard executor.
+DEFAULT_EXECUTOR = EXECUTOR_THREAD
 
 
 # ----------------------------------------------------------------------
@@ -176,10 +177,6 @@ SUPPORTED_STORAGE_BACKENDS = (STORAGE_MEMORY, STORAGE_MMAP)
 #: ``REPRO_STORAGE=mmap`` so every engine-level test exercises the
 #: store round-trip).
 DEFAULT_STORAGE_BACKEND = os.environ.get("REPRO_STORAGE", STORAGE_MEMORY)
-
-#: Directory for automatic store spill files under the mmap backend
-#: (``None``: a per-process temp directory, removed at exit).
-STORAGE_SPILL_DIR = os.environ.get("REPRO_STORAGE_DIR") or None
 
 
 def normalize_executor(executor) -> str:
@@ -216,31 +213,25 @@ def normalize_storage_backend(backend) -> str:
 
 #: Total queries a :class:`repro.serve.QueryServer` evaluates at once
 #: (the size of its dispatch thread pool and general admission
-#: semaphore).  ``REPRO_SERVE_CONCURRENCY`` overrides process-wide.
-DEFAULT_SERVE_CONCURRENCY = int(os.environ.get("REPRO_SERVE_CONCURRENCY",
-                                               "8"))
+#: semaphore).
+DEFAULT_SERVE_CONCURRENCY = 8
 
 #: Slots of the heavy-query lane.  Queries whose estimated pair budget
 #: reaches :data:`DEFAULT_SERVE_HEAVY_PAIRS` additionally acquire this
 #: (much smaller) semaphore, so a handful of scale-16 scans can never
 #: occupy every general slot and starve the point lookups behind them.
-#: ``REPRO_SERVE_HEAVY_SLOTS`` overrides process-wide.
-DEFAULT_SERVE_HEAVY_SLOTS = int(os.environ.get("REPRO_SERVE_HEAVY_SLOTS",
-                                               "2"))
+DEFAULT_SERVE_HEAVY_SLOTS = 2
 
 #: Pair-budget admission threshold: a query estimated to probe at
 #: least this many (context row, candidate) pairs is classified heavy.
 #: The estimate is deliberately coarse (see
 #: :func:`repro.serve.estimate_pair_budget`) — it only has to separate
 #: "scan of a scan" from "point lookup", not predict runtimes.
-#: ``REPRO_SERVE_HEAVY_PAIRS`` overrides process-wide.
-DEFAULT_SERVE_HEAVY_PAIRS = int(os.environ.get("REPRO_SERVE_HEAVY_PAIRS",
-                                               "2000000"))
+DEFAULT_SERVE_HEAVY_PAIRS = 2_000_000
 
 #: Default per-query timeout (seconds) a server enforces when the
-#: request carries none; ``0`` disables.  ``REPRO_SERVE_TIMEOUT``
-#: overrides process-wide.
-DEFAULT_SERVE_TIMEOUT = float(os.environ.get("REPRO_SERVE_TIMEOUT", "30"))
+#: request carries none; ``0`` disables.
+DEFAULT_SERVE_TIMEOUT = 30.0
 
 
 # ----------------------------------------------------------------------
@@ -263,10 +254,8 @@ DEFAULT_SHRED_CACHE_ENTRIES = int(os.environ.get("REPRO_SHRED_CACHE",
                                                  "512"))
 
 #: Byte budget of the shred cache (sum of cached column ``nbytes``);
-#: the LRU evicts past either budget.  ``REPRO_SHRED_CACHE_BYTES``
-#: overrides process-wide.
-DEFAULT_SHRED_CACHE_BYTES = int(os.environ.get("REPRO_SHRED_CACHE_BYTES",
-                                               str(64 * 1024 * 1024)))
+#: the LRU evicts past either budget.
+DEFAULT_SHRED_CACHE_BYTES = 64 * 1024 * 1024
 
 
 def normalize_workers(workers) -> int:

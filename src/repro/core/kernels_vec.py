@@ -51,15 +51,20 @@ from repro.core.mergejoin_ll import (
 )
 from repro.core.naive import StandoffOp
 from repro.core.region_index import RegionTable
-from repro.relational.columnar import ColumnarResult, complement, run_starts
+from repro.relational.columnar import (
+    INT64_BUDGET,
+    ColumnarResult,
+    complement,
+    expand_ranges,
+    run_starts,
+    segment_ids,
+    segmented_cummax,
+)
 
 #: Upper bound on materialized (iteration, candidate) probe pairs; above
 #: this the kernel delegates to the row-at-a-time reference join rather
 #: than risk a multi-gigabyte intermediate (quadratic overlap blowup).
 PAIR_BUDGET = 32_000_000
-
-#: Composite-key headroom: offset tricks stay inside int64.
-_INT64_BUDGET = 2 ** 62
 
 
 class _PairBudgetExceeded(Exception):
@@ -67,46 +72,9 @@ class _PairBudgetExceeded(Exception):
 
 
 # ----------------------------------------------------------------------
-# segmented primitives
+# context segmentation (over the segmented primitives of
+# repro.relational.columnar, shared with the Staircase kernels)
 # ----------------------------------------------------------------------
-
-#: Start offsets of the runs of equal values in a sorted array (shared
-#: with the columnar result layer, which uses it to cut CSR offsets).
-_boundaries = run_starts
-
-
-def _segment_ids(n: int, seg_off: np.ndarray) -> np.ndarray:
-    """Segment ordinal per position, given segment start offsets."""
-    ids = np.zeros(n, np.int64)
-    ids[seg_off[1:]] = 1
-    np.cumsum(ids, out=ids)
-    return ids
-
-
-def _segmented_cummax(values: np.ndarray, seg_off: np.ndarray,
-                      seg_end: np.ndarray) -> np.ndarray:
-    """Per-segment running maximum (prefix max restarting at seg_off)."""
-    if len(seg_off) == 1:
-        return np.maximum.accumulate(values)
-    if len(seg_off) == len(values):          # all segments of length one
-        return values
-    if values.dtype.kind in "iu":
-        vmin = int(values.min())
-        span = int(values.max()) - vmin + 1
-        if len(seg_off) * span < _INT64_BUDGET:
-            base = _segment_ids(len(values), seg_off) * span
-            comp = values.astype(np.int64, copy=True)
-            comp -= vmin
-            comp += base
-            np.maximum.accumulate(comp, out=comp)
-            comp -= base
-            comp += vmin
-            return comp
-    out = np.empty_like(values)
-    for a, b in zip(seg_off.tolist(), seg_end.tolist()):
-        np.maximum.accumulate(values[a:b], out=out[a:b])
-    return out
-
 
 class _Segments:
     """Per-iteration segmentation of a context (see _context_segments)."""
@@ -120,10 +88,10 @@ class _Segments:
         its = context.iters[order]
         self.starts = cs = context.starts[order]
         self.ends = ce = context.ends[order]
-        self.seg_off = _boundaries(its)
+        self.seg_off = run_starts(its)
         self.seg_end = np.append(self.seg_off[1:], len(its))
         self.uniq_iters = its[self.seg_off]
-        self.cummax = _segmented_cummax(ce, self.seg_off, self.seg_end)
+        self.cummax = segmented_cummax(ce, self.seg_off)
         # The candidate windows are found by searchsorted probes with the
         # per-segment first start / max end; binary search degrades ~3x
         # on unsorted probes, so pre-sort them once (results are
@@ -170,10 +138,10 @@ def _segmented_searchsorted(values: np.ndarray, seg_off: np.ndarray,
     if values.dtype.kind in "iu" and probes.dtype.kind in "iu":
         vmin = int(min(values.min(), probes.min()))
         span = int(max(values.max(), probes.max())) - vmin + 2
-        if nseg * span < _INT64_BUDGET:
+        if nseg * span < INT64_BUDGET:
             comp_v = values.astype(np.int64, copy=True)
             comp_v -= vmin
-            comp_v += _segment_ids(len(values), seg_off) * span
+            comp_v += segment_ids(len(values), seg_off) * span
             comp_p = probes.astype(np.int64, copy=True)
             comp_p -= vmin
             comp_p += seg_of_probe * span
@@ -191,23 +159,11 @@ def _segmented_searchsorted(values: np.ndarray, seg_off: np.ndarray,
 def _expand_windows(j0: np.ndarray, j1: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Materialize per-segment candidate windows ``[j0, j1)`` as flat
-    (segment-of-pair, candidate-row-of-pair) arrays plus pair bounds."""
-    counts = j1 - j0
-    total = int(counts.sum())
-    if total > PAIR_BUDGET:
+    (segment-of-pair, candidate-row-of-pair) arrays plus pair bounds —
+    unless that would exceed :data:`PAIR_BUDGET`."""
+    if int((j1 - j0).sum()) > PAIR_BUDGET:
         raise _PairBudgetExceeded
-    offs = np.concatenate(([0], np.cumsum(counts)))
-    seg_of_pair = np.repeat(np.arange(len(j0), dtype=np.int64), counts)
-    pair_j = np.arange(total, dtype=np.int64) \
-        - np.repeat(offs[:-1] - j0, counts)
-    return seg_of_pair, pair_j, offs
-
-
-#: Canonicalize matched ``(iter, candidate id)`` pairs — unique ids per
-#: iteration, ascending (= document) order — directly into CSR form;
-#: this used to build a ``dict[int, list[int]]`` and was the dominant
-#: cost of the kernel at large iteration counts.
-_pairs_to_result = ColumnarResult.from_pairs
+    return expand_ranges(np.arange(len(j0), dtype=np.int64), j0, j1)
 
 
 def _candidate_windows(seg: _Segments, candidates: RegionTable, *,
@@ -255,7 +211,7 @@ def estimate_probe_pairs(context: IterContext, candidates: RegionTable,
 
 
 def saturating_pair_count(counts: np.ndarray, *,
-                          cap: int = _INT64_BUDGET) -> int:
+                          cap: int = INT64_BUDGET) -> int:
     """Sum non-negative int64 window counts, saturating at *cap*.
 
     A wrapped int64 sum would compare *below* any pair budget; the
@@ -359,7 +315,8 @@ def _narrow_multi_region(context: IterContext,
     uniq_ev, ev_counts = np.unique(events, return_counts=True)
     ev_area, ev_id = np.divmod(uniq_ev, n_ids)
     full = ev_counts == id_counts[ev_id]
-    return _pairs_to_result(area_iter[ev_area[full]], uniq_ids[ev_id[full]])
+    return ColumnarResult.from_pairs(area_iter[ev_area[full]],
+                                     uniq_ids[ev_id[full]])
 
 
 def vec_select_narrow(context: IterContext, candidates: RegionTable,
@@ -371,7 +328,7 @@ def vec_select_narrow(context: IterContext, candidates: RegionTable,
         if not candidates.has_multi_region_areas():
             # Each (iteration, candidate) pair is probed exactly once and
             # candidate ids are unique, so no dedup pass is needed.
-            return _pairs_to_result(
+            return ColumnarResult.from_pairs(
                 *_select_pairs(context, candidates, wide=False),
                 unique=True)
         return _narrow_multi_region(context, candidates)
@@ -386,7 +343,7 @@ def vec_select_wide(context: IterContext, candidates: RegionTable,
     if len(context) == 0 or len(candidates) == 0:
         return ColumnarResult.empty()
     try:
-        return _pairs_to_result(
+        return ColumnarResult.from_pairs(
             *_select_pairs(context, candidates, wide=True))
     except _PairBudgetExceeded:
         return ColumnarResult.from_dict(

@@ -42,13 +42,17 @@ from repro.config import (
     normalize_executor,
     normalize_workers,
 )
-from repro.exec.sharding import partition_by_iteration, run_shards
+from repro.exec.sharding import (
+    concat_iteration_blocks,
+    partition_by_iteration,
+    run_shards,
+)
 from repro.core.kernels_vec import kernel_join
 from repro.core.mergejoin_basic import basic_join
 from repro.core.mergejoin_ll import IterContext, JoinResult
 from repro.core.naive import StandoffOp, naive_join_loop
 from repro.core.region_index import RegionIndex
-from repro.relational.columnar import ColumnarStepResult
+from repro.relational.columnar import ColumnarResult, ColumnarStepResult
 
 
 class Strategy(Enum):
@@ -172,35 +176,47 @@ def standoff_step(op: StandoffOp,
         and all(getattr(index, "store_ref", None) is not None
                 for _f, index, _w, _c in frag_infos))
 
-    job_fragments: list[int] = []
     if use_processes:
         from repro.exec.procpool import run_standoff
 
-        pjobs = []
-        for fragment, index, wanted, chunks in frag_infos:
-            for chunk in chunks:
-                job_fragments.append(fragment)
-                pjobs.append((index.store_ref, op, chunk, wanted,
-                              strategy, active_structure, kernel))
-        results = run_standoff(pjobs, normalize_workers(workers))
+        results = run_standoff(
+            [(index.store_ref, op, chunk, wanted, strategy,
+              active_structure, kernel)
+             for _f, index, wanted, chunks in frag_infos
+             for chunk in chunks],
+            normalize_workers(workers))
     else:
         jobs = []
-        for fragment, index, wanted, chunks in frag_infos:
+        for _f, index, wanted, chunks in frag_infos:
             candidates = index.candidates(wanted)
             for chunk in chunks:
-                job_fragments.append(fragment)
                 jobs.append(lambda chunk=chunk, index=index,
                             candidates=candidates: _run_fragment(
                                 op, chunk, index, candidates, strategy,
                                 active_structure, kernel))
         results = run_shards(jobs, workers)
-    parts = list(zip(job_fragments, results))
-    # Per-fragment results are id-ascending per iteration and fragments
-    # are concatenated in rank order, so the stable columnar merge
-    # yields document order directly; no per-pair re-sort needed.
-    # Iteration-range chunks of one fragment never share an iteration,
-    # so feeding them as separate parts (in range order) is exact.
+    # One part per fragment: a fragment's iteration-range chunks merge
+    # by block concatenation first.  Per-fragment results are
+    # id-ascending per iteration and fragments are concatenated in rank
+    # order, so the stable columnar merge yields document order
+    # directly; no per-pair re-sort needed.
+    parts = []
+    done = 0
+    for fragment, _i, _w, chunks in frag_infos:
+        parts.append((fragment,
+                      _merge_chunks(results[done:done + len(chunks)])))
+        done += len(chunks)
     return ColumnarStepResult.from_fragments(parts)
+
+
+def _merge_chunks(results: list):
+    """One fragment's iteration-range chunk results laid end to end
+    (a single chunk passes through, dict-shaped or columnar)."""
+    if len(results) == 1:
+        return results[0]
+    return concat_iteration_blocks([
+        result if isinstance(result, ColumnarResult)
+        else ColumnarResult.from_dict(result) for result in results])
 
 
 def _iteration_chunks(pairs: list[tuple[int, int]], workers,

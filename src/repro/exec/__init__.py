@@ -3,17 +3,15 @@
 from repro.exec.sharding import (
     Shard,
     ShardPlan,
-    concat_shards,
+    concat_iteration_blocks,
     partition_by_iteration,
-    plan_shards,
     run_shards,
 )
 
 __all__ = [
     "Shard",
     "ShardPlan",
-    "concat_shards",
+    "concat_iteration_blocks",
     "partition_by_iteration",
-    "plan_shards",
     "run_shards",
 ]

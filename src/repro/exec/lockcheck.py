@@ -14,9 +14,9 @@ discipline the concurrency-era invariants actually rely on:
   acquisition that would make deadlock possible.
 
 * **Lazy-build stores** — :func:`audit_lazy_stores` instruments a
-  class (``StoredDocument`` and, by inheritance, its mmap-backed
-  subclass) so every post-construction assignment to a lazy-build
-  attribute verifies the build lock is held by the current thread;
+  class (``StoredDocument``) so every post-construction assignment to
+  a lazy-build attribute verifies the build lock is held by the
+  current thread;
   :func:`assert_locked` guards the dict-valued stores (`
   ``_region_indexes``/``_stored``) that ``__setattr__`` cannot see.
   A store observed outside its lock raises :class:`LockDisciplineError`.

@@ -1,37 +1,29 @@
 """Process-pool shard execution over memory-mapped stores.
 
-The thread-pool fan-out (:mod:`repro.exec.sharding`) is the right tool
-for compute-bound kernels, but the bandwidth-bound axes (``following``
-/ ``preceding`` and wide StandOff scans) spend their time streaming
-columns through the memory hierarchy — there, threads contend for the
-same last-level cache and memory controllers under one address space,
-and the GIL handoffs around each NumPy call add up.  This module fans
-the *same shard plans* out to worker **processes** instead.
+The thread-pool fan-out (:mod:`repro.exec.sharding`) shares one address
+space: on the bandwidth-bound axes (``following`` / ``preceding`` and
+wide StandOff scans) threads contend for the same last-level cache and
+memory controllers, and the GIL handoffs around each NumPy call add up.
+This module runs the *same shard plan* — the context cut between
+iterations by :func:`~repro.exec.sharding.partition_by_iteration`,
+every shard against the whole candidate side, results merged by
+:func:`~repro.exec.sharding.concat_iteration_blocks` — on worker
+**processes** instead.  It never plans: callers hand it the shards of
+a plan that actually fans out (a one-shard plan runs inline in the
+caller and never reaches a pool).
 
 What makes that cheap is the store file (:mod:`repro.storage`): a
 worker re-opens the memory-mapped store by path, so the OS shares the
 column pages between every participant and the job descriptors shipped
 over the pipe are tiny — ``(store path, uri)`` references plus each
 shard's slice of the (deduplicated) context columns; never the
-candidate arrays themselves.
+candidate arrays themselves.  Workers resolve their inputs from the
+store, not from pickles:
 
-Unlike the thread path, which shards the *candidate pool* into
-pre-order ranges, the process path shards the **iteration dimension**:
-the canonical ``(iter, pre)`` context is split at iteration boundaries
-and every worker runs the whole pool against its own iterations.  The
-loop-lifted iterations are independent, so shard results are disjoint,
-ordered CSR blocks — the merge is a plain block concatenation
-(:func:`_concat_iteration_blocks`, memcpy-cheap) instead of the k-way
-per-iteration interleave pool-range shards force, and no worker ever
-recomputes another shard's per-iteration thresholds.  The concatenated
-arrays are byte-identical to the serial kernel's by construction.
-
-Workers resolve their inputs from the store, not from pickles:
-
-* the candidate pool is re-derived from a **candidate descriptor**
-  (``("name", tag)``, ``("kind", k)``, …) through the same
-  :class:`~repro.xmldb.shred.ShreddedDocument` pool routines the
-  parent used, so both sides see the same array without shipping it;
+* the candidate pool is re-derived from the step's **candidate
+  descriptor** (``("name", tag)``, ``("kind", k)``, …) through
+  :func:`repro.staircase.kernels_vec.resolve_staircase_pool`, the
+  function the parent resolved it with;
 * a StandOff job re-derives ``index.candidates(wanted)`` against the
   worker's mapped region index.
 
@@ -54,8 +46,8 @@ import numpy as np
 
 from repro.exec import lockcheck
 from repro.exec.cancel import current_token, wait_cancellable
-from repro.exec.sharding import ShardPlan
-from repro.relational.columnar import ColumnarResult, run_starts
+from repro.exec.sharding import concat_iteration_blocks
+from repro.relational.columnar import ColumnarResult
 
 #: (store path, document uri) — how jobs reference mapped columns.
 StoreRef = tuple[str, str]
@@ -320,35 +312,9 @@ def _worker_stored(store_ref: StoreRef):
 
 def _touch_store(path: str, uris: tuple[str, ...]) -> int:
     """Map a store and build its facades in this worker (pre-fork)."""
-    from repro.storage import open_store_reader
-
-    reader = open_store_reader(path)
     for uri in uris:
-        reader.stored(uri)
+        _worker_stored((path, uri))
     return os.getpid()
-
-
-def resolve_staircase_pool(shredded, desc: tuple) -> np.ndarray:
-    """Resolve a candidate descriptor against a shredded document.
-
-    The descriptor vocabulary mirrors the bulk evaluator's pool
-    selection (:func:`repro.xquery.bulk._staircase_candidates`); both
-    sides call the same :class:`ShreddedDocument` routines, so the
-    worker's pool is element-for-element the parent's pool and the
-    parent's shard plan indexes it directly.
-    """
-    kind = desc[0]
-    if kind == "all":
-        return shredded.pre
-    if kind == "all-elements":
-        return shredded.all_element_pres()
-    if kind == "name":
-        return shredded.elements_matching(desc[1])
-    if kind == "kind":
-        return shredded.pres_of_kind(desc[1])
-    if kind == "non-attr":
-        return shredded.non_attribute_pres()
-    raise ValueError(f"unknown candidate descriptor {desc!r}")
 
 
 def _staircase_shard(store_ref: StoreRef, axis: str,
@@ -360,7 +326,10 @@ def _staircase_shard(store_ref: StoreRef, axis: str,
     iterations only); the candidate pool is the full pool, re-derived
     from the descriptor against the worker's mapped columns.
     """
-    from repro.staircase.kernels_vec import vec_staircase_join
+    from repro.staircase.kernels_vec import (
+        resolve_staircase_pool,
+        vec_staircase_join,
+    )
 
     shredded = _worker_stored(store_ref).shredded
     pool = resolve_staircase_pool(shredded, desc)
@@ -387,80 +356,32 @@ def _standoff_shard(store_ref: StoreRef, op, chunk, wanted,
 # parent side
 # ----------------------------------------------------------------------
 
-def _iteration_slices(its: np.ndarray, workers: int
-                      ) -> list[tuple[int, int]]:
-    """Split canonical context rows into ≤ *workers* contiguous ranges.
-
-    Cut points snap to iteration boundaries (an iteration's rows never
-    straddle two shards), targeting even row counts per shard.
-    """
-    n = len(its)
-    if n == 0:
-        return []
-    bounds = np.append(run_starts(its), n)
-    targets = np.linspace(0, n, workers + 1)[1:-1]
-    cuts = bounds[np.searchsorted(bounds, targets, side="left")]
-    edges = np.unique(np.concatenate(([0], cuts, [n])))
-    return [(int(lo), int(hi))
-            for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-
-
-def _concat_iteration_blocks(shards: list[ColumnarResult]
-                             ) -> ColumnarResult:
-    """Concatenate iteration-disjoint, ordered CSR blocks.
-
-    Because shard contexts partition the iterations in order, the
-    global result is the shard results laid end to end — ``iters`` and
-    ``values`` concatenate directly and each shard's ``offsets`` tail
-    shifts by the values emitted before it.  (``np.concatenate`` always
-    copies, so the output owns its memory even when inputs are views
-    into shared-memory segments.)
-    """
-    shards = [s for s in shards if len(s.iters)]
-    if not shards:
-        return ColumnarResult.empty()
-    iters = np.concatenate([s.iters for s in shards])
-    values = np.concatenate([s.values for s in shards])
-    offsets = np.empty(len(iters) + 1, np.int64)
-    offsets[0] = 0
-    row = 0
-    shift = 0
-    for s in shards:
-        k = len(s.iters)
-        offsets[row + 1:row + 1 + k] = s.offsets[1:] + shift
-        row += k
-        shift += len(s.values)
-    return ColumnarResult(iters, offsets, values)
-
-
 def run_staircase(axis: str, store_ref: StoreRef,
-                  canon: tuple[np.ndarray, np.ndarray],
-                  desc: tuple, plan: ShardPlan, *,
+                  shards: list[tuple[np.ndarray, np.ndarray]],
+                  desc: tuple, workers: int, *,
                   or_self: bool) -> ColumnarResult:
-    """Fan a staircase join out to the process pool by iteration range.
+    """Run the iteration-range shards of a staircase join on the pool.
 
-    *canon* is the canonicalized ``(its, pres)`` context; each shard
-    ships only its own slice of it (the small side — the pool stays
-    behind in the mapped file).  Iteration-disjoint shard results merge
-    by block concatenation: byte-identical to the serial kernel.
+    *shards* are the ``(its, pres)`` slices of the canonical context a
+    sharded plan cut; each job ships only its own slice (the small side
+    — the pool stays behind in the mapped file).  The shard results
+    merge by block concatenation: array-identical to the serial kernel.
     """
-    its, pres = canon
-    slices = _iteration_slices(its, plan.workers)
 
     def attempt(pool: ProcessPoolExecutor) -> ColumnarResult:
         token = current_token()
         futures = [pool.submit(_staircase_shard, store_ref, axis,
-                               its[lo:hi], pres[lo:hi], desc, or_self)
-                   for lo, hi in slices]
+                               its, pres, desc, or_self)
+                   for its, pres in shards]
         handles: list = []
         consumed = 0
         try:
-            shards = []
+            blocks = []
             for future in futures:
-                shards.append(_unpack_columnar(
+                blocks.append(_unpack_columnar(
                     wait_cancellable(future, token), handles))
                 consumed += 1
-            return _concat_iteration_blocks(shards)
+            return concat_iteration_blocks(blocks)
         except BaseException:
             # One shard failed (or the query was cancelled): the other
             # workers may still park results in shared memory — reap
@@ -471,7 +392,7 @@ def run_staircase(axis: str, store_ref: StoreRef,
         finally:
             _release_segments(handles)
 
-    return _run_with_retry(plan.workers, attempt)
+    return _run_with_retry(workers, attempt)
 
 
 def run_standoff(jobs: list[tuple], workers: int) -> list:

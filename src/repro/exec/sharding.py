@@ -1,39 +1,37 @@
-"""Sharded fan-out execution layer over the kernel registry.
+"""Sharded fan-out execution: one shard plan, one merge.
 
-The loop-lifted evaluation model is embarrassingly partitionable, along
-two different dimensions per join family:
+The loop-lifted joins are decided *per iteration* — the StandOff
+operators (the select semi-joins and the reject anti-joins of §4.4)
+and every Staircase axis (§4.6's ``iter|pos|item`` relation) compute an
+iteration's result from that iteration's context rows alone.  One
+partitioning rule is therefore exact for both join families:
 
-* **StandOff joins** partition by *fragment* (each fragment owns its
-  own candidate table — the per-fragment split of §4.4 — so fragments
-  are natural shards) and, within one fragment, by *contiguous
-  iteration ranges*: every StandOff operator (the select semi-joins
-  *and* the reject anti-joins) is decided per iteration, so a shard
-  that owns all context rows of its iterations computes exactly the
-  per-iteration slices of the unsharded result.
-* **Staircase axes** partition the *candidate pool* by contiguous
-  pre-order ranges: each batched axis kernel — the sibling kernels
-  included, which re-cluster whatever pool slice they receive — filters
-  an arbitrary sorted pool subset, and because the ranges are
-  contiguous and ascending, every iteration's matches in shard *k*
-  precede those in shard *k + 1* — the merged result needs a k-way
-  concatenation, never a re-sort.  (Context-bound axes like the
-  ancestor climb opt out; see the kernel module.)
+* **cut the context between iterations** — a shard owns all context
+  rows of a contiguous range of iterations (an iteration never
+  straddles shards, or the anti-joins would complement partially and
+  the staircase thresholds would be recomputed per shard), and every
+  shard runs against the *whole* candidate side;
+* **lay the shard results end to end** — shard results are disjoint
+  CSR blocks in ascending iteration order, so the merge is a block
+  concatenation, never a re-sort or a per-iteration interleave.
 
-:func:`plan_shards` / :func:`partition_by_iteration` build the
-:class:`ShardPlan`, :func:`run_shards` dispatches one batched kernel
-call per shard on a shared thread pool (the NumPy kernels release the
-GIL on their large array operations), and :func:`concat_shards` merges
-the per-shard :class:`~repro.relational.columnar.ColumnarResult`\\ s
-columnar.  ``workers="serial"`` (the default) plans a single shard and
-runs it inline — byte-identical to the unsharded pipeline, and the
-deterministic reference the differential suites compare against.
+:func:`partition_by_iteration` builds the :class:`ShardPlan`,
+:func:`run_shards` dispatches one batched kernel call per shard on a
+shared thread pool (the NumPy kernels release the GIL on their large
+array operations; :mod:`repro.exec.procpool` runs the same plan on
+worker processes), and :func:`concat_iteration_blocks` is the merge.
+``workers="serial"`` (the default), a single-iteration context, and a
+context under ``2 * shard_min_rows`` rows plan one shard, which callers
+run inline under either executor — byte-identical to the unsharded
+pipeline, and the deterministic reference the differential suites
+compare against.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -48,17 +46,12 @@ from repro.relational.columnar import ColumnarResult
 
 T = TypeVar("T")
 
-#: Shard kinds: the dimension a plan partitions.
-POOL_RANGE = "pool-range"       # staircase candidate pool, pre order
-ITER_RANGE = "iter-range"       # StandOff context, iteration order
-
 
 @dataclass(frozen=True)
 class Shard:
-    """One shard: the half-open slice ``[lo, hi)`` of the partitioned
-    dimension (pool row indices or distinct-iteration ordinals)."""
+    """One shard: the half-open range ``[lo, hi)`` of distinct-iteration
+    ordinals it owns."""
 
-    index: int
     lo: int
     hi: int
 
@@ -71,14 +64,10 @@ class Shard:
 class ShardPlan:
     """How one kernel call fans out.
 
-    :param kind: :data:`POOL_RANGE` or :data:`ITER_RANGE`.
-    :param n_rows: total rows of the partitioned dimension.
-    :param shards: the contiguous, gap-free shard slices.
+    :param shards: the contiguous, gap-free iteration ranges.
     :param workers: normalized worker count the plan was built for.
     """
 
-    kind: str
-    n_rows: int
     shards: tuple[Shard, ...]
     workers: int
 
@@ -91,38 +80,6 @@ class ShardPlan:
         """True when the plan actually fans out (more than one shard)."""
         return len(self.shards) > 1
 
-    def slices(self) -> Iterator[tuple[int, int]]:
-        for shard in self.shards:
-            yield shard.lo, shard.hi
-
-
-def _single_shard(kind: str, n_rows: int, workers: int) -> ShardPlan:
-    return ShardPlan(kind, n_rows, (Shard(0, 0, n_rows),), workers)
-
-
-def plan_shards(n_rows: int, workers, *,
-                shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS,
-                kind: str = POOL_RANGE) -> ShardPlan:
-    """Partition ``n_rows`` into at most ``workers`` contiguous shards.
-
-    A shard must own at least *shard_min_rows* rows (per-shard dispatch
-    costs a thread hop plus one extra round of fixed NumPy overhead),
-    so small workloads — and ``workers="serial"`` — plan one shard,
-    which callers execute inline on today's unsharded path.
-    """
-    count = normalize_workers(workers)
-    if count <= 1 or shard_min_rows < 1 \
-            or n_rows < 2 * shard_min_rows:
-        return _single_shard(kind, n_rows, count)
-    k = min(count, n_rows // shard_min_rows)
-    if k <= 1:
-        return _single_shard(kind, n_rows, count)
-    bounds = [round(i * n_rows / k) for i in range(k + 1)]
-    shards = tuple(Shard(i, lo, hi)
-                   for i, (lo, hi) in enumerate(zip(bounds[:-1],
-                                                    bounds[1:])))
-    return ShardPlan(kind, n_rows, shards, count)
-
 
 def partition_by_iteration(iter_counts: Sequence[int], workers, *,
                            shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS
@@ -131,26 +88,26 @@ def partition_by_iteration(iter_counts: Sequence[int], workers, *,
 
     ``iter_counts[i]`` is the number of context rows of the *i*-th
     distinct iteration (ascending iteration order).  Shard boundaries
-    always fall **between** iterations — an iteration never straddles
-    shards, because the reject anti-joins complement per iteration and
-    a split iteration would compute partial complements — and each
-    shard owns at least *shard_min_rows* context rows.  The returned
-    slices index the distinct-iteration ordinals, not the rows.
+    always fall **between** iterations and each shard owns at least
+    *shard_min_rows* context rows (per-shard dispatch costs a thread
+    or process hop plus one extra round of fixed NumPy overhead), so
+    small contexts, single-iteration contexts and ``workers="serial"``
+    plan one shard.  The returned slices index the distinct-iteration
+    ordinals, not the rows.
     """
     count = normalize_workers(workers)
-    n_groups = len(iter_counts)
-    total = int(sum(iter_counts))
+    counts = np.asarray(iter_counts, dtype=np.int64)
+    n_groups = len(counts)
+    total = int(counts.sum())
     if count <= 1 or n_groups <= 1 or shard_min_rows < 1 \
             or total < 2 * shard_min_rows:
-        return _single_shard(ITER_RANGE, n_groups, count)
-    k = min(count, n_groups, total // shard_min_rows)
-    if k <= 1:
-        return _single_shard(ITER_RANGE, n_groups, count)
+        return ShardPlan((Shard(0, n_groups),), count)
+    k = min(count, n_groups, total // shard_min_rows)       # >= 2
     # Cut where the cumulative row count crosses the even row targets;
     # a cut is only accepted when both sides keep >= shard_min_rows
     # rows, so a dominant iteration cannot strand a tiny trailing
     # shard that pays dispatch overhead for a handful of rows.
-    cum = np.cumsum(np.asarray(iter_counts, dtype=np.int64)).tolist()
+    cum = np.cumsum(counts).tolist()
     targets = [round(i * total / k) for i in range(1, k)]
     cuts = np.searchsorted(cum, targets, side="left") + 1
     bounds = [0]
@@ -164,10 +121,9 @@ def partition_by_iteration(iter_counts: Sequence[int], workers, *,
                 and rows_after >= shard_min_rows:
             bounds.append(cut)
     bounds.append(n_groups)
-    shards = tuple(Shard(i, lo, hi)
-                   for i, (lo, hi) in enumerate(zip(bounds[:-1],
-                                                    bounds[1:])))
-    return ShardPlan(ITER_RANGE, n_groups, shards, count)
+    shards = tuple(Shard(lo, hi)
+                   for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return ShardPlan(shards, count)
 
 
 # ----------------------------------------------------------------------
@@ -225,55 +181,34 @@ def run_shards(jobs: Sequence[Callable[[], T]], workers) -> list[T]:
 
 
 # ----------------------------------------------------------------------
-# the k-way columnar shard merge
+# the merge
 # ----------------------------------------------------------------------
 
-def concat_shards(results: Sequence[ColumnarResult]) -> ColumnarResult:
-    """Merge per-shard columnar results with a k-way concat — no sort.
+def concat_iteration_blocks(blocks: Sequence[ColumnarResult]
+                            ) -> ColumnarResult:
+    """Concatenate iteration-disjoint, ordered CSR blocks.
 
-    Precondition (what the shard plans guarantee): within every
-    iteration, the value slices of successive shards are disjoint and
-    ascending in shard order — pool-range shards slice a sorted pool
-    into contiguous ranges, iteration-range shards never share an
-    iteration at all.  The merge is therefore pure placement: iteration
-    keys union (one ``searchsorted`` per shard), per-iteration counts
-    accumulate into the CSR offsets, and each shard's values scatter
-    into their slice — document order is preserved, never recomputed.
-
-    Handles the adversarial shapes the planner can produce: empty
-    shards, single-iteration shards, iterations present in any subset
-    of the shards.
+    Because shard contexts partition the iterations in order, the
+    global result is the shard results laid end to end — ``iters`` and
+    ``values`` concatenate directly and each block's ``offsets`` tail
+    shifts by the values emitted before it.  Blocks may be empty, may
+    hold a single iteration, and may keep iterations with empty slices
+    (anti-joins).  ``np.concatenate`` always copies, so the output owns
+    its memory even when the inputs are views into shared-memory
+    segments.
     """
-    parts = [r for r in results if len(r.iters)]
-    if not parts:
+    blocks = [b for b in blocks if len(b.iters)]
+    if not blocks:
         return ColumnarResult.empty()
-    if len(parts) == 1:
-        return parts[0]
-    iters = np.unique(np.concatenate([p.iters for p in parts]))
-    n = len(iters)
-    counts = np.zeros(n, np.int64)
-    positions: list[np.ndarray] = []
-    for p in parts:
-        pos = np.searchsorted(iters, p.iters)
-        counts[pos] += np.diff(p.offsets)
-        positions.append(pos)
-    offsets = np.zeros(n + 1, np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    if total == 0:
-        return ColumnarResult(iters, offsets,
-                              np.empty(0, np.int64))
-    values = np.empty(total, np.int64)
-    cursor = offsets[:-1].copy()    # next write position per iteration
-    for p, pos in zip(parts, positions):
-        if not len(p.values):
-            continue
-        cnt = np.diff(p.offsets)
-        # Row j of shard p, belonging to its i-th iteration, lands at
-        # cursor[pos[i]] + (j - p.offsets[i]).
-        target = np.repeat(cursor[pos], cnt) \
-            + np.arange(len(p.values), dtype=np.int64) \
-            - np.repeat(p.offsets[:-1], cnt)
-        values[target] = p.values
-        cursor[pos] += cnt
+    iters = np.concatenate([b.iters for b in blocks])
+    values = np.concatenate([b.values for b in blocks])
+    offsets = np.empty(len(iters) + 1, np.int64)
+    offsets[0] = 0
+    row = 0
+    shift = 0
+    for b in blocks:
+        k = len(b.iters)
+        offsets[row + 1:row + 1 + k] = b.offsets[1:] + shift
+        row += k
+        shift += len(b.values)
     return ColumnarResult(iters, offsets, values)

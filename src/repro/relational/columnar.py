@@ -40,11 +40,70 @@ import numpy as np
 #: for anti-joins whose result would be enormous anyway).
 COMPLEMENT_BUDGET = 32_000_000
 
+#: Composite-key headroom: the ``segment * span + value`` offset tricks
+#: stay inside int64 (callers fall back to per-segment loops past it).
+INT64_BUDGET = 2 ** 62
+
 
 def run_starts(sorted_vals: np.ndarray) -> np.ndarray:
     """Start offsets of the runs of equal values in a sorted array."""
     return np.concatenate(
         ([0], np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1))
+
+
+def segment_ids(n: int, seg_off: np.ndarray) -> np.ndarray:
+    """Segment ordinal per position, given segment start offsets."""
+    ids = np.zeros(n, np.int64)
+    ids[seg_off[1:]] = 1
+    np.cumsum(ids, out=ids)
+    return ids
+
+
+def segmented_cummax(values: np.ndarray,
+                     seg_off: np.ndarray) -> np.ndarray:
+    """Per-segment inclusive prefix maximum (segments start at seg_off):
+    what Listing 1's active-items structure tracks for the StandOff
+    joins, and the horizon the Staircase Join prunes nested windows by.
+    Integer columns take one ``maximum.accumulate`` over composite
+    ``segment * span + value`` keys; float columns (``xs:double``
+    positions) and spans past the int64 headroom loop per segment.
+    """
+    if len(seg_off) <= 1:
+        return np.maximum.accumulate(values)
+    if len(seg_off) == len(values):          # all segments of length one
+        return values
+    if values.dtype.kind in "iu":
+        vmin = int(values.min())
+        span = int(values.max()) - vmin + 1
+        if len(seg_off) * span < INT64_BUDGET:
+            base = segment_ids(len(values), seg_off) * span
+            comp = values.astype(np.int64, copy=True)
+            comp -= vmin
+            comp += base
+            np.maximum.accumulate(comp, out=comp)
+            comp -= base
+            comp += vmin
+            return comp
+    out = np.empty_like(values)
+    bounds = np.append(seg_off, len(values)).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        np.maximum.accumulate(values[a:b], out=out[a:b])
+    return out
+
+
+def expand_ranges(keys: np.ndarray, j0: np.ndarray, j1: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand per-segment index ranges ``[j0, j1)`` into flat pair
+    columns: segment *i*'s key once per index of its range, the indices
+    themselves, and the pair bounds (pairs ``offs[i]:offs[i + 1]``
+    belong to segment *i*).  Materializes ``sum(j1 - j0)`` rows — a
+    caller whose ranges can blow up checks its budget first.
+    """
+    counts = j1 - j0
+    offs = np.concatenate(([0], np.cumsum(counts)))
+    index = np.arange(int(offs[-1]), dtype=np.int64) \
+        - np.repeat(offs[:-1] - j0, counts)
+    return np.repeat(keys, counts), index, offs
 
 
 def segment_lengths(offsets: np.ndarray) -> np.ndarray:

@@ -66,29 +66,24 @@ from repro.config import (
     KERNEL_VECTORIZED,
     KERNELS,
     normalize_executor,
+    normalize_workers,
 )
-from repro.relational.columnar import ColumnarResult, run_starts
+from repro.relational.columnar import (
+    ColumnarResult,
+    expand_ranges,
+    run_starts,
+    segmented_cummax,
+)
 from repro.staircase.staircase import anchor_pres
 from repro.xmldb.shred import ShreddedDocument
-
-#: Composite-key headroom: the segmented prefix-max offset trick stays
-#: inside int64 (pre ranks are bounded by the document size, so this
-#: only trips on absurd segment counts — the loop fallback covers it).
-_INT64_BUDGET = 2 ** 62
 
 #: A loop-lifted staircase context: ``(iter, pre)`` pairs, any order.
 ContextPairs = Iterable[tuple[int, int]]
 
-#: Axes whose cost lives on the context side — the ancestor kernel's
-#: parent climb is ``O(context rows x tree depth)`` and independent of
-#: the pool — so pool-range sharding would repeat that work in every
-#: shard and merely filter by a different pool slice.  They always run
-#: as the single serial call.
-_CONTEXT_BOUND_AXES = frozenset({"ancestor"})
-
 
 # ----------------------------------------------------------------------
-# segmented primitives
+# context and pool helpers (the segmented primitives themselves live in
+# repro.relational.columnar, shared with the StandOff kernels)
 # ----------------------------------------------------------------------
 
 def _context_arrays(context: ContextPairs
@@ -115,47 +110,6 @@ def _context_arrays(context: ContextPairs
     np.logical_or(its[1:] != its[:-1], pres[1:] != pres[:-1],
                   out=keep[1:])
     return its[keep], pres[keep]
-
-
-def _segmented_cummax(values: np.ndarray,
-                      seg_off: np.ndarray) -> np.ndarray:
-    """Per-segment inclusive prefix maximum (segments start at seg_off)."""
-    if len(seg_off) <= 1:
-        return np.maximum.accumulate(values)
-    vmin = int(values.min())
-    span = int(values.max()) - vmin + 1
-    if len(seg_off) * span < _INT64_BUDGET:
-        base = np.zeros(len(values), np.int64)
-        base[seg_off[1:]] = 1
-        np.cumsum(base, out=base)
-        base *= span
-        comp = values - vmin + base
-        np.maximum.accumulate(comp, out=comp)
-        comp -= base
-        comp += vmin
-        return comp
-    out = np.empty_like(values)
-    bounds = np.append(seg_off, len(values)).tolist()
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        np.maximum.accumulate(values[a:b], out=out[a:b])
-    return out
-
-
-def _emit_ranges(seg_iters: np.ndarray, j0: np.ndarray, j1: np.ndarray,
-                 lookup: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-segment index ranges ``[j0, j1)`` into flat
-    ``(iter, value)`` pair columns; values are the indices themselves
-    (the implicit-range scan) or ``lookup[index]``."""
-    counts = j1 - j0
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    offs = np.concatenate(([0], np.cumsum(counts)))
-    idx = np.arange(total, dtype=np.int64) \
-        - np.repeat(offs[:-1] - j0, counts)
-    iters = np.repeat(seg_iters, counts)
-    return iters, idx if lookup is None else lookup[idx]
 
 
 def _pool(doc: ShreddedDocument,
@@ -263,19 +217,20 @@ def vec_descendant(doc: ShreddedDocument, context: ContextPairs,
     # contributes nothing new — drop rows whose pre is covered by the
     # exclusive prefix max of the window ends.
     horizon = np.empty_like(ends)
-    horizon[1:] = _segmented_cummax(ends, seg_off)[:-1]
+    horizon[1:] = segmented_cummax(ends, seg_off)[:-1]
     horizon[seg_off] = -1
     keep = pres > horizon
     its_k, pres_k, ends_k = its[keep], pres[keep], ends[keep]
     lo = pres_k if or_self else pres_k + 1
     if candidates is None:
-        iters, values = _emit_ranges(its_k, lo, ends_k + 1)
+        # The implicit-range scan: the window indices are the pres.
+        iters, values, _ = expand_ranges(its_k, lo, ends_k + 1)
     else:
         cand = np.asarray(candidates, dtype=np.int64)
         j0 = np.searchsorted(cand, lo, side="left")
         j1 = np.searchsorted(cand, ends_k, side="right")
-        iters, values = _emit_ranges(its_k, j0, np.maximum(j0, j1),
-                                     lookup=cand)
+        iters, idx, _ = expand_ranges(its_k, j0, np.maximum(j0, j1))
+        values = cand[idx]
     # Surviving windows are disjoint + ascending per iteration, so the
     # pairs are already (iter, value)-sorted and duplicate-free.
     return ColumnarResult.from_pairs(iters, values, presorted=True,
@@ -350,8 +305,8 @@ def vec_following(doc: ShreddedDocument, context: ContextPairs,
     pool = _pool(doc, candidates)
     j0 = np.searchsorted(pool, thresholds, side="right")
     j1 = np.full(len(j0), len(pool), np.int64)
-    iters, values = _emit_ranges(its[seg_off], j0, j1, lookup=pool)
-    return ColumnarResult.from_pairs(iters, values, presorted=True,
+    iters, idx, _ = expand_ranges(its[seg_off], j0, j1)
+    return ColumnarResult.from_pairs(iters, pool[idx], presorted=True,
                                      unique=True)
 
 
@@ -377,8 +332,9 @@ def vec_preceding(doc: ShreddedDocument, context: ContextPairs,
     uniq_its = its[seg_off]
     pool = _pool(doc, candidates)
     j1 = np.searchsorted(pool, thresholds, side="left")
-    iters, values = _emit_ranges(uniq_its, np.zeros(len(j1), np.int64),
-                                 j1, lookup=pool)
+    iters, idx, _ = expand_ranges(uniq_its, np.zeros(len(j1), np.int64),
+                                  j1)
+    values = pool[idx]
     if len(values):
         span = len(doc) + 1
         keys = iters * span + values
@@ -439,10 +395,10 @@ def _vec_siblings(doc: ShreddedDocument, context: ContextPairs,
     else:
         j0 = np.searchsorted(keys, owners * span, side="left")
         j1 = np.searchsorted(keys, owners * span + pres, side="left")
-    iters, values = _emit_ranges(its, j0, j1, lookup=sib)
+    iters, idx, _ = expand_ranges(its, j0, j1)
     # Context rows sharing an owner within one iteration emit
     # overlapping windows — canonicalization sorts and dedupes.
-    return ColumnarResult.from_pairs(iters, values)
+    return ColumnarResult.from_pairs(iters, sib[idx])
 
 
 def vec_following_sibling(doc: ShreddedDocument, context: ContextPairs,
@@ -489,6 +445,28 @@ def vec_staircase_join(axis: str, doc: ShreddedDocument,
                                     or_self=or_self)
 
 
+def resolve_staircase_pool(shredded: ShreddedDocument,
+                           desc: tuple) -> np.ndarray:
+    """The candidate pre pool a picklable descriptor names — the
+    single source of a step's pool: the bulk evaluator resolves it in
+    the parent, process-pool workers resolve the same tuple against
+    their mapped shred, so both sides see element-for-element the same
+    array without shipping it.
+    """
+    kind = desc[0]
+    if kind == "all":
+        return shredded.pre
+    if kind == "all-elements":
+        return shredded.all_element_pres()
+    if kind == "name":
+        return shredded.elements_matching(desc[1])
+    if kind == "kind":
+        return shredded.pres_of_kind(desc[1])
+    if kind == "non-attr":
+        return shredded.non_attribute_pres()
+    raise ValueError(f"unknown candidate descriptor {desc!r}")
+
+
 def staircase_join(axis: str, doc: ShreddedDocument,
                    context: ContextPairs,
                    candidates: np.ndarray | None = None, *,
@@ -508,29 +486,30 @@ def staircase_join(axis: str, doc: ShreddedDocument,
     dict-shaped reference path
     (:func:`repro.staircase.loop_lifted.ll_axis_join`), ``"vectorized"``
     the batched columnar kernels, ``"auto"`` picks per call by input
-    size.
-
-    ``workers`` fans the batched kernel out over contiguous pre-order
-    ranges of the candidate pool (one kernel call per shard on the
-    shared thread pool, merged by the k-way columnar concat — see
-    :mod:`repro.exec.sharding`); pool slices are views, so sharding
-    copies no candidate data.  ``"serial"`` (the default) and
-    workloads under *shard_min_rows* rows per shard keep the single
-    unsharded call — byte-identical to the pre-sharding pipeline.  The
-    ``ll`` reference path never shards (it exists to be the
+    size.  The ``ll`` reference path never shards (it exists to be the
     deterministic oracle).
 
-    ``executor="process"`` routes the same shard plan to worker
-    *processes* (:mod:`repro.exec.procpool`) when the document's
-    columns live in a mapped store (``doc.store_ref``) and the caller
-    supplied a picklable ``candidate_desc`` describing *candidates* —
-    workers re-open the store by path (OS page sharing), re-derive the
-    pool from the descriptor, and shard results merge through the
-    identical k-way concat.  Jobs without a store behind them fall
-    back to the thread pool, so the executor knob never changes
+    ``workers`` fans the batched kernel out by the one scheme of
+    :mod:`repro.exec.sharding`: the canonical ``(iter, pre)`` context
+    is cut between iterations into shards of at least *shard_min_rows*
+    context rows, every shard runs the whole candidate pool against its
+    own iterations, and the shard results concatenate block by block —
+    array-identical to the single call for every axis.  ``"serial"``
+    (the default), a one-iteration context and a context too small to
+    split plan one shard and run inline, whatever the executor.
+
+    ``executor="process"`` runs the shards on worker processes
+    (:mod:`repro.exec.procpool`) when the document's columns live in a
+    mapped store (``doc.store_ref``) and the caller supplied the
+    ``candidate_desc`` of *candidates* (:func:`resolve_staircase_pool`);
+    other jobs run on the thread pool, so the executor never changes
     answers, only where the shards run.
     """
-    from repro.exec.sharding import concat_shards, plan_shards, run_shards
+    from repro.exec.sharding import (
+        concat_iteration_blocks,
+        partition_by_iteration,
+        run_shards,
+    )
     from repro.staircase.loop_lifted import ll_axis_join
 
     context = list(context)
@@ -541,26 +520,29 @@ def staircase_join(axis: str, doc: ShreddedDocument,
     if effective != KERNEL_VECTORIZED:
         return ll_axis_join(doc, axis, context, candidates,
                             or_self=or_self)
-    plan = plan_shards(n_cand, workers, shard_min_rows=shard_min_rows)
-    if not plan.is_sharded or axis in _CONTEXT_BOUND_AXES:
+    if normalize_workers(workers) <= 1:     # skip the counting pass
         return vec_staircase_join(axis, doc, context, candidates,
                                   or_self=or_self)
-    pool = doc.pre if candidates is None \
-        else np.asarray(candidates, dtype=np.int64)
-    # Canonicalize the context (sort + dedup) once; shard jobs share
-    # the (its, pres) columns instead of re-sorting per shard.
-    canon = _context_arrays(np.asarray(context, dtype=np.int64))
+    # Canonicalize the context (sort + dedup) once; the plan counts its
+    # rows per iteration and every shard takes a slice of the columns.
+    its, pres = _context_arrays(np.asarray(context, dtype=np.int64))
+    bounds = np.append(run_starts(its), len(its))
+    plan = partition_by_iteration(np.diff(bounds), workers,
+                                  shard_min_rows=shard_min_rows)
+    if not plan.is_sharded:
+        return vec_staircase_join(axis, doc, (its, pres), candidates,
+                                  or_self=or_self)
+    shards = [(its[bounds[s.lo]:bounds[s.hi]], pres[bounds[s.lo]:bounds[s.hi]])
+              for s in plan.shards]
 
     if normalize_executor(executor) == EXECUTOR_PROCESS \
             and doc.store_ref is not None and candidate_desc is not None:
         from repro.exec.procpool import run_staircase
 
-        return run_staircase(axis, doc.store_ref, canon, candidate_desc,
-                             plan, or_self=or_self)
+        return run_staircase(axis, doc.store_ref, shards, candidate_desc,
+                             plan.workers, or_self=or_self)
 
-    def shard_job(lo: int, hi: int):
-        return lambda: vec_staircase_join(axis, doc, canon,
-                                          pool[lo:hi], or_self=or_self)
-
-    jobs = [shard_job(lo, hi) for lo, hi in plan.slices()]
-    return concat_shards(run_shards(jobs, plan.workers))
+    jobs = [lambda shard=shard: vec_staircase_join(
+        axis, doc, shard, candidates, or_self=or_self)
+        for shard in shards]
+    return concat_iteration_blocks(run_shards(jobs, plan.workers))

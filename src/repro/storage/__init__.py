@@ -17,10 +17,11 @@ element-name index, the default-config region table, and the XML text
   descriptors instead of array payloads.
 
 The same machinery backs the ``REPRO_STORAGE=mmap`` mode: a
-:class:`~repro.xmldb.store.StoredDocument` spills its freshly shredded
-columns to a store file in a temp directory and immediately re-opens
-them mapped (:func:`spill_document`), keeping its in-memory DOM for
-node decoding.
+:class:`~repro.xmldb.store.StoredDocument` without a store file behind
+it spills its freshly shredded columns to one in a temp directory and
+re-opens them mapped (:func:`spill_document`), keeping its in-memory
+DOM for node decoding.  Either way the stored document is the same
+class holding a :class:`StoreReader` as its backing.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.xmldb.store import DocumentStore, StoredDocument, extract_regions
 
 __all__ = [
     "ALIGNMENT", "FORMAT_VERSION", "MAGIC", "StoreFile", "StoreReader",
-    "MappedStoredDocument", "save_store", "open_store",
+    "save_store", "open_store",
     "open_store_reader", "spill_document", "spill_directory",
     "store_stats",
 ]
@@ -181,7 +182,8 @@ class StoreReader:
     rebuilds the engine objects from the mapped columns:
     :meth:`shredded` (zero-copy :class:`ShreddedDocument`),
     :meth:`region_index`, :meth:`document` (parses the stored XML), and
-    :meth:`stored` (a lazy :class:`MappedStoredDocument`).
+    :meth:`stored` (a lazy
+    :class:`~repro.xmldb.store.StoredDocument` backed by this reader).
     """
 
     def __init__(self, path: str):
@@ -189,7 +191,7 @@ class StoreReader:
         self.path = self._file.path
         self._metas = {meta["uri"]: meta
                        for meta in self._file.header["documents"]}
-        self._stored: dict[str, MappedStoredDocument] = {}
+        self._stored: dict[str, StoredDocument] = {}
         self._stored_lock = lockcheck.new_lock("StoreReader._stored_lock")
 
     @property
@@ -260,14 +262,14 @@ class StoreReader:
             xml, uri=meta["uri"], doc_id=meta["doc_id"],
             keep_whitespace_text=meta["keep_whitespace_text"])
 
-    def stored(self, uri: str) -> "MappedStoredDocument":
+    def stored(self, uri: str) -> StoredDocument:
         """The (cached) lazy stored-document facade for *uri*."""
         # Locked: concurrent first touches must agree on one facade,
         # or downstream node-identity checks see two DOM instances.
         with self._stored_lock:
             cached = self._stored.get(uri)
             if cached is None:
-                cached = MappedStoredDocument(self, self.meta(uri))
+                cached = StoredDocument(backing=self, uri=uri)
                 lockcheck.assert_locked(self._stored_lock,
                                         "StoreReader._stored")
                 self._stored[uri] = cached
@@ -276,85 +278,6 @@ class StoreReader:
     def verify(self) -> None:
         """Full checksum verification (reads every page)."""
         self._file.verify()
-
-
-class MappedStoredDocument(StoredDocument):
-    """A stored document whose derived structures come from a store
-    file: columns and region tables are mapped views, the DOM is parsed
-    from the stored XML only when node decoding requires it.
-
-    A structural update detaches the document from the (immutable)
-    store file: derived structures rebuild in memory from then on.
-    """
-
-    def __init__(self, reader: StoreReader, meta: dict):
-        super().__init__(None)
-        self._reader = reader
-        self._meta = meta
-        self._detached = False
-
-    @property
-    def doc_id(self) -> int:
-        return self._meta["doc_id"]
-
-    @property
-    def uri(self) -> str:
-        return self._meta["uri"]
-
-    @property
-    def document(self) -> Document:
-        # Double-checked behind the inherited build lock: the node
-        # identity layer (DocumentStore.by_document, transient caches)
-        # relies on one DOM instance per stored document, so two
-        # first-touch threads must never each parse their own.
-        document = self._document
-        if document is not None:
-            return document
-        with self._build_lock:
-            if self._document is None:
-                self._document = self._reader.document(self.uri)
-            return self._document
-
-    @property
-    def shredded(self) -> ShreddedDocument:
-        shredded = self._shredded
-        if shredded is not None:
-            return shredded
-        with self._build_lock:
-            if self._shredded is None:
-                if self._detached:
-                    self._shredded = shred(self.document)
-                else:
-                    self._shredded = self._reader.shredded(
-                        self.uri, document=self._document,
-                        doc_factory=lambda: self.document)
-            return self._shredded
-
-    def region_index(self, config=DEFAULT_CONFIG) -> RegionIndex:
-        index = self._region_indexes.get(config)
-        if index is not None:
-            return index
-        with self._build_lock:
-            index = self._region_indexes.get(config)
-            if index is None and config == DEFAULT_CONFIG \
-                    and not self._detached \
-                    and self._reader.has_regions(self.uri):
-                index = self._reader.region_index(self.uri)
-                self._region_indexes[config] = index
-            if index is None:
-                index = RegionIndex.build(
-                    extract_regions(self.document, config))
-                lockcheck.assert_locked(
-                    self._build_lock, "MappedStoredDocument._region_indexes")
-                self._region_indexes[config] = index
-            return index
-
-    def invalidate(self) -> None:
-        with self._build_lock:
-            self._detached = True
-            self.document.renumber()
-            self._shredded = None
-            self._region_indexes.clear()
 
 
 def open_store(path: str, *, plan_cache_size: int | None = None):
@@ -489,19 +412,15 @@ def store_stats(db) -> list[dict]:
         row = {"uri": stored.uri, "backend": "memory", "path": None,
                "file_size": None, "mapped_bytes": None,
                "resident_bytes": None}
-        shredded = stored._shredded
-        ref = shredded.store_ref if shredded is not None else None
-        if isinstance(stored, MappedStoredDocument) and \
-                not stored._detached:
-            ref = (stored._reader.path, stored.uri)
-        if ref is not None:
+        backing = stored._backing
+        if backing is not None:
             row["backend"] = "mmap"
-            row["path"] = ref[0]
+            row["path"] = backing.path
             try:
-                row["file_size"] = os.path.getsize(ref[0])
+                row["file_size"] = os.path.getsize(backing.path)
             except OSError:
                 pass
-            stats = _smaps_stats(ref[0])
+            stats = _smaps_stats(backing.path)
             if stats is not None:
                 row["mapped_bytes"], row["resident_bytes"] = stats
         elif stored.storage_backend == STORAGE_MMAP:

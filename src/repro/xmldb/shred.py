@@ -492,8 +492,8 @@ class ShredCache:
             self.evictions += 1
 
 
-#: The process-wide shred cache (budgets from ``REPRO_SHRED_CACHE`` /
-#: ``REPRO_SHRED_CACHE_BYTES``); per-query identity caching stays in
+#: The process-wide shred cache (entry budget from
+#: ``REPRO_SHRED_CACHE``); per-query identity caching stays in
 #: :meth:`repro.xquery.context.DynamicContext.shredded_for` on top.
 SHRED_CACHE = ShredCache()
 

@@ -16,6 +16,7 @@ lazily per (document, config) pair and cached.
 
 from __future__ import annotations
 
+import os
 from typing import Iterator
 
 from repro.exec import lockcheck
@@ -85,22 +86,36 @@ def _check(start, end, node: Element) -> None:
             f"> end {end!r}")
 
 
-@lockcheck.audit_lazy_stores(("_shredded", "_document"))
+@lockcheck.audit_lazy_stores(("_shredded", "_document", "_backing"))
 class StoredDocument:
     """A document plus its derived structures, behind a storage seam.
 
-    Under the default ``memory`` backend the shredded columns and region
-    indexes are plain in-process arrays built on first use.  Under the
-    ``mmap`` backend (``REPRO_STORAGE=mmap``, or ``storage_backend=``
-    on the owning :class:`DocumentStore`/``Database``) the columns are
-    *spilled* once to a store file (:mod:`repro.storage`) and mapped
-    back — byte-identical answers, but the columns become shareable
-    read-only pages that worker processes can re-open by path.
+    The shredded columns and region indexes are built on first use.
+    Without a *backing* (the default ``memory`` backend) they are plain
+    in-process arrays made from the DOM.  With one — a
+    :class:`repro.storage.StoreReader` handed in by
+    :func:`repro.storage.open_store` (then the DOM itself is lazy), or
+    created on first use by *spilling* under the ``mmap`` backend
+    (``REPRO_STORAGE=mmap``, or ``storage_backend=`` on the owning
+    :class:`DocumentStore`/``Database``) — they are zero-copy mapped
+    views of a store file: byte-identical answers, but shareable
+    read-only pages that worker processes can re-open by path.  A
+    structural update (:meth:`invalidate`) drops the backing; store
+    files are immutable.
     """
 
-    def __init__(self, document: Document | None, *,
-                 storage_backend: str | None = None):
+    def __init__(self, document: Document | None = None, *,
+                 storage_backend: str | None = None,
+                 backing=None, uri: str | None = None):
+        if document is None:
+            meta = backing.meta(uri)
+            self.uri: str = meta["uri"]
+            self.doc_id: int = meta["doc_id"]
+        else:
+            self.uri = document.uri
+            self.doc_id = document.doc_id
         self._document = document
+        self._backing = backing
         self._shredded: ShreddedDocument | None = None
         self._region_indexes: dict[StandoffConfig, RegionIndex] = {}
         self.storage_backend = normalize_storage_backend(storage_backend)
@@ -111,36 +126,38 @@ class StoredDocument:
         # the DOM's pre/size/level ranks while the other thread walks
         # them — under concurrent queries (the serving layer) two
         # first-touch threads could each build against a tree the
-        # other was renumbering.  Reentrant because region_index()
-        # may take it around _ensure_spilled().
+        # other was renumbering, or each parse their own DOM (the node
+        # identity layer relies on one instance per stored document).
+        # Reentrant because the builds nest (shredded -> document).
         self._build_lock = lockcheck.new_rlock("StoredDocument._build_lock")
 
     @property
     def document(self) -> Document:
-        return self._document
-
-    @property
-    def doc_id(self) -> int:
-        return self.document.doc_id
-
-    @property
-    def uri(self) -> str:
-        return self.document.uri
+        # Double-checked: the unlocked hit is the hot path (a plain
+        # attribute read of an already-built structure); only first
+        # touch pays the lock.
+        document = self._document
+        if document is not None:
+            return document
+        with self._build_lock:
+            if self._document is None:
+                self._document = self._backing.document(self.uri)
+            return self._document
 
     @property
     def shredded(self) -> ShreddedDocument:
-        # Double-checked: the unlocked hit is the hot path (a plain
-        # attribute read of an already-built, immutable structure);
-        # only first touch pays the lock.
         shredded = self._shredded
         if shredded is not None:
             return shredded
         with self._build_lock:
             if self._shredded is None:
-                if self.storage_backend == STORAGE_MMAP:
-                    self._ensure_spilled()
-                else:
+                backing = self._store_backing()
+                if backing is None:
                     self._shredded = shred(self.document)
+                else:
+                    self._shredded = backing.shredded(
+                        self.uri, document=self._document,
+                        doc_factory=lambda: self.document)
             return self._shredded
 
     def region_index(self, config: StandoffConfig = DEFAULT_CONFIG
@@ -151,42 +168,35 @@ class StoredDocument:
         with self._build_lock:
             index = self._region_indexes.get(config)
             if index is None:
-                if self.storage_backend == STORAGE_MMAP \
-                        and config == DEFAULT_CONFIG:
-                    self._ensure_spilled()
-                    index = self._region_indexes.get(config)
-                    if index is not None:
-                        return index
-                index = RegionIndex.build(
-                    extract_regions(self.document, config))
+                # A store file persists the default config's table;
+                # custom standoff configs always extract from the DOM.
+                backing = self._store_backing() \
+                    if config == DEFAULT_CONFIG else None
+                if backing is not None and backing.has_regions(self.uri):
+                    index = backing.region_index(self.uri)
+                else:
+                    index = RegionIndex.build(
+                        extract_regions(self.document, config))
                 lockcheck.assert_locked(self._build_lock,
                                         "StoredDocument._region_indexes")
                 self._region_indexes[config] = index
             return index
 
-    def _ensure_spilled(self) -> None:
-        """Round-trip the derived structures through a spill store.
-
-        The shred and default region table are computed once, written
-        to a store file, and re-opened memory-mapped; the in-memory DOM
-        is kept for node decoding.  Custom standoff configs still build
-        in memory (the store persists the default config's table).
-        Callers hold ``_build_lock``; the lock is re-entrant, so the
-        method still takes it itself — the derived-structure stores
-        below must never run unguarded.
+    def _store_backing(self):
+        """The store file behind the derived structures, if any; under
+        the ``mmap`` backend a document without one is spilled first
+        (:func:`repro.storage.spill_document`).  Callers hold
+        ``_build_lock``; the lock is re-entrant, so the method still
+        takes it itself — the stores below must never run unguarded.
         """
         with self._build_lock:
-            if self._spill_path is not None:
-                return
-            from repro import storage
+            if self._backing is None \
+                    and self.storage_backend == STORAGE_MMAP:
+                from repro import storage
 
-            path, reader = storage.spill_document(self.document)
-            self._spill_path = path
-            self._shredded = reader.shredded(self.uri,
-                                             document=self.document)
-            if reader.has_regions(self.uri):
-                self._region_indexes[DEFAULT_CONFIG] = \
-                    reader.region_index(self.uri)
+                self._spill_path, self._backing = \
+                    storage.spill_document(self.document)
+            return self._backing
 
     def area_of_node(self, pre: int,
                      config: StandoffConfig = DEFAULT_CONFIG) -> Area | None:
@@ -200,24 +210,21 @@ class StoredDocument:
         indexes are rebuilt lazily on next use.  This is the
         *per-document* maintenance cost the paper's §3.3 design keeps
         local (contrast: the store-level global index rebuilds whole).
-        A spilled store file is stale after an update and is dropped
-        (the next use spills afresh).
+        The store file behind them is stale after an update: the
+        document detaches from it, and a spill file is deleted (the
+        next use spills afresh).
         """
         with self._build_lock:
             self.document.renumber()
             self._shredded = None
             self._region_indexes.clear()
-            self._drop_spill()
-
-    def _drop_spill(self) -> None:
-        if self._spill_path is not None:
-            try:
-                import os
-
-                os.unlink(self._spill_path)
-            except OSError:
-                pass
-            self._spill_path = None
+            self._backing = None
+            if self._spill_path is not None:
+                try:
+                    os.unlink(self._spill_path)
+                except OSError:
+                    pass
+                self._spill_path = None
 
 
 class DocumentStore:
@@ -257,9 +264,9 @@ class DocumentStore:
     def register(self, stored: StoredDocument) -> StoredDocument:
         """Register an externally constructed stored document.
 
-        The seam :func:`repro.storage.open_store` uses: a
-        ``MappedStoredDocument`` carries its uri/doc id in the store
-        header, so registration stays O(1) — no parse, no shred.
+        The seam :func:`repro.storage.open_store` uses: a store-backed
+        document carries its uri/doc id from the store header, so
+        registration stays O(1) — no parse, no shred.
         """
         uri = stored.uri
         if uri in self._by_uri:

@@ -500,57 +500,17 @@ def _bulk_standard_axis(step: ast.AxisStep, env: BulkEnv,
     return IterSeq(out)
 
 
-#: Sentinel: the node test has no candidate pool on the shredded
-#: encoding (fall back to the DOM walk).
-_UNSUPPORTED_TEST = object()
-
-
-def _elements_matching_name(shredded, name: str):
-    """Pres of the elements a name test matches, via the element index.
-
-    :func:`~repro.xquery.axes.matches_test` accepts an element whenever
-    the local names agree (``tag == name`` implies that), so the pool
-    is the union of the element-index entries sharing the test's local
-    name — one entry in the common unprefixed case.  Delegates to
-    :meth:`~repro.xmldb.shred.ShreddedDocument.elements_matching` so
-    process-pool workers resolving a ``("name", ...)`` candidate
-    descriptor run the identical pool computation.
-    """
-    return shredded.elements_matching(name)
-
-
-def _staircase_candidates(shredded, test: ast.NodeTest):
-    """The candidate pre pool of a node test, or ``_UNSUPPORTED_TEST``.
+def _staircase_candidate_desc(test: ast.NodeTest) -> tuple | None:
+    """The picklable descriptor of a node test's candidate pre pool
+    (resolved by :func:`repro.staircase.kernels_vec.resolve_staircase_pool`,
+    in the parent and in process-pool workers alike), or ``None`` when
+    the shredded encoding has no pool for the test (fall back to the
+    DOM walk).
 
     The tree axes never yield attribute nodes (attributes are not
     children, and only the attribute axis has them as principal nodes),
     so the ``node()`` pool is the non-attribute rows — keeping the fast
     path in exact agreement with the DOM walk.
-    """
-    if test.kind == "name":
-        if test.name == "*":
-            return shredded.all_element_pres()
-        return _elements_matching_name(shredded, test.name)
-    if test.kind == "node":
-        return shredded.non_attribute_pres()
-    if test.kind == "text":
-        return shredded.pres_of_kind(Text.kind)
-    if test.kind == "comment":
-        return shredded.pres_of_kind(Comment.kind)
-    if test.kind == "processing-instruction":
-        return shredded.pres_of_kind(ProcessingInstruction.kind)
-    return _UNSUPPORTED_TEST
-
-
-def _staircase_candidate_desc(test: ast.NodeTest) -> tuple | None:
-    """The picklable descriptor of :func:`_staircase_candidates`'s pool.
-
-    Mirrors its dispatch case for case; process-pool workers resolve
-    the descriptor against their mapped shred
-    (:func:`repro.exec.procpool.resolve_staircase_pool`) through the
-    same :class:`ShreddedDocument` routines, so parent and worker see
-    element-for-element identical pools without shipping the array.
-    ``None`` (unsupported test) keeps the join on the thread path.
     """
     if test.kind == "name":
         if test.name == "*":
@@ -601,8 +561,14 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
     order ties break identically).  Returns None only for tests the
     shredded encoding has no candidate pool for.
     """
-    from repro.staircase.kernels_vec import staircase_join
+    from repro.staircase.kernels_vec import (
+        resolve_staircase_pool,
+        staircase_join,
+    )
 
+    desc = _staircase_candidate_desc(step.test)
+    if desc is None:
+        return None
     groups: dict[int, list[tuple[int, int]]] = {}
     shreds: dict[int, object] = {}
     attr_self: dict[int, list[Node]] = {}
@@ -625,14 +591,8 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
             groups.setdefault(key, []).append((it, node.pre))
     if not shreds:
         return IterSeq({})
-    cand_by_key: dict[int, object] = {}
-    for key, shredded in shreds.items():
-        candidates = _staircase_candidates(shredded, step.test)
-        if candidates is _UNSUPPORTED_TEST:
-            return None
-        cand_by_key[key] = candidates
-
-    desc = _staircase_candidate_desc(step.test)
+    cand_by_key = {key: resolve_staircase_pool(shredded, desc)
+                   for key, shredded in shreds.items()}
 
     def join(shredded, rows, candidates):
         return staircase_join(
@@ -957,8 +917,14 @@ def _staircase_positional_step(step: ast.AxisStep, env: BulkEnv,
     Returns None to fall back (unsupported test pool, non-node context,
     or arithmetic past the exact-float range).
     """
-    from repro.staircase.kernels_vec import staircase_join
+    from repro.staircase.kernels_vec import (
+        resolve_staircase_pool,
+        staircase_join,
+    )
 
+    desc = _staircase_candidate_desc(step.test)
+    if desc is None:
+        return None
     reverse = step.axis in REVERSE_AXES
     groups: dict[int, list[tuple[int, int]]] = {}
     shreds: dict[int, object] = {}
@@ -980,14 +946,8 @@ def _staircase_positional_step(step: ast.AxisStep, env: BulkEnv,
                 groups.setdefault(key, []).append((anchor, node.pre))
     if not anchor_iters:
         return IterSeq({})
-    cand_by_key: dict[int, object] = {}
-    for key, shredded in shreds.items():
-        candidates = _staircase_candidates(shredded, step.test)
-        if candidates is _UNSUPPORTED_TEST:
-            return None
-        cand_by_key[key] = candidates
-
-    desc = _staircase_candidate_desc(step.test)
+    cand_by_key = {key: resolve_staircase_pool(shredded, desc)
+                   for key, shredded in shreds.items()}
 
     def filtered_join(key, rows):
         result = staircase_join(

@@ -48,7 +48,6 @@ _STRATEGIES = {
     "udf": Strategy.UDF,
     "basic": Strategy.BASIC,
     "ll": Strategy.LOOP_LIFTED,
-    "looplifted": Strategy.LOOP_LIFTED,
 }
 
 
@@ -284,13 +283,13 @@ class Database:
             (default ``auto``).
         :param workers: sharded fan-out — ``"serial"`` (deterministic
             single-shard reference, the default) or a worker count:
-            batched kernel calls are partitioned (StandOff candidate
-            tables by fragment and iteration range, staircase pools by
-            contiguous pre-order ranges) and dispatched one shard per
-            thread, merged columnar without re-sorting.  Default
-            overridable process-wide via ``REPRO_WORKERS``.
-        :param shard_min_rows: minimum rows per shard before a join
-            call fans out (see :mod:`repro.exec.sharding`).
+            a batched kernel call's context is cut between
+            iterations (StandOff steps per fragment first), one shard
+            per worker, and the shard results concatenate block by
+            block.  Default overridable process-wide via
+            ``REPRO_WORKERS``.
+        :param shard_min_rows: minimum context rows per shard before
+            a join call fans out (see :mod:`repro.exec.sharding`).
         :param context_uri: optional document whose root becomes the
             initial context item (so relative paths like ``//a`` work
             without ``doc(...)``).

@@ -295,16 +295,16 @@ def test_probe_pair_estimate_saturates_instead_of_wrapping():
     at the cap instead."""
     from repro.config import AUTO_KERNEL_MAX_PAIRS, KERNELS
     from repro.core.kernels_vec import (
-        _INT64_BUDGET,
         estimate_probe_pairs,
         saturating_pair_count,
     )
+    from repro.relational.columnar import INT64_BUDGET
 
     # At the boundary: counts whose true total (2**64) wraps an int64
     # sum to exactly 0 — the worst case for the guard.
     counts = np.full(4096, 2 ** 52, dtype=np.int64)
     assert int(counts.sum()) == 0, "fixture must actually wrap"
-    assert saturating_pair_count(counts) == _INT64_BUDGET
+    assert saturating_pair_count(counts) == INT64_BUDGET
     assert saturating_pair_count(counts) > AUTO_KERNEL_MAX_PAIRS
     assert KERNELS.select("standoff", "auto", context_rows=10_000,
                           candidate_rows=10_000,
@@ -318,4 +318,4 @@ def test_probe_pair_estimate_saturates_instead_of_wrapping():
     context, candidates, _ctx_areas, _cand_areas = make_workload(
         11, n_iters=20, per_iter=3, n_cand=200, span=5_000, max_len=400)
     estimate = estimate_probe_pairs(context, candidates)
-    assert 0 < estimate < _INT64_BUDGET
+    assert 0 < estimate < INT64_BUDGET

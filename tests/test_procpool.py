@@ -18,8 +18,11 @@ import numpy as np
 import pytest
 
 from repro import storage
-from repro.exec import procpool
-from repro.staircase.kernels_vec import staircase_join
+from repro.exec import procpool, sharding
+from repro.staircase.kernels_vec import (
+    resolve_staircase_pool,
+    staircase_join,
+)
 from repro.xquery.engine import Database
 
 WORKERS = 2
@@ -65,8 +68,11 @@ def test_store_backed_staircase_roundtrip(tmp_path):
     for axis, desc in (("following", ("name", "w")),
                        ("preceding", ("name", "w")),
                        ("descendant", ("non-attr",)),
-                       ("child", ("all-elements",))):
-        pool = procpool.resolve_staircase_pool(sh, desc)
+                       ("ancestor", ("all-elements",)),
+                       ("child", ("all-elements",)),
+                       ("following-sibling", ("name", "s")),
+                       ("preceding-sibling", ("all",))):
+        pool = resolve_staircase_pool(sh, desc)
         serial = staircase_join(axis, sh, context, pool,
                                 kernel="vectorized", workers="serial")
         via_procs = staircase_join(axis, sh, context, pool,
@@ -94,6 +100,36 @@ def test_process_dispatch_actually_engages(monkeypatch):
              strategy="ll", staircase_kernel="vectorized",
              workers=WORKERS, shard_min_rows=1, executor="process")
     assert "following" in calls
+
+
+def test_one_iteration_context_never_touches_a_pool(tmp_path, monkeypatch):
+    """A one-shard plan runs inline under either executor: a context
+    of one iteration — however many rows — is never shipped to a
+    worker (process or thread) and back."""
+
+    def boom(*_args, **_kwargs):  # pragma: no cover - must not run
+        raise AssertionError("one-shard plan reached a pool")
+
+    monkeypatch.setattr(procpool, "run_staircase", boom)
+    monkeypatch.setattr(procpool, "_proc_pool", boom)
+    monkeypatch.setattr(sharding, "_pool", boom)
+    path = str(tmp_path / "d.repro")
+    storage.save_store(path, build("memory"))
+    sh = storage.StoreReader(path).shredded("d.xml")
+    desc = ("name", "w")
+    pool = resolve_staircase_pool(sh, desc)
+    context = [(0, pre) for pre in sh.all_element_pres().tolist()[:80]]
+    for axis in ("following", "descendant", "ancestor"):
+        serial = staircase_join(axis, sh, context, pool,
+                                kernel="vectorized", workers="serial")
+        for executor in ("thread", "process"):
+            inline = staircase_join(axis, sh, context, pool,
+                                    kernel="vectorized", workers=WORKERS,
+                                    shard_min_rows=1, executor=executor,
+                                    candidate_desc=desc)
+            assert np.array_equal(serial.iters, inline.iters)
+            assert np.array_equal(serial.offsets, inline.offsets)
+            assert np.array_equal(serial.values, inline.values)
 
 
 def test_memory_backend_falls_back_to_threads(monkeypatch):
@@ -154,7 +190,7 @@ def test_shared_memory_transport_roundtrip(tmp_path, monkeypatch):
     context = [(it, pre) for it, pre in
                enumerate(sh.all_element_pres().tolist()[:80])]
     desc = ("name", "w")
-    pool = procpool.resolve_staircase_pool(sh, desc)
+    pool = resolve_staircase_pool(sh, desc)
     serial = staircase_join("following", sh, context, pool,
                             kernel="vectorized", workers="serial")
     via_shm = staircase_join("following", sh, context, pool,
@@ -223,7 +259,7 @@ def test_shm_unlinked_when_merge_fails(tmp_path, monkeypatch):
     context = [(it, pre) for it, pre in
                enumerate(sh.all_element_pres().tolist()[:80])]
     desc = ("name", "w")
-    pool = procpool.resolve_staircase_pool(sh, desc)
+    pool = resolve_staircase_pool(sh, desc)
 
     real = procpool._unpack_columnar
     consumed = []

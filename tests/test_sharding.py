@@ -1,10 +1,10 @@
 """The sharded fan-out execution layer (`repro.exec.sharding`).
 
-Covers the shard planner (pool ranges and iteration ranges), the
-thread-pool dispatcher, the k-way columnar shard merge (property-tested
-against a dict-level oracle on adversarial shard boundaries), the
-kernel-registry error contract, and the sharded execution paths of both
-join families — including the two known fallback corners
+Covers the one shard planner (iteration ranges), the thread-pool
+dispatcher, the one merge (block concatenation, checked against the
+serial kernel on adversarial shard boundaries), the kernel-registry
+error contract, and the sharded execution paths of both join families
+— including the two known fallback corners
 (``following-sibling``/``preceding-sibling`` DOM walks and constructed
 fragments) under ``kernel="auto"`` + sharding.
 """
@@ -26,16 +26,13 @@ from repro.config import (
 from repro.core.naive import StandoffOp
 from repro.core.steps import Strategy, standoff_step
 from repro.exec.sharding import (
-    ITER_RANGE,
     Shard,
-    ShardPlan,
-    concat_shards,
+    concat_iteration_blocks,
     partition_by_iteration,
-    plan_shards,
     run_shards,
 )
-from repro.relational.columnar import ColumnarResult
-from repro.staircase import staircase_join
+from repro.relational.columnar import ColumnarResult, run_starts
+from repro.staircase import staircase_join, vec_staircase_join
 from repro.xmldb import parse_document, shred
 from repro.xquery import Database
 
@@ -44,35 +41,19 @@ from repro.xquery import Database
 # the planner
 # ----------------------------------------------------------------------
 
-class TestPlanShards:
+class TestPartitionByIteration:
     def test_serial_is_single_shard(self):
-        plan = plan_shards(1_000_000, WORKERS_SERIAL, shard_min_rows=1)
+        plan = partition_by_iteration([1] * 1000, WORKERS_SERIAL,
+                                      shard_min_rows=1)
         assert not plan.is_sharded
-        assert plan.shards == (Shard(0, 0, 1_000_000),)
-
-    def test_small_workload_stays_serial(self):
-        plan = plan_shards(100, 4, shard_min_rows=64)
-        assert not plan.is_sharded
-
-    def test_bounds_cover_gap_free(self):
-        plan = plan_shards(100_001, 4, shard_min_rows=1000)
-        assert plan.is_sharded and plan.n_shards == 4
-        assert plan.shards[0].lo == 0
-        assert plan.shards[-1].hi == 100_001
-        for a, b in zip(plan.shards[:-1], plan.shards[1:]):
-            assert a.hi == b.lo
-
-    def test_min_rows_caps_shard_count(self):
-        plan = plan_shards(10_000, 8, shard_min_rows=3000)
-        assert plan.n_shards == 3
-        assert all(s.n_rows >= 3000 for s in plan.shards)
+        assert plan.shards == (Shard(0, 1000),)
 
     def test_workers_cap(self):
-        plan = plan_shards(1_000_000, 2, shard_min_rows=1)
+        plan = partition_by_iteration([1] * 1000, 2, shard_min_rows=1)
         assert plan.n_shards == 2
 
-    def test_zero_rows(self):
-        plan = plan_shards(0, 4, shard_min_rows=1)
+    def test_no_iterations(self):
+        plan = partition_by_iteration([], 4, shard_min_rows=1)
         assert not plan.is_sharded and plan.shards[0].n_rows == 0
 
     def test_normalize_workers(self):
@@ -85,11 +66,8 @@ class TestPlanShards:
         with pytest.raises(ValueError, match="workers"):
             normalize_workers(0)
 
-
-class TestPartitionByIteration:
     def test_never_splits_an_iteration(self):
         plan = partition_by_iteration([10] * 8, 4, shard_min_rows=5)
-        assert plan.kind == ITER_RANGE
         assert plan.is_sharded
         assert plan.shards[0].lo == 0 and plan.shards[-1].hi == 8
         for a, b in zip(plan.shards[:-1], plan.shards[1:]):
@@ -158,7 +136,7 @@ class TestRunShards:
 
 
 # ----------------------------------------------------------------------
-# the k-way columnar shard merge
+# the merge: block concatenation
 # ----------------------------------------------------------------------
 
 def assert_csr_invariants(result: ColumnarResult) -> None:
@@ -174,73 +152,72 @@ def assert_csr_invariants(result: ColumnarResult) -> None:
             assert np.all(np.diff(chunk) > 0)
 
 
-def split_by_value_ranges(full: dict[int, list[int]],
-                          bounds: list[int]) -> list[ColumnarResult]:
-    """Slice a result into pool-range shards at the given value bounds
-    (the shape the staircase pool sharding produces)."""
-    shards = []
-    edges = [-(1 << 60), *bounds, 1 << 60]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        part = {it: [v for v in vals if lo <= v < hi]
-                for it, vals in full.items()}
-        part = {it: vals for it, vals in part.items() if vals}
-        shards.append(ColumnarResult.from_dict(part))
-    return shards
+def assert_arrays_equal(got: ColumnarResult, want: ColumnarResult,
+                        label=None) -> None:
+    for column in ("iters", "offsets", "values"):
+        assert np.array_equal(getattr(got, column),
+                              getattr(want, column)), (label, column)
 
 
-class TestConcatShards:
+STAIRCASE_AXES = ("descendant", "ancestor", "child", "following",
+                  "preceding", "following-sibling", "preceding-sibling")
+
+
+def _tree_xml(n: int) -> str:
+    return ("<r>"
+            + "".join(f"<a i='{i}'><b><c/></b><d/></a>" for i in range(n))
+            + "</r>")
+
+
+def _canonical(context) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.unique(np.asarray(context, dtype=np.int64), axis=0)
+    return rows[:, 0], rows[:, 1]
+
+
+def _blocks_at(axis, sh, its, pres, cuts, candidates=None):
+    """The kernel run on the context slices between the given
+    iteration-ordinal *cuts* (repeated cuts make empty shards)."""
+    bounds = np.append(run_starts(its), len(its))
+    edges = [0, *cuts, len(bounds) - 1]
+    return [vec_staircase_join(axis, sh,
+                               (its[bounds[lo]:bounds[hi]],
+                                pres[bounds[lo]:bounds[hi]]), candidates)
+            for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+class TestConcatIterationBlocks:
     def test_empty_input(self):
-        assert concat_shards([]).to_dict() == {}
+        assert concat_iteration_blocks([]).to_dict() == {}
 
     def test_all_empty_shards(self):
-        merged = concat_shards([ColumnarResult.empty()] * 3)
+        merged = concat_iteration_blocks([ColumnarResult.empty()] * 3)
         assert merged.to_dict() == {}
 
-    def test_single_shard_identity(self):
+    def test_single_block_is_copied(self):
+        # The process path merges views into shared-memory segments it
+        # unlinks right after: the output must own its memory.
         one = ColumnarResult.from_dict({3: [1, 2], 9: [5]})
-        assert concat_shards([one, ColumnarResult.empty()]) is one
-
-    def test_duplicate_iters_across_shards(self):
-        a = ColumnarResult.from_dict({0: [1, 2], 2: [3]})
-        b = ColumnarResult.from_dict({0: [10], 1: [7]})
-        merged = concat_shards([a, b])
-        assert merged.to_dict() == {0: [1, 2, 10], 1: [7], 2: [3]}
-        assert_csr_invariants(merged)
+        merged = concat_iteration_blocks([one, ColumnarResult.empty()])
+        assert_arrays_equal(merged, one)
+        assert not np.shares_memory(merged.values, one.values)
 
     def test_empty_shards_interleaved(self):
         a = ColumnarResult.from_dict({5: [1]})
-        b = ColumnarResult.from_dict({5: [2], 6: [9]})
-        merged = concat_shards([a, ColumnarResult.empty(), b])
-        assert merged.to_dict() == {5: [1, 2], 6: [9]}
+        b = ColumnarResult.from_dict({6: [2], 7: [9]})
+        merged = concat_iteration_blocks([a, ColumnarResult.empty(), b])
+        assert merged.to_dict() == {5: [1], 6: [2], 7: [9]}
+        assert_csr_invariants(merged)
 
     def test_preserved_empty_iterations(self):
         # Anti-join shape: an iteration present with an empty slice
         # survives the merge (its key must not be dropped).
         a = ColumnarResult(np.array([1, 2]), np.array([0, 0, 1]),
                            np.array([4]))
-        b = ColumnarResult.from_dict({2: [8]})
-        merged = concat_shards([a, b])
-        assert merged.to_dict() == {1: [], 2: [4, 8]}
-
-    @given(full=st.dictionaries(st.integers(0, 30),
-                                st.lists(st.integers(0, 1000),
-                                         min_size=0, max_size=15),
-                                max_size=12),
-           bounds=st.lists(st.integers(0, 1000), min_size=0,
-                           max_size=6).map(sorted))
-    @settings(max_examples=120, deadline=None)
-    def test_matches_dict_oracle(self, full, bounds):
-        """Adversarial shard boundaries: empty shards, single-iter
-        shards, duplicate iters across shards — merge == from_dict."""
-        full = {it: sorted(set(vals)) for it, vals in full.items()
-                if vals}
-        shards = split_by_value_ranges(full, bounds)
-        merged = concat_shards(shards)
+        b = ColumnarResult(np.array([3, 4]), np.array([0, 1, 1]),
+                           np.array([8]))
+        merged = concat_iteration_blocks([a, b])
+        assert merged.to_dict() == {1: [], 2: [4], 3: [8], 4: []}
         assert_csr_invariants(merged)
-        expected = ColumnarResult.from_dict(full)
-        decoded = {it: vals for it, vals in merged.to_dict().items()
-                   if vals}
-        assert decoded == expected.to_dict()
 
     @given(per_shard=st.lists(
         st.dictionaries(st.integers(0, 6),
@@ -249,19 +226,58 @@ class TestConcatShards:
                         max_size=4),
         min_size=1, max_size=5))
     @settings(max_examples=80, deadline=None)
-    def test_iter_range_shards(self, per_shard):
-        """Disjoint-iteration shards (the StandOff sharding shape):
-        offset each shard's iterations into its own range."""
+    def test_matches_dict_oracle(self, per_shard):
+        """Disjoint-iteration shards in ascending order (what the plan
+        guarantees): offset each shard's iterations into its own
+        range; merge == from_dict of the union."""
         shards, expected = [], {}
         for i, data in enumerate(per_shard):
             shifted = {it + 100 * i: sorted(set(vals))
                        for it, vals in data.items()}
             expected.update(shifted)
             shards.append(ColumnarResult.from_dict(shifted))
-        merged = concat_shards(shards)
+        merged = concat_iteration_blocks(shards)
         assert_csr_invariants(merged)
-        assert merged.to_dict() == ColumnarResult.from_dict(
-            expected).to_dict()
+        assert_arrays_equal(merged, ColumnarResult.from_dict(expected))
+
+    @given(context=st.lists(st.tuples(st.integers(0, 9),
+                                      st.integers(0, 60)),
+                            min_size=1, max_size=40),
+           cuts=st.lists(st.integers(0, 10), max_size=5).map(sorted))
+    @settings(max_examples=60, deadline=None)
+    def test_any_iteration_cut_matches_serial_kernel(self, context, cuts):
+        """Adversarial shard boundaries — empty shards (repeated
+        cuts), single-iteration shards, iterations whose result is
+        empty and so absent from their shard — on every axis: kernel
+        per slice + block merge == the kernel on the whole context."""
+        sh = shred(parse_document(_tree_xml(12)))
+        its, pres = _canonical(context)
+        n_iters = len(np.unique(its))
+        cuts = [min(cut, n_iters) for cut in cuts]
+        for axis in STAIRCASE_AXES:
+            for candidates in (None, sh.all_element_pres()):
+                serial = vec_staircase_join(axis, sh, (its, pres),
+                                            candidates)
+                merged = concat_iteration_blocks(
+                    _blocks_at(axis, sh, its, pres, cuts, candidates))
+                assert_csr_invariants(merged)
+                assert_arrays_equal(merged, serial, axis)
+
+    def test_dominant_iteration(self):
+        """One iteration owning almost every context row next to
+        single-row iterations: the planner may only cut around it."""
+        sh = shred(parse_document(_tree_xml(40)))
+        elements = sh.all_element_pres().tolist()
+        context = [(3, pre) for pre in elements] \
+            + [(it, elements[it]) for it in (0, 1, 2, 4, 5, 6)]
+        for axis in STAIRCASE_AXES:
+            serial = staircase_join(axis, sh, context,
+                                    kernel="vectorized",
+                                    workers=WORKERS_SERIAL)
+            sharded = staircase_join(axis, sh, context,
+                                     kernel="vectorized", workers=4,
+                                     shard_min_rows=1)
+            assert_arrays_equal(sharded, serial, axis)
 
 
 # ----------------------------------------------------------------------
@@ -311,16 +327,6 @@ class TestRegistryErrors:
 # sharded execution == serial reference (both families)
 # ----------------------------------------------------------------------
 
-STAIRCASE_AXES = ("descendant", "ancestor", "child", "following",
-                  "preceding")
-
-
-def _tree_xml(n: int) -> str:
-    return ("<r>"
-            + "".join(f"<a i='{i}'><b><c/></b><d/></a>" for i in range(n))
-            + "</r>")
-
-
 class TestShardedStaircase:
     def test_sharded_equals_serial_all_axes(self):
         doc = parse_document(_tree_xml(40))
@@ -336,7 +342,8 @@ class TestShardedStaircase:
                 sharded = staircase_join(axis, sh, context, candidates,
                                          kernel="vectorized", workers=4,
                                          shard_min_rows=1)
-                assert serial == sharded, (axis, candidates is None)
+                assert_arrays_equal(sharded, serial,
+                                    (axis, candidates is None))
 
     def test_sharded_or_self(self):
         doc = parse_document(_tree_xml(25))

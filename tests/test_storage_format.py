@@ -280,10 +280,48 @@ class TestSpillBackend:
         assert row["backend"] == "mmap"
         assert row["file_size"] and row["file_size"] > 0
 
-    def test_update_detaches_from_spill(self):
+    def test_one_stored_document_through_every_backing(self, store_path):
+        """memory -> spill -> invalidate -> respill, and open_store ->
+        invalidate, on the one StoredDocument class: the backing comes
+        and goes, the class and the answers do not."""
+        from repro.xmldb.store import StoredDocument
+
+        query = 'count(doc("a.xml")//shot)'
+        shot = '<shot start="60" end="70"/>'
+        target = 'doc("a.xml")//music[@artist="Moby"]'
+
+        mem = Database(storage_backend="memory")
+        mem.add_document("a.xml", DOC_A)
+        stored = mem.store.get("a.xml")
+        assert type(stored) is StoredDocument
+        assert stored.shredded.store_ref is None and stored._backing is None
+
         mm = Database(storage_backend="mmap")
         mm.add_document("a.xml", DOC_A)
-        assert mm.query('count(doc("a.xml")//shot)').serialize() == "2"
-        mm.insert_nodes("a.xml", 'doc("a.xml")//music[@artist="Moby"]',
-                        '<shot start="60" end="70"/>')
-        assert mm.query('count(doc("a.xml")//shot)').serialize() == "3"
+        stored = mm.store.get("a.xml")
+        assert type(stored) is StoredDocument and stored._backing is None
+        assert mm.query(query).serialize() == "2"
+        first = stored.shredded.store_ref       # first touch spilled
+        assert first is not None and os.path.exists(first[0])
+        assert stored.region_index().store_ref == first
+        mm.insert_nodes("a.xml", target, shot)  # store.touch -> invalidate
+        assert stored._backing is None and not os.path.exists(first[0])
+        assert mm.query(query).serialize() == "3"
+        second = stored.shredded.store_ref      # respilled, a fresh file
+        assert second is not None and second != first
+        assert os.path.exists(second[0])
+
+        opened = storage.open_store(store_path)
+        stored = opened.store.get("a.xml")
+        assert type(stored) is StoredDocument
+        assert stored._document is None         # the DOM is still lazy
+        assert stored.shredded.store_ref == (store_path, "a.xml")
+        assert stored.region_index().store_ref == (store_path, "a.xml")
+        opened.insert_nodes("a.xml", target, shot)
+        assert stored._backing is None          # detached, file kept
+        assert os.path.exists(store_path)
+        assert opened.query(query).serialize() == "3"
+        assert stored.shredded.store_ref != (store_path, "a.xml")
+        (row,) = [r for r in storage.store_stats(opened)
+                  if r["uri"] == "a.xml"]
+        assert row["path"] != store_path
