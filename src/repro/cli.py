@@ -23,7 +23,8 @@ line (nodes serialized as XML).
 
 Out-of-core stores: ``--store <path>`` opens a store file written by
 ``\save-store`` (or :func:`repro.storage.save_store`) instead of
-parsing XML — an O(1) cold start off the memory-mapped columns.
+parsing XML — an O(1) cold start off the memory-mapped columns; the
+file holds the columns only, and nodes are built from them on demand.
 ``--storage mmap`` spills freshly loaded documents to mapped store
 files, which is what lets ``--executor process`` fan shards out to
 worker processes sharing the column pages.
@@ -81,7 +82,8 @@ HELP = """\
 \\executor <name>     where sharded joins run: thread | process
                      (process needs store-backed documents — open a
                      store with --store or use --storage mmap)
-\\save-store <path>   write every stored document's columns to a
+\\save-store <path>   write every stored document's columns (and no
+                     XML text: the columns are the document) to a
                      versioned store file (reopen with --store)
 \\store stats         per-document storage backend, file size, and
                      mapped vs resident bytes
@@ -396,7 +398,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--store", default=None, metavar="PATH",
                         help="open a saved store file (written by "
                              "\\save-store) instead of parsing XML — "
-                             "O(1) cold start off the mapped columns")
+                             "O(1) cold start off the mapped columns; "
+                             "nodes are built from them on demand")
     parser.add_argument("--shard-min-rows", type=int,
                         default=DEFAULT_SHARD_MIN_ROWS, metavar="ROWS",
                         help="minimum context rows per shard before a "

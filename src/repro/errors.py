@@ -35,15 +35,12 @@ class ShredError(ReproError):
     """The relational shredder met a document it cannot encode."""
 
 
-class RelationalError(ReproError):
-    """Misuse of the column-store substrate (schema mismatch, bad arity)."""
-
-
 class StorageFormatError(ReproError):
     """An on-disk store file is unreadable: bad magic, unsupported
-    format version, truncated file, corrupt header, or a blob failing
-    its checksum.  Raised by :mod:`repro.storage` so callers never see
-    a cryptic NumPy/JSON error for a damaged store."""
+    format version, truncated file, corrupt header, a blob failing its
+    checksum, or columns that do not encode a document.  Raised by
+    :mod:`repro.storage` (and by the columns -> DOM pass it feeds) so
+    callers never see a cryptic NumPy/JSON error for a damaged store."""
 
 
 class UnknownKernelError(ReproError, ValueError):

@@ -114,7 +114,8 @@ _DEFAULT_POLL_CALLS = (
 )
 
 _DEFAULT_LAZY_MODULES = (
-    "src/repro/xmldb/store.py", "src/repro/storage/__init__.py",
+    "src/repro/xmldb/store.py", "src/repro/xmldb/shred.py",
+    "src/repro/storage/__init__.py",
 )
 _DEFAULT_LAZY_ATTRS = ("_shredded", "_document", "_backing")
 _DEFAULT_LAZY_DICTS = ("_region_indexes", "_stored")

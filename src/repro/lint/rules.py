@@ -300,7 +300,7 @@ def rl004(ctx: FileContext) -> list[Finding]:
                 what = f"self.{target.value.attr}[...]"
         if what is None:
             continue
-        in_init = False
+        constructing = False
         locked = False
         for ancestor in ctx.ancestors(node):
             if isinstance(ancestor, ast.With):
@@ -309,9 +309,13 @@ def rl004(ctx: FileContext) -> list[Finding]:
                         locked = True
             elif isinstance(ancestor, (ast.FunctionDef,
                                        ast.AsyncFunctionDef)):
-                in_init = ancestor.name == "__init__"
+                # __init__ and alternate constructors (a classmethod's
+                # `self` is an object it is still building) own theirs.
+                constructing = ancestor.name == "__init__" or any(
+                    ast.unparse(decorator) == "classmethod"
+                    for decorator in ancestor.decorator_list)
                 break
-        if in_init or locked:
+        if constructing or locked:
             continue
         findings.append(ctx.finding(
             node, "RL004",

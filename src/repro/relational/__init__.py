@@ -1,24 +1,10 @@
-"""Relational substrate: columns, tables, loop-lifted sequences and the
-columnar (offsets + values) join-result backbone."""
+"""Relational substrate: loop-lifted sequences and the columnar
+(offsets + values) join-result backbone."""
 
-from repro.relational.column import Column
 from repro.relational.columnar import (
     ColumnarResult,
     ColumnarStepResult,
     complement,
-)
-from repro.relational.operators import (
-    antijoin,
-    cross,
-    distinct,
-    equi_join,
-    group_count,
-    project,
-    row_number,
-    select,
-    select_eq,
-    semijoin,
-    sort,
 )
 from repro.relational.sequence import (
     IterSeq,
@@ -27,28 +13,14 @@ from repro.relational.sequence import (
     expand_loop,
     unlift,
 )
-from repro.relational.table import Table
 
 __all__ = [
-    "Column",
     "ColumnarResult",
     "ColumnarStepResult",
     "complement",
-    "Table",
     "IterSeq",
     "LazyIterData",
     "Loop",
     "expand_loop",
     "unlift",
-    "select",
-    "select_eq",
-    "project",
-    "sort",
-    "equi_join",
-    "semijoin",
-    "antijoin",
-    "cross",
-    "group_count",
-    "row_number",
-    "distinct",
 ]

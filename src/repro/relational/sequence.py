@@ -5,7 +5,7 @@ single table with columns ``iter|pos|item``: for every iteration ``iter``
 of the loop, the rows with that iteration number are the expression's
 item sequence (ordered by ``pos``).  :class:`IterSeq` is that table; the
 physical storage groups items per iteration (``pos`` is implicit in list
-order) and :meth:`to_table` materialises the classical three-column view.
+order).
 
 The for-loop machinery follows Pathfinder's *loop lifting* [Grust et al.,
 VLDB 2004]:
@@ -23,11 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from typing import Callable, Iterable, Iterator
-
-import numpy as np
-
-from repro.relational.column import Column
-from repro.relational.table import Table
 
 #: A loop relation: the ordered iteration numbers of a live scope.
 Loop = list
@@ -142,24 +137,12 @@ class IterSeq:
     def total_items(self) -> int:
         return sum(len(v) for v in self.data.values())
 
-    def is_empty(self) -> bool:
-        return all(not v for v in self.data.values())
-
     # -- bulk operations ------------------------------------------------------
 
     def map_items(self, fn: Callable) -> "IterSeq":
         """Apply *fn* to every item, preserving iter/pos structure."""
         return IterSeq({it: [fn(x) for x in items]
                         for it, items in self.data.items()})
-
-    def map_seq(self, fn: Callable[[int, list], list]) -> "IterSeq":
-        """Apply a per-iteration sequence transform ``fn(iter, items)``."""
-        out = {}
-        for it, items in self.data.items():
-            new = fn(it, items)
-            if new:
-                out[it] = new
-        return IterSeq(out)
 
     def restrict(self, live: Iterable[int]) -> "IterSeq":
         """Keep only the iterations in *live*.
@@ -173,14 +156,6 @@ class IterSeq:
         return IterSeq({it: items for it, items in self.data.items()
                         if it in live_set})
 
-    def filter_items(self, pred: Callable) -> "IterSeq":
-        out = {}
-        for it, items in self.data.items():
-            kept = [x for x in items if pred(x)]
-            if kept:
-                out[it] = kept
-        return IterSeq(out)
-
     def concat(self, other: "IterSeq") -> "IterSeq":
         """Per-iteration sequence concatenation (XQuery ``,``)."""
         out: dict[int, list] = {}
@@ -189,24 +164,6 @@ class IterSeq:
         for it, items in other.data.items():
             out.setdefault(it, []).extend(items)
         return IterSeq(out)
-
-    # -- table view -----------------------------------------------------------
-
-    def to_table(self) -> Table:
-        """Materialise the classical ``iter|pos|item`` table view."""
-        iters: list[int] = []
-        poss: list[int] = []
-        items: list = []
-        for it in sorted(self.data):
-            for pos, item in enumerate(self.data[it], start=1):
-                iters.append(it)
-                poss.append(pos)
-                items.append(item)
-        return Table([
-            Column("iter", np.asarray(iters, dtype=np.int64)),
-            Column("pos", np.asarray(poss, dtype=np.int64)),
-            Column("item", items),
-        ])
 
     def __repr__(self) -> str:
         return f"IterSeq(iters={len(self.data)}, items={self.total_items()})"

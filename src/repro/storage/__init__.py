@@ -2,15 +2,18 @@
 
 ``save_store(path, db)`` writes every stored document's shredded
 columns — pre/size/level/parent/kind/name, the value string heap, the
-element-name index, the default-config region table, and the XML text
-— into one versioned store file (:mod:`repro.storage.format`).
-``open_store(path)`` maps it back with ``np.memmap``:
+element-name index and the default-config region table — into one
+versioned store file (:mod:`repro.storage.format`).  The columns are
+the document: the file holds no XML text.  ``open_store(path)`` maps
+it back with ``np.memmap``:
 
 * **O(1) cold start** — only the header is read; columns are zero-copy
-  mapped views, so no shred, no region extraction, no XML parse happens
-  at open.  The DOM is parsed lazily, the first time a caller actually
-  asks for nodes (query results decode through ``node_by_pre``); the
-  join kernels themselves run entirely off the mapped columns.
+  mapped views, so no shred, no region extraction, no DOM build happens
+  at open.  The DOM is built from the columns
+  (:func:`repro.xmldb.shred.unshred`) lazily, the first time a caller
+  actually asks for nodes (query results decode through
+  ``node_by_pre``); the join kernels themselves run entirely off the
+  mapped columns.
 * **page sharing** — any number of processes mapping the same file
   share its pages read-only, which is what makes the process-pool
   executor (:mod:`repro.exec.procpool`) ship `(path, slice)` job
@@ -45,13 +48,7 @@ from repro.storage.format import (
     write_store,
 )
 from repro.xmldb.dom import Document
-from repro.xmldb.parser import parse_document
-from repro.xmldb.shred import (
-    ShreddedDocument,
-    StringHeap,
-    fragment_fingerprint,
-    shred,
-)
+from repro.xmldb.shred import ShreddedDocument, StringHeap, shred
 from repro.xmldb.store import DocumentStore, StoredDocument, extract_regions
 
 __all__ = [
@@ -65,30 +62,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Saving
 # ----------------------------------------------------------------------
-
-def _serialized_form(document: Document) -> tuple[str, bool]:
-    """The document's XML text plus the reparse flag that round-trips.
-
-    The store keeps the XML only for *lazy* DOM recovery; the columns
-    are authoritative.  That is only sound if reparsing the serialized
-    text reproduces the exact node numbering the columns were built
-    from, so the round-trip is checked here via the structural
-    fingerprint (whitespace-only text nodes decide which
-    ``keep_whitespace_text`` setting reproduces the original).
-    """
-    document.renumber()
-    xml = document.serialize()
-    want = fragment_fingerprint(document.all_nodes())
-    for keep_ws in (False, True):
-        reparsed = parse_document(xml, uri=document.uri,
-                                  doc_id=document.doc_id,
-                                  keep_whitespace_text=keep_ws)
-        if fragment_fingerprint(reparsed.all_nodes()) == want:
-            return xml, keep_ws
-    raise StorageFormatError(
-        f"document {document.uri!r} does not survive a "
-        f"serialize/reparse round-trip; cannot store it")
-
 
 def _default_region_table(document: Document) -> RegionTable | None:
     """The default-config region table, or ``None`` when the document
@@ -105,10 +78,10 @@ def _default_region_table(document: Document) -> RegionTable | None:
         return None
 
 
-def _document_entry(document: Document, shredded: ShreddedDocument,
-                    region_table: RegionTable | None) -> dict:
+def _document_entry(document: Document, shredded: ShreddedDocument
+                    ) -> dict:
     """One document's ``write_store`` entry (columns + metadata)."""
-    xml, keep_ws = _serialized_form(document)
+    region_table = _default_region_table(document)
     values = shredded.values
     heap = (values if isinstance(values, StringHeap)
             else StringHeap.from_dict(values))
@@ -134,7 +107,6 @@ def _document_entry(document: Document, shredded: ShreddedDocument,
         "val_pres": heap.pres,
         "val_offsets": heap.offsets,
         "val_heap": heap.heap,
-        "xml": xml.encode("utf-8"),
     }
     if region_table is not None:
         columns["reg_starts"] = region_table.starts
@@ -145,7 +117,6 @@ def _document_entry(document: Document, shredded: ShreddedDocument,
         "doc_id": document.doc_id,
         "n_nodes": len(shredded),
         "names": list(shredded.names),
-        "keep_whitespace_text": keep_ws,
         "has_regions": region_table is not None,
         "columns": columns,
     }
@@ -161,13 +132,9 @@ def save_store(path: str, source) -> str:
     custom ``declare option`` preamble fall back to DOM extraction).
     """
     store = getattr(source, "store", source)
-    entries = []
-    for stored in store:
-        entries.append(_document_entry(
-            stored.document, stored.shredded,
-            _default_region_table(stored.document)))
-    write_store(str(path), entries,
-                extra_header={"region_config": "default"})
+    write_store(str(path), [
+        _document_entry(stored.document, stored.shredded)
+        for stored in store])
     return str(path)
 
 
@@ -181,8 +148,8 @@ class StoreReader:
     Wraps the low-level :class:`~repro.storage.format.StoreFile` and
     rebuilds the engine objects from the mapped columns:
     :meth:`shredded` (zero-copy :class:`ShreddedDocument`),
-    :meth:`region_index`, :meth:`document` (parses the stored XML), and
-    :meth:`stored` (a lazy
+    :meth:`region_index`, :meth:`document` (the DOM those columns
+    encode), and :meth:`stored` (a lazy
     :class:`~repro.xmldb.store.StoredDocument` backed by this reader).
     """
 
@@ -212,9 +179,10 @@ class StoreReader:
     def _column(self, uri: str, suffix: str) -> np.ndarray:
         return self._file.column(f"{self.meta(uri)['prefix']}/{suffix}")
 
-    def shredded(self, uri: str, *, document: Document | None = None,
-                 doc_factory=None) -> ShreddedDocument:
-        """The document's shred over zero-copy mapped columns."""
+    def shredded(self, uri: str, *, document: Document | None = None
+                 ) -> ShreddedDocument:
+        """The document's shred over zero-copy mapped columns; without
+        a *document* it builds its own from them on first use."""
         meta = self.meta(uri)
         col = lambda suffix: self._column(uri, suffix)  # noqa: E731
         nids = col("elind_nids")
@@ -223,8 +191,6 @@ class StoreReader:
         element_index = {
             int(nid): pres[offsets[i]:offsets[i + 1]]
             for i, nid in enumerate(nids.tolist())}
-        if document is None and doc_factory is None:
-            doc_factory = lambda: self.document(uri)  # noqa: E731
         return ShreddedDocument.from_columns(
             pre=col("pre"), size=col("size"), level=col("level"),
             kind=col("kind"), parent=col("parent"), name=col("name"),
@@ -232,7 +198,7 @@ class StoreReader:
             values=StringHeap(col("val_pres"), col("val_offsets"),
                               col("val_heap")),
             element_index=element_index,
-            document=document, doc_factory=doc_factory,
+            document=document, doc_id=meta["doc_id"],
             store_ref=(self.path, uri))
 
     def has_regions(self, uri: str) -> bool:
@@ -254,13 +220,9 @@ class StoreReader:
         return index
 
     def document(self, uri: str) -> Document:
-        """Parse the stored XML back into a DOM (the lazy path)."""
-        meta = self.meta(uri)
-        xml = self._file.blob_bytes(
-            f"{meta['prefix']}/xml").decode("utf-8")
-        return parse_document(
-            xml, uri=meta["uri"], doc_id=meta["doc_id"],
-            keep_whitespace_text=meta["keep_whitespace_text"])
+        """A DOM built from the mapped columns (a fresh one per call;
+        :meth:`stored` is the facade that keeps one)."""
+        return self.shredded(uri).document
 
     def stored(self, uri: str) -> StoredDocument:
         """The (cached) lazy stored-document facade for *uri*."""
@@ -284,8 +246,8 @@ def open_store(path: str, *, plan_cache_size: int | None = None):
     """Open a saved store as a ready-to-query ``Database``.
 
     O(1) in document size: nothing is parsed or shredded; every
-    registered document resolves its columns from the mapping and its
-    DOM lazily.
+    registered document resolves its columns from the mapping and
+    builds its DOM from them lazily.
     """
     from repro.xquery.engine import Database
 
@@ -351,16 +313,13 @@ def spill_document(document: Document) -> tuple[str, StoreReader]:
     re-open the same file by path.
     """
     global _SPILL_SEQ
-    shredded = shred(document)
-    table = _default_region_table(document)
     with _SPILL_LOCK:
         _SPILL_SEQ += 1
         seq = _SPILL_SEQ
     path = os.path.join(
         spill_directory(),
         f"spill-{os.getpid()}-{seq}-doc{document.doc_id}.repro")
-    write_store(path, [_document_entry(document, shredded, table)],
-                extra_header={"region_config": "default"})
+    write_store(path, [_document_entry(document, shred(document))])
     return path, StoreReader(path)
 
 

@@ -1,13 +1,16 @@
 """The versioned on-disk columnar store format (low level).
 
-One store file holds any number of shredded documents::
+One store file holds any number of shredded documents — their columns
+and nothing else; the DOM is built from the columns on demand
+(:func:`repro.xmldb.shred.unshred`), so there is no second copy of a
+document to keep in step::
 
     magic (8) | format version (u32 LE) | header length (u64 LE)
     | header JSON (UTF-8) | 64-byte-aligned blobs ...
 
-The JSON header carries the format version again (self-describing), a
-dtype table, the per-document metadata (URI, doc id, name dictionary,
-blob references), and a blob directory mapping each blob name to its
+The JSON header carries the format version again (self-describing),
+the per-document metadata (URI, doc id, name dictionary, blob
+references), and a blob directory mapping each blob name to its
 ``{offset, nbytes, dtype, crc32}``.  Every numeric column is written
 with an explicit little-endian dtype, so a store is byte-identical
 across platforms.
@@ -40,7 +43,9 @@ MAGIC = b"REPROSTO"
 #: Current format version.  Readers reject any other version outright;
 #: the version is stored both in the fixed prefix (so rejection never
 #: needs the JSON parse) and in the header (self-description).
-FORMAT_VERSION = 1
+#: Version 1 also embedded each document's serialized XML; since
+#: version 2 the columns are the only representation.
+FORMAT_VERSION = 2
 
 #: Blob alignment: every blob starts on a 64-byte boundary, so any
 #: mapped column is aligned for every NumPy dtype (and for cache
@@ -60,8 +65,7 @@ def _little_endian(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.astype(dt, copy=False))
 
 
-def write_store(path: str, documents: list[dict],
-                *, extra_header: dict | None = None) -> None:
+def write_store(path: str, documents: list[dict]) -> None:
     """Write a store file.
 
     Each entry of *documents* describes one document::
@@ -69,8 +73,7 @@ def write_store(path: str, documents: list[dict],
         {
             "uri": str, "doc_id": int, "n_nodes": int,
             "names": [str, ...],            # name dictionary
-            "keep_whitespace_text": bool,   # reparse flag for the XML
-            "columns": {blob suffix: np.ndarray or bytes, ...},
+            "columns": {blob suffix: np.ndarray, ...},
         }
 
     Column arrays are coerced to explicit little-endian dtypes; the
@@ -85,29 +88,18 @@ def write_store(path: str, documents: list[dict],
         meta["prefix"] = prefix
         meta["columns"] = sorted(doc["columns"])
         doc_metas.append(meta)
-        for suffix, payload in sorted(doc["columns"].items()):
-            if isinstance(payload, np.ndarray):
-                arr = _little_endian(payload)
-                blobs.append((f"{prefix}/{suffix}", arr.tobytes(),
-                              arr.dtype.str))
-            else:
-                blobs.append((f"{prefix}/{suffix}", bytes(payload),
-                              "bytes"))
+        for suffix, column in sorted(doc["columns"].items()):
+            arr = _little_endian(column)
+            blobs.append((f"{prefix}/{suffix}", arr.tobytes(),
+                          arr.dtype.str))
 
     directory: dict[str, dict] = {}
-    # Lay blobs out after a header whose own length depends on the
-    # directory: compute with offset 0 first, then shift by the real
-    # data start (the JSON length is invariant under the shift because
-    # offsets are rewritten in a second serialization pass).
     header = {
         "format_version": FORMAT_VERSION,
         "alignment": ALIGNMENT,
-        "dtype_table": {name: dtype for name, _p, dtype in blobs},
         "documents": doc_metas,
         "blobs": directory,
     }
-    if extra_header:
-        header.update(extra_header)
     offset = 0
     for name, payload, dtype in blobs:
         offset = _aligned(offset)
@@ -119,27 +111,20 @@ def write_store(path: str, documents: list[dict],
         }
         offset += len(payload)
 
-    # Two-pass header sizing: serialize once to learn the data start,
-    # shift every offset by it, and pad the JSON to its first-pass
-    # length so the shift cannot change the header size again.
-    draft = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    header_len = len(draft) + 1  # newline pad terminator
-    data_start = _aligned(_PREFIX_BYTES + header_len)
-    for entry in directory.values():
-        entry["offset"] += data_start
-    final = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    if len(final) > header_len:
-        # Offsets grew in digit count; re-shift against the larger
-        # header until stable (at most a few iterations).
-        while len(final) + 1 > header_len:
-            delta = _aligned(_PREFIX_BYTES + len(final) + 1) - data_start
-            data_start += delta
-            header_len = len(final) + 1
-            for entry in directory.values():
-                entry["offset"] += delta
-            final = json.dumps(header,
-                               separators=(",", ":")).encode("utf-8")
-    final = final + b"\n" * (header_len - len(final))
+    # The header lists absolute offsets, and its own length decides
+    # where the data starts: shift the offsets against that length
+    # until their digit counts settle (a few rounds), then pad.
+    header_len = data_start = 0
+    while True:
+        final = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        if len(final) <= header_len:
+            break
+        header_len = len(final) + 1  # newline pad terminator
+        delta = _aligned(_PREFIX_BYTES + header_len) - data_start
+        data_start += delta
+        for entry in directory.values():
+            entry["offset"] += delta
+    final += b"\n" * (header_len - len(final))
 
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
@@ -160,8 +145,8 @@ class StoreFile:
     """A validated, memory-mapped store file.
 
     Construction reads and checks the fixed prefix and the JSON header
-    (O(1) in document size) and maps the file once; :meth:`column` and
-    :meth:`blob_bytes` hand out zero-copy views of the mapping.
+    (O(1) in document size) and maps the file once; :meth:`column`
+    hands out zero-copy views of the mapping.
     """
 
     def __init__(self, path: str):
@@ -182,12 +167,8 @@ class StoreFile:
                 raise StorageFormatError(
                     f"{self.path!r} is not a repro store "
                     f"(bad magic {magic!r})")
-            version = int(np.frombuffer(
-                prefix, dtype="<u4", count=1, offset=len(MAGIC))[0])
-            if version != FORMAT_VERSION:
-                raise StorageFormatError(
-                    f"store {self.path!r} has format version {version}; "
-                    f"this reader supports version {FORMAT_VERSION}")
+            self._check_version(int(np.frombuffer(
+                prefix, dtype="<u4", count=1, offset=len(MAGIC))[0]))
             header_len = int(np.frombuffer(
                 prefix, dtype="<u8", count=1, offset=len(MAGIC) + 4)[0])
             if _PREFIX_BYTES + header_len > size:
@@ -203,11 +184,11 @@ class StoreFile:
                 f"store {self.path!r} has a corrupt header: {exc}"
             ) from None
         if not isinstance(header, dict) or \
-                header.get("format_version") != FORMAT_VERSION or \
                 not isinstance(header.get("blobs"), dict) or \
                 not isinstance(header.get("documents"), list):
             raise StorageFormatError(
                 f"store {self.path!r} has a malformed header")
+        self._check_version(header.get("format_version"))
         for name, entry in header["blobs"].items():
             try:
                 end = entry["offset"] + entry["nbytes"]
@@ -222,6 +203,12 @@ class StoreFile:
         self.header = header
         self.file_size = size
         self._mm = np.memmap(self.path, dtype=np.uint8, mode="r")
+
+    def _check_version(self, version: object) -> None:
+        if version != FORMAT_VERSION:
+            raise StorageFormatError(
+                f"store {self.path!r} has format version {version}; "
+                f"this reader supports only version {FORMAT_VERSION}")
 
     def _entry(self, name: str) -> dict:
         try:
@@ -240,12 +227,6 @@ class StoreFile:
             raise StorageFormatError(
                 f"store {self.path!r}: blob {name!r} cannot be viewed "
                 f"as {entry['dtype']!r}: {exc}") from None
-
-    def blob_bytes(self, name: str) -> bytes:
-        """The raw bytes of a blob (copies — used for XML text only)."""
-        entry = self._entry(name)
-        return bytes(
-            self._mm[entry["offset"]:entry["offset"] + entry["nbytes"]])
 
     def verify(self) -> None:
         """Full checksum pass over every blob (touches every page).

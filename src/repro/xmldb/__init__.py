@@ -12,7 +12,7 @@ from repro.xmldb.dom import (
 )
 from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import serialize
-from repro.xmldb.shred import ShreddedDocument, shred, shred_fragment
+from repro.xmldb.shred import ShreddedDocument, shred, shred_fragment, unshred
 from repro.xmldb.store import DocumentStore, StoredDocument, extract_regions
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "ShreddedDocument",
     "shred",
     "shred_fragment",
+    "unshred",
     "DocumentStore",
     "StoredDocument",
     "extract_regions",

@@ -8,7 +8,10 @@ plus a name dictionary and an element-name index (name -> sorted pre
 array) which serves as MonetDB/XQuery's "element index" for candidate
 pushdown into StandOff steps.  Attributes appear as rows of kind
 ATTRIBUTE numbered directly after their owner element, with their owner
-recoverable through the ``parent`` column.
+recoverable through the ``parent`` column.  The encoding is lossless:
+:func:`unshred` builds the document back from the columns, which is how
+a store file (:mod:`repro.storage`), holding columns only, hands out
+nodes.
 
 All columns are frozen (``writeable=False``) at construction: a shred
 may be shared across queries through the content-hash cache, and — via
@@ -28,6 +31,7 @@ from repro.config import (
     DEFAULT_SHRED_CACHE_BYTES,
     DEFAULT_SHRED_CACHE_ENTRIES,
 )
+from repro.errors import StorageFormatError
 from repro.xmldb.dom import (
     Attr,
     Comment,
@@ -38,6 +42,7 @@ from repro.xmldb.dom import (
     Text,
     renumber_fragment,
 )
+from repro.xmldb.names import is_qname
 
 
 def freeze(*arrays: np.ndarray) -> None:
@@ -88,6 +93,24 @@ class StringHeap:
         lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
         return bytes(self.heap[lo:hi]).decode("utf-8")
 
+    def strings(self) -> list[str]:
+        """Every value in :attr:`pres` order, decoded in one pass."""
+        raw = self.heap.tobytes()
+        bounds = self.offsets.tolist()
+        if len(bounds) != len(self.pres) + 1:
+            raise StorageFormatError(
+                f"value heap has {len(bounds)} offsets for "
+                f"{len(self.pres)} rows")
+        strings = []
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            try:
+                strings.append(raw[lo:hi].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise StorageFormatError(
+                    f"row {int(self.pres[i])}: value is not valid "
+                    f"UTF-8") from None
+        return strings
+
     @property
     def nbytes(self) -> int:
         return int(self.pres.nbytes + self.offsets.nbytes
@@ -101,10 +124,14 @@ class ShreddedDocument:
     constructed orphan subtree via :func:`shred_fragment`, or — through
     :meth:`from_columns` — straight from previously materialized columns
     (typically ``np.memmap`` views of a store file, in which case the
-    DOM does not exist yet and is parsed only if a caller asks for
-    nodes).  ``node_by_pre`` maps result pre ranks back to DOM nodes for
-    any origin.
+    DOM does not exist yet and is built from the columns by
+    :func:`unshred` only if a caller asks for nodes).  ``node_by_pre``
+    maps result pre ranks back to DOM nodes for any origin.
     """
+
+    #: Guards the one lazy DOM build of a column-backed shred; only
+    #: :meth:`from_columns` creates it.
+    _build_lock = None
 
     def __init__(self, document: Document | None, *,
                  nodes: list[Node] | None = None,
@@ -117,8 +144,6 @@ class ShreddedDocument:
         #: The fragment root: the document itself, or the orphan
         #: subtree's top node for constructed fragments.
         self._root = root if root is not None else document
-        #: Parses the owning document on demand (store-backed shreds).
-        self._doc_factory = None
         #: ``(store path, uri)`` once the columns are store-backed —
         #: the handle worker processes use to re-open the same file.
         self._store_ref: tuple[str, str] | None = None
@@ -189,20 +214,23 @@ class ShreddedDocument:
                      names: list[str], values,
                      element_index: dict[int, np.ndarray],
                      document: Document | None = None,
-                     doc_factory=None,
+                     doc_id: int = 0,
                      store_ref: tuple[str, str] | None = None
                      ) -> "ShreddedDocument":
         """Rebuild a shred from previously materialized columns.
 
         The storage layer's constructor: no DOM walk, no index build.
         *values* is a :class:`StringHeap` (or a plain dict); when
-        *document* is absent, *doc_factory* supplies it lazily the
-        first time node decoding is requested.
+        *document* is absent it is built from these columns (numbered
+        *doc_id*, named by *store_ref*'s uri) the first time node
+        decoding is requested.
         """
         self = object.__new__(cls)
         self._document = document
         self._root = document
-        self._doc_factory = doc_factory if document is None else None
+        self._doc_id = doc_id
+        self._build_lock = lockcheck.new_lock(
+            "ShreddedDocument._build_lock")
         self._store_ref = store_ref
         self._nodes = None
         self.pre = pre
@@ -223,12 +251,22 @@ class ShreddedDocument:
 
     @property
     def document(self) -> Document | None:
-        """The owning document; parsed on demand for store-backed
-        shreds (the columns never need it — only node decoding does)."""
-        if self._document is None and self._doc_factory is not None:
-            factory, self._doc_factory = self._doc_factory, None
-            self._document = factory()
-        return self._document
+        """The owning document (``None`` for an orphan fragment).  A
+        column-backed shred builds it on first use — the columns never
+        need it, only node decoding does — and every caller gets that
+        one instance: double-checked, the hit is a plain attribute
+        read."""
+        document = self._document
+        if document is None and self._build_lock is not None:
+            with self._build_lock:
+                if self._document is None:
+                    lockcheck.assert_locked(self._build_lock,
+                                            "ShreddedDocument._document")
+                    uri = self._store_ref[1] if self._store_ref else ""
+                    self._document = unshred(self, uri=uri,
+                                             doc_id=self._doc_id)
+                document = self._document
+        return document
 
     @property
     def root(self) -> Node | None:
@@ -333,7 +371,6 @@ class ShreddedDocument:
         clone = object.__new__(ShreddedDocument)
         clone._document = None
         clone._root = root
-        clone._doc_factory = None
         clone._store_ref = None
         clone._nodes = nodes
         clone.pre = self.pre
@@ -354,6 +391,118 @@ class ShreddedDocument:
 def shred(document: Document) -> ShreddedDocument:
     """Shred a document into its column representation."""
     return ShreddedDocument(document)
+
+
+def unshred(shredded: ShreddedDocument, *, uri: str = "",
+            doc_id: int = 0) -> Document:
+    """Build the numbered document a column set encodes — the inverse
+    of :func:`shred`, in one forward pass.
+
+    Kind + level in pre order give the nesting (a row's parent is the
+    open container one level up), names and values come from the
+    dictionary and the heap, and pre/size/level and the ``node_by_pre``
+    list are taken from the columns as they stand, so there is no
+    ``renumber()`` pass and the DOM agrees with the columns the kernels
+    read.  Columns that do not encode a document — they may come from
+    a damaged or hostile store file, whose blobs are not checksummed at
+    open — raise :class:`StorageFormatError` naming the row.
+    """
+    path = shredded.store_ref[0] if shredded.store_ref else None
+    where = f"document {uri!r}" + (f" of store {path!r}" if path else "")
+
+    def bad(row, why: str) -> StorageFormatError:
+        return StorageFormatError(f"{where}: row {int(row)} {why}")
+
+    element, attribute, pi = (Element.kind, Attr.kind,
+                              ProcessingInstruction.kind)
+    leaves = {Text.kind: Text, Comment.kind: Comment,
+              pi: ProcessingInstruction, attribute: Attr}
+    kind, name, names = shredded.kind, shredded.name, shredded.names
+    lengths = {len(column) for column in (
+        kind, name, shredded.level, shredded.size, shredded.parent)}
+    if len(lengths) != 1:
+        raise StorageFormatError(
+            f"{where}: columns disagree on the row count {lengths}")
+    if not len(kind) or kind[0] != Document.kind or shredded.level[0]:
+        raise bad(0, "is not a document node at level 0")
+    rows = 1 + np.flatnonzero(~np.isin(kind[1:], [element, *leaves]))
+    if len(rows):
+        raise bad(rows[0], f"has unknown node kind {kind[rows[0]]}")
+    named = np.isin(kind, [element, attribute, pi])
+    rows = np.flatnonzero(named & ((name < 0) | (name >= len(names))))
+    if len(rows):
+        raise bad(rows[0], f"has name id {name[rows[0]]}, outside the "
+                           f"{len(names)}-entry dictionary")
+    for nid, entry in enumerate(names):
+        if not (isinstance(entry, str) and is_qname(entry)):
+            rows = np.flatnonzero(named & (name == nid))
+            if len(rows):
+                raise bad(rows[0], f"is named {entry!r} (dictionary "
+                                   f"entry {nid}), which is not a QName")
+    values = shredded.values
+    if isinstance(values, StringHeap):
+        value_pres = values.pres.tolist()
+        try:
+            strings = values.strings()
+        except StorageFormatError as exc:
+            raise StorageFormatError(f"{where}: {exc}") from None
+    else:
+        value_pres = sorted(values)
+        strings = [values[pre] for pre in value_pres]
+    value_pres.append(-1)           # sentinel: no heap row left
+
+    kinds, name_ids = kind.tolist(), name.tolist()
+    levels, sizes = shredded.level.tolist(), shredded.size.tolist()
+    parents = shredded.parent.tolist()
+    document = Document(uri, doc_id)
+    document.pre, document.size, document.level = 0, sizes[0], 0
+    nodes: list[Node] = [document]
+    open_at: list = [document]      # open_at[l]: open container at level l
+    cursor = 0                      # next unread heap row
+    for pre in range(1, len(kinds)):
+        level = levels[pre]
+        if not 1 <= level <= len(open_at):
+            raise bad(pre, f"is at level {level} with no open parent "
+                           f"at level {level - 1}")
+        del open_at[level:]
+        parent = open_at[-1]
+        if parents[pre] != parent.pre:
+            raise bad(pre, f"records parent {parents[pre]} but nests "
+                           f"under row {parent.pre}")
+        if kinds[pre] == element:
+            node = Element.__new__(Element)
+            node.tag = names[name_ids[pre]]
+            node.attributes = []
+            node._children = []
+            parent._children.append(node)
+            open_at.append(node)
+        else:
+            if value_pres[cursor] != pre:
+                raise bad(pre, "carries a value but has no heap row")
+            value = strings[cursor]
+            cursor += 1
+            cls = leaves[kinds[pre]]
+            node = cls.__new__(cls)
+            if cls is Attr:
+                if parent.kind != element or parent._children:
+                    raise bad(pre, "is an attribute that does not "
+                                   "directly follow its element")
+                node.name, node.value = names[name_ids[pre]], value
+                parent.attributes.append(node)
+            else:
+                if cls is ProcessingInstruction:
+                    node.target, node.data = names[name_ids[pre]], value
+                else:
+                    node.text = value
+                parent._children.append(node)
+        node.parent = parent
+        node.pre, node.size, node.level = pre, sizes[pre], level
+        nodes.append(node)
+    if value_pres[cursor] != -1:
+        raise bad(value_pres[cursor], "has a heap row but is not a "
+                                      "value-bearing node")
+    document._nodes_by_pre = nodes
+    return document
 
 
 def fragment_fingerprint(nodes: list[Node]) -> str:

@@ -94,7 +94,8 @@ class StoredDocument:
     Without a *backing* (the default ``memory`` backend) they are plain
     in-process arrays made from the DOM.  With one — a
     :class:`repro.storage.StoreReader` handed in by
-    :func:`repro.storage.open_store` (then the DOM itself is lazy), or
+    :func:`repro.storage.open_store` (then the DOM itself is lazy: the
+    shred builds it from the mapped columns when nodes are asked for), or
     created on first use by *spilling* under the ``mmap`` backend
     (``REPRO_STORAGE=mmap``, or ``storage_backend=`` on the owning
     :class:`DocumentStore`/``Database``) — they are zero-copy mapped
@@ -126,9 +127,10 @@ class StoredDocument:
         # the DOM's pre/size/level ranks while the other thread walks
         # them — under concurrent queries (the serving layer) two
         # first-touch threads could each build against a tree the
-        # other was renumbering, or each parse their own DOM (the node
-        # identity layer relies on one instance per stored document).
-        # Reentrant because the builds nest (shredded -> document).
+        # other was renumbering, or each map their own shred and so
+        # build their own DOM (the node identity layer relies on one
+        # instance per stored document).  Reentrant because the builds
+        # nest (region_index -> document -> shredded).
         self._build_lock = lockcheck.new_rlock("StoredDocument._build_lock")
 
     @property
@@ -141,7 +143,10 @@ class StoredDocument:
             return document
         with self._build_lock:
             if self._document is None:
-                self._document = self._backing.document(self.uri)
+                # Store-backed: the DOM is the shred's, which builds
+                # it from the mapped columns.  Held here too, so it
+                # outlives the shred an update drops.
+                self._document = self.shredded.document
             return self._document
 
     @property
@@ -153,11 +158,10 @@ class StoredDocument:
             if self._shredded is None:
                 backing = self._store_backing()
                 if backing is None:
-                    self._shredded = shred(self.document)
+                    self._shredded = shred(self._document)
                 else:
                     self._shredded = backing.shredded(
-                        self.uri, document=self._document,
-                        doc_factory=lambda: self.document)
+                        self.uri, document=self._document)
             return self._shredded
 
     def region_index(self, config: StandoffConfig = DEFAULT_CONFIG
@@ -195,7 +199,7 @@ class StoredDocument:
                 from repro import storage
 
                 self._spill_path, self._backing = \
-                    storage.spill_document(self.document)
+                    storage.spill_document(self._document)
             return self._backing
 
     def area_of_node(self, pre: int,

@@ -1,4 +1,5 @@
-"""RL004 near-misses: stores under the lock, __init__ defaults."""
+"""RL004 near-misses: stores under the lock, __init__ defaults, an
+alternate constructor filling in the object it is still building."""
 
 import threading
 
@@ -8,6 +9,14 @@ class StoredThing:
         self._shredded = None
         self._region_indexes = {}
         self._build_lock = threading.RLock()
+
+    @classmethod
+    def from_parts(cls, shredded):
+        self = object.__new__(cls)
+        self._shredded = shredded
+        self._region_indexes = {}
+        self._build_lock = threading.RLock()
+        return self
 
     def shredded(self):
         if self._shredded is None:

@@ -81,7 +81,6 @@ class TestErrorHierarchy:
             errors.RegionError,
             errors.XMLSyntaxError,
             errors.ShredError,
-            errors.RelationalError,
             errors.XQuerySyntaxError,
             errors.XQueryStaticError,
             errors.XQueryTypeError,

@@ -484,6 +484,41 @@ def test_fuzz_standoff_executor_matrix(seed=10500):
                                            executor)
 
 
+@pytest.mark.parametrize("seed", range(10600, 10603))
+def test_fuzz_reopened_store(tmp_path, seed):
+    """A saved store holds columns only; the DOM an opened store builds
+    from them must be the saved one again (content, numbering, text),
+    and both the DOM walk and the kernels over the mapped columns must
+    answer like the in-memory oracle."""
+    from repro import storage
+    from repro.xmldb.shred import fragment_fingerprint
+
+    rng = random.Random(seed)
+    db = Database()
+    db.add_document("f.xml", random_xml(rng, max_nodes=60))
+    reopened = storage.open_store(
+        storage.save_store(str(tmp_path / "f.repro"), db))
+    want = db.document("f.xml").document
+    got = reopened.document("f.xml").document
+    assert fragment_fingerprint(got.all_nodes()) == \
+        fragment_fingerprint(want.all_nodes()), seed
+    assert got.serialize() == want.serialize(), seed
+    assert [(n.pre, n.size, n.level) for n in got.all_nodes()] == \
+        [(n.pre, n.size, n.level) for n in want.all_nodes()], seed
+    for _ in range(4):
+        query = random_query(rng)
+        oracle = db.query(query, strategy="basic").serialize()
+        assert reopened.query(
+            query, strategy="basic").serialize() == oracle, (seed, query)
+        for kernel in KERNELS_UNDER_TEST:
+            for workers in WORKERS_UNDER_TEST:
+                got = reopened.query(
+                    query, strategy="ll", kernel=kernel,
+                    staircase_kernel=kernel, workers=workers,
+                    shard_min_rows=1).serialize()
+                assert got == oracle, (seed, query, kernel, workers)
+
+
 def test_serial_byte_identical_to_unsharded_columnar():
     """workers='serial' must leave the columnar pipeline untouched:
     the exact arrays, not just equal decodes."""

@@ -1,138 +1,6 @@
-"""Tests for the relational substrate: tables, operators, IterSeq."""
+"""Tests for the relational substrate: loop-lifted IterSeq."""
 
-import numpy as np
-import pytest
-
-from repro.errors import RelationalError
-from repro.relational import (
-    Column,
-    IterSeq,
-    Table,
-    antijoin,
-    cross,
-    distinct,
-    equi_join,
-    expand_loop,
-    group_count,
-    row_number,
-    select,
-    select_eq,
-    semijoin,
-    sort,
-    unlift,
-)
-
-
-def sample_table():
-    return Table.from_dict({
-        "iter": np.asarray([1, 1, 2, 2], dtype=np.int64),
-        "pos": np.asarray([1, 2, 1, 2], dtype=np.int64),
-        "item": ["twenty", "one", "twenty", "two"],
-    })
-
-
-class TestTable:
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(RelationalError):
-            Table([Column.int64("a", [1, 2]), Column.int64("b", [1])])
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(RelationalError):
-            Table([Column.int64("a", [1]), Column.int64("a", [2])])
-
-    def test_col_lookup(self):
-        t = sample_table()
-        assert t.col("item")[1] == "one"
-        with pytest.raises(RelationalError):
-            t.col("missing")
-
-    def test_project_and_rename(self):
-        t = sample_table().project("iter", "item")
-        assert t.column_names == ["iter", "item"]
-        t2 = t.rename({"item": "value"})
-        assert t2.column_names == ["iter", "value"]
-
-    def test_concat_schema_checked(self):
-        t = sample_table()
-        with pytest.raises(RelationalError):
-            t.concat(t.project("iter", "pos"))
-        both = t.concat(t)
-        assert len(both) == 8
-
-    def test_pretty_contains_header(self):
-        text = sample_table().pretty()
-        assert "iter" in text and "twenty" in text
-
-
-class TestOperators:
-    def test_select_eq(self):
-        t = select_eq(sample_table(), "iter", 2)
-        assert t.col("item").to_list() == ["twenty", "two"]
-
-    def test_select_predicate(self):
-        t = select(sample_table(), lambda row: row[2].startswith("t"))
-        assert len(t) == 3
-
-    def test_sort_stable(self):
-        t = Table.from_dict({
-            "k": np.asarray([2, 1, 2, 1], dtype=np.int64),
-            "v": ["a", "b", "c", "d"],
-        })
-        s = sort(t, "k")
-        assert s.col("v").to_list() == ["b", "d", "a", "c"]
-
-    def test_sort_item_column_rejected(self):
-        with pytest.raises(RelationalError):
-            sort(sample_table(), "item")
-
-    def test_equi_join_order_preserving(self):
-        left = Table.from_dict({
-            "iter": np.asarray([2, 1], dtype=np.int64),
-            "x": ["b", "a"]})
-        right = Table.from_dict({
-            "iter": np.asarray([1, 2, 2], dtype=np.int64),
-            "y": ["p", "q", "r"]})
-        joined = equi_join(left, right, "iter")
-        assert joined.col("x").to_list() == ["b", "b", "a"]
-        assert joined.col("y").to_list() == ["q", "r", "p"]
-
-    def test_equi_join_name_clash_suffixed(self):
-        left = Table.from_dict({"k": np.asarray([1], dtype=np.int64),
-                                "v": ["l"]})
-        right = Table.from_dict({"k": np.asarray([1], dtype=np.int64),
-                                 "v": ["r"]})
-        joined = equi_join(left, right, "k")
-        assert joined.col("v").to_list() == ["l"]
-        assert joined.col("v_r").to_list() == ["r"]
-
-    def test_semijoin_antijoin(self):
-        left = sample_table()
-        right = Table.from_dict({"iter": np.asarray([2], dtype=np.int64)})
-        assert len(semijoin(left, right, "iter")) == 2
-        assert len(antijoin(left, right, "iter")) == 2
-
-    def test_cross(self):
-        left = Table.from_dict({"a": np.asarray([1, 2], dtype=np.int64)})
-        right = Table.from_dict({"b": np.asarray([10, 20], dtype=np.int64)})
-        c = cross(left, right)
-        assert c.col("a").to_list() == [1, 1, 2, 2]
-        assert c.col("b").to_list() == [10, 20, 10, 20]
-
-    def test_group_count(self):
-        g = group_count(sample_table(), "iter")
-        assert g.col("iter").to_list() == [1, 2]
-        assert g.col("count").to_list() == [2, 2]
-
-    def test_row_number(self):
-        t = Table.from_dict({"k": np.asarray([1, 1, 2, 1], dtype=np.int64)})
-        n = row_number(t, "k")
-        assert n.col("pos").to_list() == [1, 2, 1, 3]
-
-    def test_distinct(self):
-        t = Table.from_dict({
-            "a": np.asarray([1, 1, 2], dtype=np.int64),
-            "b": np.asarray([1, 1, 1], dtype=np.int64)})
-        assert len(distinct(t, "a", "b")) == 2
+from repro.relational import IterSeq, expand_loop, unlift
 
 
 class TestIterSeq:
@@ -151,13 +19,6 @@ class TestIterSeq:
         c = a.concat(b)
         assert c.items_for(1) == ["a1", "b1"]
         assert c.items_for(2) == ["a2"]
-
-    def test_to_table_iter_pos_item(self):
-        seq = IterSeq({2: ["x", "y"], 1: ["z"]})
-        t = seq.to_table()
-        assert t.col("iter").to_list() == [1, 2, 2]
-        assert t.col("pos").to_list() == [1, 1, 2]
-        assert t.col("item").to_list() == ["z", "x", "y"]
 
     def test_equality_ignores_empty_iters(self):
         assert IterSeq({1: ["a"], 2: []}) == IterSeq({1: ["a"]})

@@ -468,6 +468,40 @@ def test_concurrent_lazy_shred_build():
         assert results[0].pre.size > 0
 
 
+def test_concurrent_lazy_node_by_pre(tmp_path):
+    """N threads racing the first ``node_by_pre`` of a store-backed
+    shred must all decode against the one DOM built from its columns
+    (the shred used to swap its document factory out before calling
+    it, so every thread but the first found neither and raised
+    ``AttributeError`` on ``None``)."""
+    path = str(tmp_path / "d.repro")
+    storage.save_store(path, build("memory"))
+    for _round in range(5):     # a fresh, unbuilt shred each round
+        stored = storage.open_store(path).document("d.xml")
+        shredded = stored.shredded
+        results, errors = [], []
+        barrier = threading.Barrier(8)
+
+        def grab():
+            barrier.wait()
+            try:
+                results.append((shredded.node_by_pre(1),
+                                shredded.document))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=grab) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors, errors
+        assert {id(doc) for _node, doc in results} == \
+            {id(stored.document)}
+        assert {id(node) for node, _doc in results} == \
+            {id(stored.document.node_by_pre(1))}
+
+
 def test_concurrent_store_reader_facades(tmp_path):
     """Racing ``StoreReader.stored`` must yield one facade per URI —
     the engine's node-identity checks require one DOM instance per

@@ -6,9 +6,10 @@ Three concerns share this module:
   back a database that answers every query exactly like the in-memory
   original, off zero-copy mapped columns;
 * **format validation** — a corrupt header, truncated file, wrong
-  magic, or unsupported version must raise the dedicated
-  :class:`repro.errors.StorageFormatError` (never a cryptic NumPy or
-  JSON error), and blob corruption must be caught by ``verify()``;
+  magic, unsupported version, or columns that do not encode a document
+  must raise the dedicated :class:`repro.errors.StorageFormatError`
+  (never a cryptic NumPy, JSON or index error), and blob corruption
+  must be caught by ``verify()``;
 * **column invariants** — explicit little-endian dtypes (the on-disk
   format must not inherit platform defaults) and read-only columns
   (mapped pages are shared across processes; nothing may write them).
@@ -22,10 +23,11 @@ import pytest
 from repro import storage
 from repro.core.region_index import RegionIndex, RegionTable
 from repro.errors import StorageFormatError
-from repro.storage.format import MAGIC, StoreFile
+from repro.storage.format import MAGIC, StoreFile, write_store
 from repro.xmldb.parser import parse_document
-from repro.xmldb.shred import shred
+from repro.xmldb.shred import fragment_fingerprint, shred
 from repro.xquery.engine import Database
+from test_updates import ADJACENT_TEXT, ADJACENT_TEXT_QUERIES
 
 DOC_A = """<video><music artist="U2" start="10" end="99">\
 <shot start="12" end="20">intro</shot>\
@@ -115,18 +117,47 @@ class TestRoundTrip:
         path = str(tmp_path / "out.repro")
         assert storage.save_store(path, build_db()) == path
 
-    def test_whitespace_document_round_trips(self, tmp_path):
-        """DOC_B has whitespace-only text nodes; the stored reparse
-        flag must reproduce the exact original numbering."""
-        path = str(tmp_path / "ws.repro")
+    def test_dom_identical_after_reopen(self, store_path):
+        """The DOM is built from the columns: same content, and the
+        numbering it carries is the one a fresh renumber() assigns."""
+        original = build_db()
+        reader = storage.StoreReader(store_path)
+        for uri in ("a.xml", "b.xml"):
+            want = original.store.get(uri).document
+            got = reader.document(uri)
+            assert (got.uri, got.doc_id) == (want.uri, want.doc_id)
+            assert fragment_fingerprint(got.all_nodes()) == \
+                fragment_fingerprint(want.all_nodes())
+            assert got.serialize() == want.serialize()
+            numbering = [(n.pre, n.size, n.level) for n in got.all_nodes()]
+            got.renumber()
+            assert numbering == [(n.pre, n.size, n.level)
+                                 for n in got.all_nodes()]
+
+    def test_store_holds_columns_only(self, store_path):
+        file = StoreFile(store_path)
+        assert file.header["format_version"] == storage.FORMAT_VERSION == 2
+        assert not [name for name in file.header["blobs"]
+                    if name.endswith("/xml")]
+        for meta in file.header["documents"]:
+            assert "keep_whitespace_text" not in meta
+            assert "xml" not in meta["columns"]
+
+    @pytest.mark.parametrize("update", sorted(ADJACENT_TEXT))
+    def test_updated_document_is_storable(self, tmp_path, update):
+        """Two text siblings touching (what an update leaves behind)
+        would merge in a reparse, so ``save_store`` used to refuse the
+        document; the columns carry it as it is."""
+        xml, apply = ADJACENT_TEXT[update]
         db = Database()
-        db.add_document("b.xml", DOC_B)
-        storage.save_store(path, db)
-        reader = storage.StoreReader(path)
-        want = db.store.get("b.xml").shredded
-        got = shred(reader.document("b.xml"))
-        assert np.array_equal(want.kind, got.kind)
-        assert np.array_equal(want.pre, got.pre)
+        db.add_document("d.xml", xml)
+        apply(db)
+        path = storage.save_store(str(tmp_path / "d.repro"), db)
+        reopened = storage.open_store(path)
+        for query, want in ADJACENT_TEXT_QUERIES.items():
+            for strategy in ("basic", "ll"):
+                assert reopened.query(
+                    query, strategy=strategy).serialize() == want
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +180,20 @@ class TestValidation:
         _flip(store_path, len(MAGIC), (99).to_bytes(4, "little"))
         with pytest.raises(StorageFormatError, match="version 99"):
             StoreFile(store_path)
+
+    @pytest.mark.parametrize("where", ["prefix", "header"])
+    def test_version_1_rejected(self, store_path, where):
+        """Version 1 embedded the XML next to the columns; there is no
+        reader for it, and the error names both versions."""
+        if where == "prefix":
+            _flip(store_path, len(MAGIC), (1).to_bytes(4, "little"))
+        else:
+            with open(store_path, "rb") as fh:
+                at = fh.read().index(b'"format_version":2')
+            _flip(store_path, at, b'"format_version":1')
+        with pytest.raises(StorageFormatError,
+                           match=r"version 1\b.*version 2\b"):
+            storage.open_store(store_path)
 
     def test_corrupt_header_json(self, store_path):
         _flip(store_path, len(MAGIC) + 12, b"\xff\xff\xff")
@@ -187,6 +232,66 @@ class TestValidation:
         reader = storage.StoreReader(store_path)  # opens fine
         with pytest.raises(StorageFormatError, match="checksum"):
             reader.verify()
+
+
+#: rows: 0 document, 1 <a>, 2 @x, 3 <b>, 4 text, 5 <?p?>;
+#: names: a, x, b, p; heap rows for 2, 4 and 5.
+HOSTILE_BASE = '<a x="1"><b>t</b><?p d?></a>'
+
+
+def _set(column, row, value):
+    def patch(entry):
+        patched = entry["columns"][column].copy()
+        patched[row] = value
+        entry["columns"][column] = patched
+    return patch
+
+
+def _attribute_under_document(entry):
+    _set("level", 2, 1)(entry)
+    _set("parent", 2, 0)(entry)
+
+
+def _drop_last_heap_row(entry):
+    for column in ("val_pres", "val_offsets"):
+        entry["columns"][column] = entry["columns"][column][:-1]
+
+
+def _bad_dictionary_entry(entry):
+    entry["names"][2] = "1 b"
+
+
+#: what the columns carry -> (patch, the row the error must name)
+HOSTILE_COLUMNS = {
+    "level skips a generation": (_set("level", 4, 5), 4),
+    "unknown kind": (_set("kind", 3, 9), 3),
+    "attribute under the document node": (_attribute_under_document, 2),
+    "row 0 is not a document": (_set("kind", 0, 1), 0),
+    "name id outside the dictionary": (_set("name", 3, 99), 3),
+    "value-bearing kind without a heap row": (_drop_last_heap_row, 5),
+    "invalid UTF-8 in the heap": (_set("val_heap", 0, 0xFF), 2),
+    "dictionary entry that is not a QName": (_bad_dictionary_entry, 3),
+}
+
+
+class TestHostileColumns:
+    """Blob checksums are not verified at open and the DOM is built
+    from the columns, so columns that do not encode a document must end
+    in a typed error naming the row — never ``IndexError``,
+    ``KeyError`` or ``UnicodeDecodeError``."""
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_COLUMNS))
+    def test_dom_build_raises_typed_error(self, tmp_path, case):
+        patch, row = HOSTILE_COLUMNS[case]
+        db = Database()
+        stored = db.add_document("h.xml", HOSTILE_BASE)
+        entry = storage._document_entry(stored.document, stored.shredded)
+        patch(entry)
+        path = str(tmp_path / "hostile.repro")
+        write_store(path, [entry])
+        opened = storage.open_store(path)      # O(1): nothing read yet
+        with pytest.raises(StorageFormatError, match=rf"row {row}\b"):
+            opened.query('doc("h.xml")//b', strategy="basic")
 
 
 # ----------------------------------------------------------------------
