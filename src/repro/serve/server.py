@@ -12,7 +12,6 @@ semaphores, timeouts, protocol framing.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -48,21 +47,10 @@ _BROAD_AXES = frozenset({
 _BROAD_STANDOFF_PREFIXES = ("select-", "reject-")
 
 
-def _walk_ast(node):
-    """Generic pre-order walk over the dataclass AST."""
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        yield node
-        for field in dataclasses.fields(node):
-            yield from _walk_ast(getattr(node, field.name))
-    elif isinstance(node, (list, tuple)):
-        for item in node:
-            yield from _walk_ast(item)
-
-
 def _count_broad_steps(module: ast.Module) -> int:
     """How many document-scale scans the compiled module contains."""
     broad = 0
-    for node in _walk_ast(module):
+    for node in ast.walk(module):
         if isinstance(node, ast.AxisStep):
             axis = node.axis
             if axis in _BROAD_AXES \
@@ -260,8 +248,8 @@ class QueryServer:
         classify light — the error surfaces on the query path, where
         the caller expects it."""
         try:
-            module, _static = self.db.compile(
-                text, session_options=session_options)
+            module = self.db.compile(
+                text, session_options=session_options).module
         except ReproError:
             return "light"
         budget = estimate_pair_budget(self.db, module)

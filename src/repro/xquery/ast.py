@@ -6,8 +6,8 @@ records its source position for error messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Iterator, Optional
 
 # ----------------------------------------------------------------------
 # prolog
@@ -206,6 +206,10 @@ class AxisStep(Expr):
     test: NodeTest = None
     predicates: list[Expr] = field(default_factory=list)
     pos: int = 0
+    #: Set by :mod:`repro.xquery.rewrite` on a step that replaces a
+    #: ``descendant-or-self::node()/…`` pair; provenance for
+    #: ``Database.explain`` only, so it takes no part in equality.
+    fused: bool = field(default=False, compare=False)
 
     @property
     def is_standoff(self) -> bool:
@@ -253,3 +257,15 @@ class ElementConstructor(Expr):
 class TextConstructor(Expr):
     parts: list = field(default_factory=list)    # str | Expr
     pos: int = 0
+
+
+def walk(node) -> Iterator:
+    """Pre-order walk over every AST node at or below *node* (lists of
+    nodes included; strings, dicts and ``None`` are leaves)."""
+    if isinstance(node, list):
+        for item in node:
+            yield from walk(item)
+    elif is_dataclass(node):
+        yield node
+        for f in fields(node):
+            yield from walk(getattr(node, f.name))

@@ -9,7 +9,19 @@ body sees the context nodes of **all** iterations at once:
 
 * StandOff steps issue a **single** Loop-Lifted StandOff MergeJoin call
   (:func:`repro.xquery.standoff.standoff_axis_step_lifted`);
-* descendant steps without predicates use loop-lifted Staircase Join.
+* tree-axis steps (descendant, ancestor, child, following, preceding,
+  the sibling axes) issue one loop-lifted Staircase Join per fragment:
+  predicate-less steps as they are, steps whose predicates are all
+  position-free (:func:`repro.xquery.rewrite.position_free`) by joining
+  first and filtering the result per item, steps whose predicates
+  compile to position masks by filtering the join's CSR output
+  columnar; only what is left (the attribute, self and parent axes,
+  predicates mixing positions with values) walks the DOM per node.
+
+The evaluator is handed the *rewritten* module
+(:func:`repro.xquery.rewrite.rewrite`), in which ``//t`` is the single
+step ``descendant::t`` rather than the parser's literal
+``descendant-or-self::node()/child::t``.
 
 This evaluator covers the full query subset except user-defined
 functions (which are the paper's *measured baseline* and therefore stay
@@ -64,6 +76,7 @@ from repro.xquery.evaluator import (
     _renumber_fragment,
 )
 from repro.xquery.functions import lookup_builtin
+from repro.xquery.rewrite import position_free
 from repro.xquery.standoff import standoff_axis_step_lifted
 from repro.xquery.values import (
     arithmetic,
@@ -216,7 +229,8 @@ def _bulk_if(expr: ast.IfExpr, env: BulkEnv) -> IterSeq:
     condition = eval_bulk(expr.condition, env)
     true_loop = [it for it in env.loop
                  if effective_boolean_value(condition.items_for(it))]
-    false_loop = [it for it in env.loop if it not in set(true_loop)]
+    taken = set(true_loop)
+    false_loop = [it for it in env.loop if it not in taken]
     out: dict[int, list] = {}
     if true_loop:
         then_val = eval_bulk(expr.then, env.child(loop=true_loop))
@@ -455,26 +469,52 @@ def _bulk_step(step, env: BulkEnv, context: IterSeq | None) -> IterSeq:
     return _bulk_standard_axis(step, env, context)
 
 
+def step_route(step: ast.AxisStep) -> tuple[str, list | None]:
+    """Which path a tree-axis step takes, decided from its shape alone
+    (``Database.explain`` prints the same verdict the evaluator acts on):
+
+    ``("kernel", None)``
+        no predicate, or only position-free ones — one predicate-less
+        Staircase Join, then a per-item filter;
+    ``("positional", maskers)``
+        the predicate chain compiles to columnar position masks;
+    ``("dom", None)``
+        the per-node DOM walk (a non-Staircase axis, or a predicate
+        that is neither).
+    """
+    if step.axis in STAIRCASE_AXES:
+        if all(position_free(p) for p in step.predicates):
+            return "kernel", None
+        if POSITIONAL_KERNELS:
+            maskers = compile_positional_predicates(step.predicates)
+            if maskers is not None:
+                return "positional", maskers
+    return "dom", None
+
+
 def _bulk_standard_axis(step: ast.AxisStep, env: BulkEnv,
                         context: IterSeq) -> IterSeq:
-    if step.axis in STAIRCASE_AXES:
+    route, maskers = step_route(step)
+    if route != "dom":
         axis, or_self = STAIRCASE_AXES[step.axis]
-        if not step.predicates:
+        if route == "kernel":
+            # A position-free predicate is a per-item test, so it does
+            # not matter that the join groups candidates per iteration
+            # where the DOM walk groups them per context node.
             lifted = _staircase_axis_step(step, env, context, axis,
                                           or_self)
             if lifted is not None:
+                return _bulk_predicates_whole(lifted, step.predicates,
+                                              env)
+        else:
+            lifted = _staircase_positional_step(
+                step, env, context, axis, or_self, maskers)
+            if lifted is not None:
                 return lifted
-        elif POSITIONAL_KERNELS:
-            maskers = compile_positional_predicates(step.predicates)
-            if maskers is not None:
-                lifted = _staircase_positional_step(
-                    step, env, context, axis, or_self, maskers)
-                if lifted is not None:
-                    return lifted
 
     axis_fn = AXIS_FUNCTIONS[step.axis]
     reverse = step.axis in REVERSE_AXES
-    scope = env.ctx.child_scope()
+    scopes = _PredicateScopes(env, step.predicates)
     out: dict[int, list] = {}
     for it in env.loop:
         # Cancellation checkpoint: the per-iteration DOM-walk fallback is
@@ -483,6 +523,7 @@ def _bulk_standard_axis(step: ast.AxisStep, env: BulkEnv,
         nodes = context.items_for(it)
         if not nodes:
             continue
+        scope = scopes.at(it)
         collected: list[Node] = []
         for node in nodes:
             if not isinstance(node, Node):
@@ -1011,15 +1052,37 @@ def _staircase_positional_step(step: ast.AxisStep, env: BulkEnv,
                     for it, nodes in collected.items()})
 
 
+class _PredicateScopes:
+    """The iterative evaluator's scope for a step's predicates, one
+    iteration at a time: the predicates run per item on the DOM side,
+    where the loop-lifted variables they mention must read as the
+    current iteration's plain sequences."""
+
+    def __init__(self, env: BulkEnv, predicates: list):
+        self._scope = env.ctx.child_scope()
+        self._lifted = {
+            node.name: env.variables[node.name]
+            for node in ast.walk(predicates)
+            if isinstance(node, ast.VarRef) and node.name in env.variables}
+
+    def at(self, it: int) -> DynamicContext:
+        for name, seq in self._lifted.items():
+            self._scope.variables[name] = seq.items_for(it)
+        return self._scope
+
+
 def _bulk_predicates_whole(seq: IterSeq, predicates: list,
                            env: BulkEnv) -> IterSeq:
     """Apply predicates per iteration over the whole result sequence."""
     if not predicates:
         return seq
-    scope = env.ctx.child_scope()
+    scopes = _PredicateScopes(env, predicates)
     out: dict[int, list] = {}
     for it in env.loop:
         items = seq.items_for(it)
+        if not items:
+            continue
+        scope = scopes.at(it)
         for predicate in predicates:
             if not items:
                 break

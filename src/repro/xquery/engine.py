@@ -24,6 +24,7 @@ Example::
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import NamedTuple
 
 from repro.config import (
     DEFAULT_KERNEL,
@@ -37,11 +38,13 @@ from repro.config import (
 )
 from repro.exec import lockcheck
 from repro.core.steps import Strategy
-from repro.errors import XQueryTypeError
-from repro.xmldb.dom import Node
+from repro.errors import UnsupportedFeatureError, XQueryTypeError
+from repro.xmldb.dom import Attr, Document, Element, Node
 from repro.xmldb.store import DocumentStore, StoredDocument
+from repro.xquery import ast
 from repro.xquery.context import DynamicContext, Focus, StaticContext
 from repro.xquery.parser import parse
+from repro.xquery.rewrite import rewrite
 from repro.xquery.values import atomic_to_string
 
 _STRATEGIES = {
@@ -70,13 +73,25 @@ class QueryResult(list):
         return atomize(self)
 
 
-class PlanCache:
-    """Cross-query LRU of compiled plans: parsed module + static
-    context, keyed on (query text, static-context fingerprint).
+class Plan(NamedTuple):
+    """One compiled query text."""
 
-    The parser is pure and the evaluators never mutate the AST or the
-    static context, so a compiled plan is reusable verbatim — parse
-    once, evaluate many.  ``max_entries == 0`` (env
+    #: The module as parsed — what ``basic`` and ``udf`` evaluate, so
+    #: the differential oracle never sees the rewrite.
+    module: ast.Module
+    static: StaticContext
+    #: :func:`repro.xquery.rewrite.rewrite` of *module* — what ``ll``
+    #: evaluates.
+    rewritten: ast.Module
+
+
+class PlanCache:
+    """Cross-query LRU of compiled plans (:class:`Plan`), keyed on
+    (query text, static-context fingerprint).
+
+    The parser and the rewrite are pure and the evaluators never mutate
+    the AST or the static context, so a compiled plan is reusable
+    verbatim — parse once, evaluate many.  ``max_entries == 0`` (env
     ``REPRO_PLAN_CACHE=0``) disables caching; only failed compilations
     are never cached (static errors re-raise on re-parse).
     """
@@ -184,14 +199,14 @@ class Database:
         return merged
 
     def compile(self, text: str, *,
-                session_options: dict[str, str] | None = None):
-        """Parse *text* (or fetch it from the plan cache).
+                session_options: dict[str, str] | None = None) -> Plan:
+        """Parse and rewrite *text* (or fetch it from the plan cache).
 
-        Returns the ``(module, static_context)`` plan without
-        evaluating it — the admission-control estimator in
-        :mod:`repro.serve` uses this to inspect a query's shape before
-        running it, and the work is never wasted: the compiled plan is
-        cached, so the subsequent :meth:`query` call hits.
+        Returns the :class:`Plan` without evaluating it — the
+        admission-control estimator in :mod:`repro.serve` uses this to
+        inspect a query's shape before running it, and the work is
+        never wasted: the compiled plan is cached, so the subsequent
+        :meth:`query` call hits.
         """
         fingerprint = self._static_fingerprint(session_options)
         plan = self.plan_cache.get(text, fingerprint)
@@ -200,7 +215,7 @@ class Database:
             static = StaticContext.from_prolog(
                 module.prolog,
                 option_defaults=self._merged_options(session_options))
-            plan = (module, static)
+            plan = Plan(module, static, rewrite(module))
             self.plan_cache.put(text, plan, fingerprint)
         return plan
 
@@ -307,15 +322,15 @@ class Database:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected one of "
                 f"{sorted(_STRATEGIES)}") from None
-        module, static = self.compile(text,
-                                      session_options=session_options)
+        plan = self.compile(text, session_options=session_options)
         if pushdown not in ("always", "never", "auto"):
             raise ValueError(
                 f"unknown pushdown policy {pushdown!r}; expected "
                 "'always', 'never' or 'auto'")
         KERNELS.validate(FAMILY_STANDOFF, kernel)
         KERNELS.validate(FAMILY_STAIRCASE, staircase_kernel)
-        ctx = DynamicContext(self.store, static, strat, active_structure,
+        ctx = DynamicContext(self.store, plan.static, strat,
+                             active_structure,
                              blobs=self.blobs, kernel=kernel,
                              staircase_kernel=staircase_kernel,
                              workers=workers,
@@ -335,12 +350,22 @@ class Database:
         if strat is Strategy.LOOP_LIFTED:
             from repro.xquery.bulk import evaluate_module_bulk
 
-            return QueryResult(evaluate_module_bulk(module, ctx))
+            return QueryResult(evaluate_module_bulk(plan.rewritten, ctx))
         from repro.xquery.evaluator import evaluate_module
 
-        return QueryResult(evaluate_module(module, ctx))
+        return QueryResult(evaluate_module(plan.module, ctx))
 
     # -- updates ------------------------------------------------------------
+
+    def _update_targets(self, query: str) -> QueryResult:
+        """The nodes an update addresses, found the way a read finds
+        them (``ll``); a query ``ll`` refuses — one that declares
+        functions — takes the DOM walk.  Both return the stored
+        document's own :class:`Node` objects."""
+        try:
+            return self.query(query, strategy="ll")
+        except UnsupportedFeatureError:
+            return self.query(query, strategy="basic")
 
     def insert_nodes(self, uri: str, parent_query: str,
                      xml_fragment: str) -> int:
@@ -352,12 +377,10 @@ class Database:
         collection-global index are invalidated — the per-document vs
         global maintenance trade-off of §3.3 (ii).
         """
-        from repro.errors import XQueryTypeError
-        from repro.xmldb.dom import Element
         from repro.xmldb.parser import parse_fragment
 
         stored = self.store.get(uri)
-        parents = self.query(parent_query)
+        parents = self._update_targets(parent_query)
         for parent in parents:
             if not isinstance(parent, Element) \
                     or parent.document is not stored.document:
@@ -377,11 +400,8 @@ class Database:
         Returns the number of deleted nodes; derived structures are
         invalidated as for :meth:`insert_nodes`.
         """
-        from repro.errors import XQueryTypeError
-        from repro.xmldb.dom import Attr, Document, Node
-
         stored = self.store.get(uri)
-        victims = self.query(query)
+        victims = self._update_targets(query)
         for node in victims:
             if not isinstance(node, Node) or isinstance(node, Document) \
                     or node.document is not stored.document:
@@ -404,8 +424,9 @@ class Database:
         return deleted
 
     def explain(self, text: str) -> str:
-        """Parse a query and render its AST (debugging aid)."""
-        module = parse(text)
-        import pprint
+        """Render the plan ``strategy="ll"`` runs for *text*: the
+        rewritten module, every path one step per line, each axis step
+        with the route it takes (see :mod:`repro.xquery.explain`)."""
+        from repro.xquery.explain import render_plan
 
-        return pprint.pformat(module, width=100)
+        return render_plan(self.compile(text).rewritten)

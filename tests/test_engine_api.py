@@ -55,8 +55,33 @@ class TestDatabase:
                         variables={"xs": [1, 2, 3]}) == [3]
 
     def test_explain_renders_ast(self, db):
-        text = db.explain("1 + 2")
-        assert "BinaryOp" in text
+        assert db.explain("1 + 2") == "1 + 2"
+        # The plan comes from the plan cache, not from a parse of its own.
+        before = db.plan_cache.stats()["hits"]
+        db.explain("1 + 2")
+        if db.plan_cache.enabled:
+            assert db.plan_cache.stats()["hits"] == before + 1
+
+    def test_explain_shows_the_plan_ll_runs(self, db):
+        lines = db.explain('doc("d")//a[@i="1"]/b[1]').splitlines()
+        assert [line.split("  (: ")[0].strip() for line in lines] == [
+            'doc("d")', 'descendant::a[attribute::i = "1"]', "child::b[1]"]
+        assert "'//' fused" in lines[1]
+        assert "Staircase join, then per-item filter" in lines[1]
+        assert "position masks" in lines[2]
+        assert "descendant-or-self" not in "\n".join(lines)
+
+        kept = db.explain('doc("d")//a[1]')
+        assert "descendant-or-self::node()" in kept
+        assert "child::a[1]" in kept and "fused" not in kept
+
+        mixed = db.explain('for $x in doc("d")//a[@i and position() = 2] '
+                           'return count($x/select-narrow::b[@i])')
+        assert "child::a[attribute::i and (position() = 2)]" in mixed
+        assert "DOM walk" in mixed
+        assert "StandOff merge join, then per-item filter" in mixed
+        assert "refuses" in db.explain(
+            "declare function local:f($x) { $x//b }; local:f(1)")
 
     def test_lazy_database_export(self):
         import repro

@@ -80,6 +80,22 @@ def random_xml(rng: random.Random, max_nodes: int = 45) -> str:
     return f"<r>{''.join(element(0) for _ in range(rng.randrange(1, 4)))}</r>"
 
 
+def random_predicate(rng: random.Random) -> str:
+    """Position-free and positional predicates alike: the first kind
+    lets the rewrite fuse a ``//`` step and the kernel filter after the
+    join, the second must keep both steps and count per context node."""
+    return rng.choice((
+        f"[{rng.choice(TAGS)}]",
+        "[@i]",
+        f'[@i = "{rng.randrange(9)}"]',
+        f"[not(@j) or {rng.choice(TAGS)}]",
+        f"[{rng.randrange(1, 3)}]",
+        "[last()]",
+        f"[position() > {rng.randrange(1, 3)}]",
+        f"[@i][{rng.randrange(1, 3)}]",
+    ))
+
+
 def random_step(rng: random.Random) -> str:
     axis = rng.choice(AXES)
     test = rng.choice((*TAGS, "*", "node()", "text()"))
@@ -87,20 +103,24 @@ def random_step(rng: random.Random) -> str:
         test = "node()"
     step = f"{axis}::{test}"
     if rng.random() < 0.3 and not test.endswith(")"):
-        predicate = rng.choice((
-            f"[{rng.choice(TAGS)}]",
-            "[@i]",
-            f"[{rng.randrange(1, 3)}]",
-            f'[@i = "{rng.randrange(9)}"]',
-        ))
-        step += predicate
+        step += random_predicate(rng)
+    return step
+
+
+def abbreviated_step(rng: random.Random) -> str:
+    """The step after a ``//``: a child name test, usually predicated."""
+    step = rng.choice((*TAGS, "*"))
+    if rng.random() < 0.6:
+        step += random_predicate(rng)
     return step
 
 
 def random_query(rng: random.Random) -> str:
-    steps = "/".join(random_step(rng)
+    # A step that starts with "/" turns the joining "/" into "//".
+    steps = "/".join("/" + abbreviated_step(rng) if rng.random() < 0.3
+                     else random_step(rng)
                      for _ in range(rng.randrange(1, 4)))
-    base = rng.choice((f'doc("f.xml")//{rng.choice(TAGS)}',
+    base = rng.choice((f'doc("f.xml")//{abbreviated_step(rng)}',
                        'doc("f.xml")/r'))
     path = f"{base}/{steps}"
     if rng.random() < 0.25:

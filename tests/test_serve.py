@@ -126,12 +126,9 @@ POINT = "doc('d.xml')//s[@id='3']/child::w"
 
 def test_classify_and_pair_budget():
     db = build("memory")
-    module, _static = db.compile(SLOW_SCAN)
-    nested = estimate_pair_budget(db, module)
-    module, _static = db.compile(POINT)
-    point = estimate_pair_budget(db, module)
-    module, _static = db.compile("1 + 1")
-    arithmetic = estimate_pair_budget(db, module)
+    nested = estimate_pair_budget(db, db.compile(SLOW_SCAN).module)
+    point = estimate_pair_budget(db, db.compile(POINT).module)
+    arithmetic = estimate_pair_budget(db, db.compile("1 + 1").module)
     assert arithmetic == 0
     assert 0 < point < nested
 

@@ -103,6 +103,59 @@ class TestDelete:
         assert db.query('count(doc("v.xml")//shot)') == [1]
 
 
+class TestTargetsResolveLikeReads:
+    """Update targets are found under ``ll`` — the path a read of the
+    same query takes — and fall back to the DOM walk only for a query
+    ``ll`` refuses."""
+
+    @pytest.fixture
+    def strategies(self, db, monkeypatch):
+        seen = []
+        real = db.query
+
+        def spy(text, **kwargs):
+            seen.append(kwargs.get("strategy"))
+            return real(text, **kwargs)
+
+        monkeypatch.setattr(db, "query", spy)
+        return seen
+
+    def test_attribute_victim(self, db, strategies):
+        deleted = db.delete_nodes(
+            "v.xml", 'doc("v.xml")//shot[@id = "Intro"]/@start')
+        assert deleted == 1
+        assert strategies == ["ll"]
+        shot = db.document("v.xml").document.root_element.children[1]
+        assert [a.name for a in shot.attributes] == ["id", "end"]
+        for strategy in ("basic", "ll"):
+            assert db.query('doc("v.xml")//shot/@*',
+                            strategy=strategy).serialize(sep=" ") \
+                == 'id="Intro" end="8"'
+
+    def test_target_with_a_declared_function(self, db, strategies):
+        target = ('declare function local:shots($d) { $d//shot }; '
+                  'local:shots(doc("v.xml"))')
+        assert db.insert_nodes("v.xml", target, "<frame/>") == 1
+        assert strategies == ["ll", "basic"]
+        assert db.delete_nodes("v.xml", target) == 1
+        assert db.query('count(doc("v.xml")//frame)') == [0]
+
+    def test_target_with_a_loop_variable_in_a_predicate(self, db,
+                                                        strategies):
+        target = ('for $id in ("Intro", "Nope") '
+                  'return doc("v.xml")//shot[@id = $id]')
+        assert db.insert_nodes("v.xml", target, "<frame/>") == 1
+        assert strategies == ["ll"]
+        assert db.query('count(doc("v.xml")//shot/frame)') == [1]
+
+    def test_foreign_and_document_targets_still_rejected(self, db):
+        db.add_document("other.xml", "<o><shot/></o>")
+        with pytest.raises(XQueryTypeError):
+            db.delete_nodes("v.xml", 'doc("other.xml")//shot')
+        with pytest.raises(XQueryTypeError):
+            db.insert_nodes("v.xml", 'doc("v.xml")', "<x/>")
+
+
 #: Updates that leave two text siblings touching — a shape XML text
 #: cannot carry (a reparse would merge them), so only the columns can.
 ADJACENT_TEXT = {
