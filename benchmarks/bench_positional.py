@@ -12,9 +12,9 @@ elements, and the final step carries a positional predicate —
 * one staircase kernel join per anchor batch followed by the
   vectorized position/length mask chain
   (``repro.xquery.bulk._apply_positional_chain``);
-* the end-to-end ``ll`` query with the columnar positional path
-  toggled off vs on (``repro.xquery.bulk.POSITIONAL_KERNELS``) —
-  the same contrast diluted by the shared anchor step and decode.
+* the end-to-end query under ``basic`` (the DOM walk) vs ``ll`` (the
+  columnar positional path) — the same contrast diluted by the anchor
+  step and decode.
 
 The trajectory harness (``run_all.py``, scenario family
 ``positional.*``) sweeps document scales; this file keeps the
@@ -96,21 +96,13 @@ def test_positional_vectorized(benchmark, inputs, name):
     assert len(offsets) == len(rows) + 1
 
 
-@pytest.mark.parametrize("flag", [False, True],
+@pytest.mark.parametrize("strategy", ["basic", "ll"],
                          ids=["dom-walk", "vectorized"])
-def test_positional_query_end_to_end(benchmark, inputs, flag):
+def test_positional_query_end_to_end(benchmark, inputs, strategy):
     db, _shredded, _scope, _prepared = inputs
     query = ('doc("xmark.xml")//open_auction'
              '/child::bidder[position() mod 2 = 1]')
-
-    def run():
-        bulk.POSITIONAL_KERNELS = flag
-        try:
-            return db.query(query, strategy="ll")
-        finally:
-            bulk.POSITIONAL_KERNELS = True
-
-    assert len(benchmark(run)) > 0
+    assert len(benchmark(lambda: db.query(query, strategy=strategy))) > 0
 
 
 def test_serving_paths_agree(inputs):

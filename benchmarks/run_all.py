@@ -682,8 +682,8 @@ def scenario_positional(r: Runner) -> dict | None:
     walk (axis enumeration + per-candidate predicate evaluation — the
     pre-PR7 serving path) vs one kernel join per anchor batch plus the
     vectorized position/length mask chain.  End-to-end query records
-    (``query_child_mod``) show the same comparison diluted by the
-    shared anchor step and result decode; the step-level records carry
+    (``query_child_mod``: ``basic`` vs ``ll``) show the same comparison
+    diluted by the anchor step and result decode; the step-level records carry
     the headline.  Returns the forward-axis speedup at the largest
     scale."""
     from repro.staircase.kernels_vec import (
@@ -764,24 +764,18 @@ def scenario_positional(r: Runner) -> dict | None:
                     label=f"{scenario}[{kernel}]", scale=scale,
                     size=label)
             timings[name] = case
-        # End-to-end query pair: the bulk evaluator with the columnar
-        # positional path toggled off (whole-step DOM fallback) vs on.
+        # End-to-end query pair: the DOM walk of the basic strategy vs
+        # the bulk evaluator's columnar positional path.
         query = ('doc("xmark.xml")//open_auction'
                  '/child::bidder[position() mod 2 = 1]')
         scenario = f"positional.scale{scale}.{query_name}"
         if r.wanted(scenario):
             n = len(shredded)
-
-            def run_query(flag):
-                bulk.POSITIONAL_KERNELS = flag
-                try:
-                    return db.query(query, strategy="ll")
-                finally:
-                    bulk.POSITIONAL_KERNELS = True
-
-            for kernel, flag in ((DOM_WALK, False), (VECTORIZED, True)):
+            for kernel, strategy in ((DOM_WALK, "basic"),
+                                     (VECTORIZED, "ll")):
                 r.measure(scenario, file, kernel, n,
-                          lambda flag=flag: run_query(flag),
+                          lambda strategy=strategy: db.query(
+                              query, strategy=strategy),
                           label=f"{scenario}[{kernel}]", scale=scale,
                           size=label)
         headline = timings.get("child_mod", {})

@@ -117,9 +117,11 @@ _DEFAULT_LAZY_MODULES = (
     "src/repro/xmldb/store.py", "src/repro/xmldb/shred.py",
     "src/repro/storage/__init__.py",
 )
-_DEFAULT_LAZY_ATTRS = ("_shredded", "_document", "_backing")
-_DEFAULT_LAZY_DICTS = ("_region_indexes", "_stored")
-_DEFAULT_BUILD_LOCKS = ("_build_lock", "_stored_lock")
+_DEFAULT_LAZY_ATTRS = ("_shredded", "_document", "_backing",
+                       "_numbers")
+_DEFAULT_LAZY_DICTS = ("_region_indexes", "_stored", "_attr_columns")
+_DEFAULT_BUILD_LOCKS = ("_build_lock", "_stored_lock",
+                        "_columns_lock")
 
 #: Canonical staircase axis vocabulary for RL008.  Kept in sync with
 #: ``repro.config.STAIRCASE_AXIS_NAMES`` by a tier-1 test rather than an

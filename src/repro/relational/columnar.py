@@ -182,6 +182,15 @@ class _ColumnarMapping(Mapping):
     def iterations(self) -> list[int]:
         return self.iters.tolist()
 
+    def keep_rows(self, keep: np.ndarray):
+        """The value rows where the boolean *keep* holds, under the same
+        iterations (one may be left with an empty slice)."""
+        kept = np.concatenate((np.zeros(1, dtype=np.int64),
+                               np.cumsum(keep, dtype=np.int64)))
+        iters, offsets, *columns = self._columns()
+        return type(self)(iters, kept[offsets],
+                          *(column[keep] for column in columns))
+
     # -- lazy dict view (the compatibility adapter) ------------------------
 
     def __getitem__(self, iteration: int) -> list:

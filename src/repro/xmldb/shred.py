@@ -93,6 +93,26 @@ class StringHeap:
         lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
         return bytes(self.heap[lo:hi]).decode("utf-8")
 
+    def strings_at(self, pres: np.ndarray) -> list[str]:
+        """The values of the given (sorted) pre ranks: one batched
+        lookup, then one slice decode per row."""
+        index = np.searchsorted(self.pres, pres)
+        found = index < len(self.pres)
+        if not found.all() or not np.array_equal(self.pres[index], pres):
+            missing = pres[~found] if not found.all() \
+                else pres[self.pres[index] != pres]
+            raise StorageFormatError(
+                f"row {int(missing[0])}: value-bearing row has no heap "
+                f"entry")
+        heap = memoryview(self.heap)
+        bounds = zip(self.offsets[index].tolist(),
+                     self.offsets[index + 1].tolist())
+        try:
+            return [str(heap[lo:hi], "utf-8") for lo, hi in bounds]
+        except UnicodeDecodeError:
+            raise StorageFormatError(
+                "attribute value is not valid UTF-8") from None
+
     def strings(self) -> list[str]:
         """Every value in :attr:`pres` order, decoded in one pass."""
         raw = self.heap.tobytes()
@@ -115,6 +135,79 @@ class StringHeap:
     def nbytes(self) -> int:
         return int(self.pres.nbytes + self.offsets.nbytes
                    + self.heap.nbytes)
+
+
+class AttributeColumn:
+    """The attribute rows of one local name, dictionary-encoded.
+
+    ``owners`` holds the owning element's pre rank per row (ascending:
+    attributes are numbered right after their element), ``codes`` the
+    row's index into ``distinct``, the sorted distinct values — so a
+    string compare against a literal is one bisect plus an integer
+    compare on ``codes``.  Frozen once built; the numeric view of
+    ``distinct`` is added on first use by :meth:`numbers`.
+    """
+
+    __slots__ = ("owners", "codes", "distinct", "_numbers", "_build_lock")
+
+    def __init__(self, owners: np.ndarray, texts: list[str]):
+        distinct = sorted(set(texts))
+        code_of = {text: code for code, text in enumerate(distinct)}
+        self.owners = owners
+        self.codes = np.fromiter((code_of[text] for text in texts),
+                                 dtype=np.int64, count=len(texts))
+        self.distinct = distinct
+        self._numbers: tuple[np.ndarray, np.ndarray] | None = None
+        self._build_lock = lockcheck.new_lock("AttributeColumn._build_lock")
+        freeze(self.owners, self.codes)
+
+    def spans(self, pres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per pre rank, the ``[lo, hi)`` rows it owns."""
+        return (np.searchsorted(self.owners, pres, side="left"),
+                np.searchsorted(self.owners, pres, side="right"))
+
+    def numbers(self, cast) -> tuple[np.ndarray, np.ndarray]:
+        """``(value, failed)`` per distinct value: ``cast(text)`` as
+        float64, and where it returned None (the cast fails) a True in
+        ``failed`` (the value is then NaN)."""
+        numbers = self._numbers
+        if numbers is None:
+            with self._build_lock:
+                if self._numbers is None:
+                    cast_values = [cast(text) for text in self.distinct]
+                    n = len(cast_values)
+                    failed = np.fromiter((v is None for v in cast_values),
+                                         dtype=bool, count=n)
+                    values = np.fromiter(
+                        (np.nan if v is None else v for v in cast_values),
+                        dtype=np.float64, count=n)
+                    freeze(values, failed)
+                    lockcheck.assert_locked(self._build_lock,
+                                            "AttributeColumn._numbers")
+                    self._numbers = (values, failed)
+                numbers = self._numbers
+        return numbers
+
+
+def _attribute_column(shredded: "ShreddedDocument",
+                      local: str) -> AttributeColumn:
+    """Build the :class:`AttributeColumn` of the attributes whose local
+    name is *local* — the attribute name test's matching rule."""
+    ids = [nid for nid, name in enumerate(shredded.names)
+           if name.rpartition(":")[2] == local]
+    rows = np.flatnonzero((shredded.kind == Attr.kind)
+                          & np.isin(shredded.name,
+                                    np.asarray(ids, dtype=np.int32)))
+    owners = np.asarray(shredded.parent[rows], dtype=np.int64)
+    if np.any(owners[1:] < owners[:-1]):
+        raise StorageFormatError(
+            f"attribute rows of @{local} are not in owner order")
+    values = shredded.values
+    if isinstance(values, StringHeap):
+        texts = values.strings_at(rows)
+    else:
+        texts = [values[pre] for pre in rows.tolist()]
+    return AttributeColumn(owners, texts)
 
 
 class ShreddedDocument:
@@ -188,6 +281,9 @@ class ShreddedDocument:
         self.values = values
         freeze(self.pre, self.size, self.level, self.kind, self.parent,
                self.name)
+        self._attr_columns: dict[str, AttributeColumn] = {}
+        self._columns_lock = lockcheck.new_lock(
+            "ShreddedDocument._columns_lock")
 
         # element-name index: name id -> sorted pre array
         element_mask = self.kind == Element.kind
@@ -245,6 +341,9 @@ class ShreddedDocument:
         self._kind_pres = {}
         self._non_attribute = None
         self._element_index = dict(element_index)
+        self._attr_columns = {}
+        self._columns_lock = lockcheck.new_lock(
+            "ShreddedDocument._columns_lock")
         freeze(self.pre, self.size, self.level, self.kind, self.parent,
                self.name)
         return self
@@ -343,6 +442,22 @@ class ShreddedDocument:
             self._non_attribute = pool
         return self._non_attribute
 
+    def attribute_column(self, local: str) -> AttributeColumn:
+        """The dictionary-encoded rows of the attributes an ``@local``
+        name test matches (built on first use, then cached with the
+        shred — an update drops both)."""
+        column = self._attr_columns.get(local)
+        if column is None:
+            with self._columns_lock:
+                column = self._attr_columns.get(local)
+                if column is None:
+                    column = _attribute_column(self, local)
+                    lockcheck.assert_locked(
+                        self._columns_lock,
+                        "ShreddedDocument._attr_columns")
+                    self._attr_columns[local] = column
+        return column
+
     def post(self) -> np.ndarray:
         """Post-order ranks derived from pre/size (pre + size)."""
         return self.pre + self.size
@@ -385,6 +500,8 @@ class ShreddedDocument:
         clone._kind_pres = self._kind_pres
         clone._non_attribute = self._non_attribute
         clone._element_index = self._element_index
+        clone._attr_columns = self._attr_columns
+        clone._columns_lock = self._columns_lock
         return clone
 
 

@@ -10,13 +10,29 @@ body sees the context nodes of **all** iterations at once:
 * StandOff steps issue a **single** Loop-Lifted StandOff MergeJoin call
   (:func:`repro.xquery.standoff.standoff_axis_step_lifted`);
 * tree-axis steps (descendant, ancestor, child, following, preceding,
-  the sibling axes) issue one loop-lifted Staircase Join per fragment:
-  predicate-less steps as they are, steps whose predicates are all
-  position-free (:func:`repro.xquery.rewrite.position_free`) by joining
-  first and filtering the result per item, steps whose predicates
-  compile to position masks by filtering the join's CSR output
-  columnar; only what is left (the attribute, self and parent axes,
-  predicates mixing positions with values) walks the DOM per node.
+  the sibling axes) issue one loop-lifted Staircase Join per fragment
+  (:func:`step_route` picks how the predicates run):
+
+  - steps whose predicates are all *column terms*
+    (:func:`repro.xquery.rewrite.column_predicate`: ``[@a op "lit"]``,
+    ``[@a op 42]``, ``[@a]`` under ``not``/``and``/``or``) filter the
+    join's CSR output with one keep-mask computed on the shred's
+    dictionary-encoded attribute columns
+    (:meth:`~repro.xmldb.shred.ShreddedDocument.attribute_column`) —
+    no node is decoded before it survives, no interpreter runs; a
+    step where some candidate's compare would raise (a failed cast, a
+    value comparison over two attributes) takes the next route, so the
+    error surfaces exactly as the oracle raises it;
+  - steps whose other predicates are all position-free
+    (:func:`repro.xquery.rewrite.position_free`) join first and filter
+    the decoded result per item;
+  - steps whose predicates compile to position masks filter the
+    join's CSR output columnar;
+  - only what is left (the attribute, self and parent axes, predicates
+    mixing positions with values) walks the DOM per node.
+
+  StandOff steps whose predicates are column terms filter the merge
+  join's columnar result the same way before decoding.
 
 The evaluator is handed the *rewritten* module
 (:func:`repro.xquery.rewrite.rewrite`), in which ``//t`` is the single
@@ -31,6 +47,8 @@ and quantifiers are loop-lifted like everything else.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -76,7 +94,7 @@ from repro.xquery.evaluator import (
     _renumber_fragment,
 )
 from repro.xquery.functions import lookup_builtin
-from repro.xquery.rewrite import position_free
+from repro.xquery.rewrite import column_predicates, position_free
 from repro.xquery.standoff import standoff_axis_step_lifted
 from repro.xquery.values import (
     arithmetic,
@@ -455,6 +473,14 @@ def _bulk_step(step, env: BulkEnv, context: IterSeq | None) -> IterSeq:
             items = context.items_for(it)
             if items:
                 per_iter[it] = items
+        terms = column_predicates(step.predicates)
+        if terms is not None:
+            try:
+                return IterSeq(standoff_axis_step_lifted(
+                    env.ctx, step.axis, per_iter, step.test,
+                    keep=_column_keep(terms)))
+            except _Undecided:
+                pass     # rejoin, then filter per item
         result_map = standoff_axis_step_lifted(env.ctx, step.axis,
                                                per_iter, step.test)
         if isinstance(result_map, LazyIterData):
@@ -473,6 +499,10 @@ def step_route(step: ast.AxisStep) -> tuple[str, list | None]:
     """Which path a tree-axis step takes, decided from its shape alone
     (``Database.explain`` prints the same verdict the evaluator acts on):
 
+    ``("columns", terms)``
+        every predicate is a column term — one predicate-less Staircase
+        Join, then a keep-mask on its CSR output from the attribute
+        columns (the ``kernel`` route when some compare would raise);
     ``("kernel", None)``
         no predicate, or only position-free ones — one predicate-less
         Staircase Join, then a per-item filter;
@@ -480,23 +510,35 @@ def step_route(step: ast.AxisStep) -> tuple[str, list | None]:
         the predicate chain compiles to columnar position masks;
     ``("dom", None)``
         the per-node DOM walk (a non-Staircase axis, or a predicate
-        that is neither).
+        that is none of these).
     """
     if step.axis in STAIRCASE_AXES:
+        terms = column_predicates(step.predicates)
+        if terms is not None:
+            return "columns", terms
         if all(position_free(p) for p in step.predicates):
             return "kernel", None
-        if POSITIONAL_KERNELS:
-            maskers = compile_positional_predicates(step.predicates)
-            if maskers is not None:
-                return "positional", maskers
+        maskers = compile_positional_predicates(step.predicates)
+        if maskers is not None:
+            return "positional", maskers
     return "dom", None
 
 
 def _bulk_standard_axis(step: ast.AxisStep, env: BulkEnv,
                         context: IterSeq) -> IterSeq:
-    route, maskers = step_route(step)
+    route, plan = step_route(step)
     if route != "dom":
         axis, or_self = STAIRCASE_AXES[step.axis]
+        if route == "columns":
+            try:
+                lifted = _staircase_axis_step(step, env, context, axis,
+                                              or_self,
+                                              keep=_column_keep(plan))
+            except _Undecided:
+                route = "kernel"
+            else:
+                if lifted is not None:
+                    return lifted
         if route == "kernel":
             # A position-free predicate is a per-item test, so it does
             # not matter that the join groups candidates per iteration
@@ -506,9 +548,9 @@ def _bulk_standard_axis(step: ast.AxisStep, env: BulkEnv,
             if lifted is not None:
                 return _bulk_predicates_whole(lifted, step.predicates,
                                               env)
-        else:
+        elif route == "positional":
             lifted = _staircase_positional_step(
-                step, env, context, axis, or_self, maskers)
+                step, env, context, axis, or_self, plan)
             if lifted is not None:
                 return lifted
 
@@ -585,7 +627,7 @@ def _tie_prone(env: BulkEnv, context: IterSeq,
 
 def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
                          context: IterSeq, axis: str,
-                         or_self: bool) -> IterSeq | None:
+                         or_self: bool, keep=None) -> IterSeq | None:
     """Loop-lifted Staircase Join path for the tree axes.
 
     Applies whenever the test is a name or kind test: context nodes are
@@ -599,7 +641,9 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
     stored + constructed contexts merge per iteration in document
     order, exactly like the DOM walk would (iterations touching two or
     more transient fragments collect per context row so cross-tree
-    order ties break identically).  Returns None only for tests the
+    order ties break identically).  *keep* (``(shredded, pres) -> bool
+    mask``, see :func:`_column_keep`) filters every join result columnar
+    before anything is decoded.  Returns None only for tests the
     shredded encoding has no candidate pool for.
     """
     from repro.staircase.kernels_vec import (
@@ -621,7 +665,8 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
             key = id(shredded)
             shreds[key] = shredded
             if or_self and isinstance(node, Attr) \
-                    and matches_test(node, step.test, step.axis):
+                    and matches_test(node, step.test, step.axis) \
+                    and _self_kept(keep, shredded, node):
                 # Or-self inclusion is pool membership inside the
                 # kernel; attribute context nodes are outside every
                 # tree-axis pool, so their self-match rides along
@@ -636,13 +681,18 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
                    for key, shredded in shreds.items()}
 
     def join(shredded, rows, candidates):
-        return staircase_join(
+        result = staircase_join(
             axis, shredded, rows, candidates, or_self=or_self,
             kernel=env.ctx.staircase_kernel,
             workers=env.ctx.workers,
             shard_min_rows=env.ctx.shard_min_rows,
             executor=env.ctx.executor,
             candidate_desc=desc)
+        if keep is None:
+            return result
+        if not isinstance(result, ColumnarResult):
+            result = ColumnarResult.from_dict(result)
+        return result.keep_rows(keep(shredded, result.values))
 
     # document_order sorts by (doc id, pre), stable on ties — and two
     # *transient* fragments (orphan subtrees or unstored documents) can
@@ -670,7 +720,8 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
                         collected.extend(shredded.node_by_pre(p)
                                          for p in result[0])
                     if or_self and isinstance(node, Attr) \
-                            and matches_test(node, step.test, step.axis):
+                            and matches_test(node, step.test, step.axis) \
+                            and _self_kept(keep, shredded, node):
                         collected.append(node)
                 ordered = document_order(collected)
                 if ordered:
@@ -703,14 +754,108 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
     return IterSeq(out)
 
 
+def _self_kept(keep, shredded, node: Node) -> bool:
+    """Whether *keep* keeps one node riding along outside the join."""
+    return keep is None or bool(
+        keep(shredded, np.asarray([node.pre], dtype=np.int64))[0])
+
+
+# ----------------------------------------------------------------------
+# column predicates
+# ----------------------------------------------------------------------
+
+class _Undecided(Exception):
+    """Some candidate's compare would raise in the interpreter — a cast
+    to a number fails, or a value comparison meets two attributes.  The
+    step goes back to the per-item filter, which raises (or
+    short-circuits past the compare) exactly as the oracle does."""
+
+
+def _cast(text: str) -> float | None:
+    try:
+        return to_number(text)
+    except XQueryDynamicError:
+        return None
+
+
+def _compare_rows(column, op: str, literal
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per attribute row of *column*: whether ``value op literal``
+    holds, and whether the compare would raise (None: it never can).
+
+    A string literal compares as a string: one bisect into the sorted
+    distinct values turns ``op`` into an integer compare on the codes.
+    A numeric literal casts each distinct value once
+    (:func:`repro.xquery.values.to_number`, cached on the column).
+    """
+    codes = column.codes
+    if isinstance(literal, str):
+        lo = bisect_left(column.distinct, literal)
+        hi = bisect_right(column.distinct, literal)
+        if op == "=":
+            return (codes >= lo) & (codes < hi), None
+        if op == "!=":
+            return (codes < lo) | (codes >= hi), None
+        if op == "<":
+            return codes < lo, None
+        if op == "<=":
+            return codes < hi, None
+        if op == ">":
+            return codes >= hi, None
+        return codes >= lo, None
+    numbers, failed = column.numbers(_cast)
+    return _NUMPY_CMP[op](numbers, literal)[codes], failed[codes]
+
+
+def _any_in_spans(rows: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """Per span ``[lo, hi)``: whether any of its *rows* is set."""
+    counts = np.concatenate((np.zeros(1, dtype=np.int64),
+                             np.cumsum(rows, dtype=np.int64)))
+    return counts[hi] > counts[lo]
+
+
+def _term_mask(term: tuple, shredded, pres: np.ndarray) -> np.ndarray:
+    """Evaluate one column term (:func:`repro.xquery.rewrite.
+    column_predicate`) for every candidate pre at once; raises
+    :class:`_Undecided` where the interpreter might raise instead."""
+    kind = term[0]
+    if kind == "not":
+        return ~_term_mask(term[1], shredded, pres)
+    if kind in ("and", "or"):
+        left = _term_mask(term[1], shredded, pres)
+        right = _term_mask(term[2], shredded, pres)
+        return left & right if kind == "and" else left | right
+    column = shredded.attribute_column(term[1])
+    lo, hi = column.spans(pres)
+    if kind == "exists":
+        return hi > lo
+    _kind, _name, op, literal, single = term
+    if single and np.any(hi - lo > 1):
+        raise _Undecided
+    truth, raises = _compare_rows(column, op, literal)
+    if raises is not None and np.any(_any_in_spans(raises, lo, hi)):
+        raise _Undecided
+    # A general comparison is existential over the matching attributes.
+    return _any_in_spans(truth, lo, hi)
+
+
+def _column_keep(terms: list):
+    """The keep-mask function of a column-term predicate chain: the
+    chain's predicates are position-free, so ``[p1][p2]`` keeps what
+    every ``p`` keeps."""
+    def keep(shredded, pres: np.ndarray) -> np.ndarray:
+        mask = np.ones(len(pres), dtype=bool)
+        for term in terms:
+            mask &= _term_mask(term, shredded, pres)
+        return mask
+
+    return keep
+
+
 # ----------------------------------------------------------------------
 # vectorized positional predicates
 # ----------------------------------------------------------------------
-
-#: Escape hatch (benchmarks, debugging): when False, axis steps with
-#: positional predicates take the per-node DOM walk even when the
-#: predicate chain compiles — the behaviour before the columnar filter.
-POSITIONAL_KERNELS = True
 
 #: Magnitude bound on compiled positional arithmetic.  The pipeline
 #: evaluates in float64; below this bound every intermediate (including
@@ -721,7 +866,7 @@ POSITIONAL_KERNELS = True
 #: compile and larger runtime intermediates bail to the DOM walk.
 _POSITIONAL_EXACT_BOUND = float(2 ** 50)
 
-_POSITIONAL_CMP = {
+_NUMPY_CMP = {
     "=": np.equal, "!=": np.not_equal,
     "<": np.less, "<=": np.less_equal,
     ">": np.greater, ">=": np.greater_equal,
@@ -840,7 +985,7 @@ def _compile_positional_expr(expr):
     if isinstance(expr, ast.BinaryOp):
         op = expr.op
         if op == "and" or op == "or" or op in _ARITH_OPS \
-                or op in _POSITIONAL_CMP:
+                or op in _NUMPY_CMP:
             left = _compile_positional_expr(expr.left)
             right = _compile_positional_expr(expr.right)
             if left is None or right is None:
@@ -860,8 +1005,8 @@ def _compile_positional_expr(expr):
         if lkind == "bool" or rkind == "bool":
             return None
         may_raise = lraise or rraise
-        if op in _POSITIONAL_CMP:
-            cmp = _POSITIONAL_CMP[op]
+        if op in _NUMPY_CMP:
+            cmp = _NUMPY_CMP[op]
             return (lambda pos, last: cmp(lhs(pos, last),
                                           rhs(pos, last))), \
                 "bool", may_raise

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from repro.xquery import ast
 from repro.xquery.bulk import step_route
+from repro.xquery.rewrite import column_predicates
 
 _ROUTES = {
+    "columns": "Staircase join, column filter",
     "kernel": "Staircase join",
     "positional": "Staircase join, position masks",
     "dom": "DOM walk",
@@ -38,6 +40,9 @@ def _route(step: ast.AxisStep) -> str:
     if step.is_standoff:
         note = "StandOff merge join"
         filtered = bool(step.predicates)
+        if filtered and column_predicates(step.predicates) is not None:
+            note += ", column filter"
+            filtered = False
     else:
         route, _maskers = step_route(step)
         note = _ROUTES[route]

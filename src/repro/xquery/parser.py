@@ -12,10 +12,13 @@ StandOff axes, predicates, and direct element constructors with embedded
 Unsupported XQuery features raise
 :class:`~repro.errors.XQuerySyntaxError` (or
 :class:`~repro.errors.UnsupportedFeatureError` when recognised but out of
-subset) — never silently mis-parse.
+subset) — never silently mis-parse.  So does a query nested deeper than
+:data:`MAX_NESTING`, rather than a bare ``RecursionError``.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from repro.errors import UnsupportedFeatureError, XQuerySyntaxError
 from repro.xquery import ast
@@ -35,6 +38,14 @@ _RESERVED_FUNCTION_NAMES = _KIND_TESTS | {
     "document-node", "empty-sequence",
 }
 
+#: How deep expressions (parenthesized, predicates, function arguments,
+#: enclosed ``{…}``, FLWOR/if/quantified operands) and direct element
+#: constructors may nest.  One level costs the recursive descent about
+#: fifteen Python frames, so this keeps the parse — and the evaluators'
+#: recursion over the tree it returns — inside Python's default
+#: recursion limit of 1000.
+MAX_NESTING = 50
+
 
 def parse(text: str) -> ast.Module:
     """Parse a complete query (prolog + body) into a Module."""
@@ -52,6 +63,20 @@ def parse_expr(text: str) -> ast.Expr:
 class _Parser:
     def __init__(self, text: str):
         self.lexer = Lexer(text)
+        self.depth = 0
+
+    @contextmanager
+    def _nested(self, pos: int):
+        """One level of nesting, refused past :data:`MAX_NESTING`."""
+        if self.depth == MAX_NESTING:
+            line, col = self.lexer.line_col(pos)
+            raise XQuerySyntaxError(
+                f"query nests deeper than {MAX_NESTING} levels", line, col)
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
     # -- token helpers -----------------------------------------------------
 
@@ -241,16 +266,17 @@ class _Parser:
         return ast.Sequence(items, pos=first.pos)
 
     def parse_expr_single(self) -> ast.Expr:
+        # Every recursion of the expression grammar passes through here.
         token = self.peek()
-        if token.is_name("for", "let"):
-            nxt = self.peek(1)
-            if nxt.is_symbol("$"):
+        with self._nested(token.pos):
+            if token.is_name("for", "let") and self.peek(1).is_symbol("$"):
                 return self._parse_flwor()
-        if token.is_name("some", "every") and self.peek(1).is_symbol("$"):
-            return self._parse_quantified()
-        if token.is_name("if") and self.peek(1).is_symbol("("):
-            return self._parse_if()
-        return self._parse_or()
+            if token.is_name("some", "every") \
+                    and self.peek(1).is_symbol("$"):
+                return self._parse_quantified()
+            if token.is_name("if") and self.peek(1).is_symbol("("):
+                return self._parse_if()
+            return self._parse_or()
 
     def _parse_flwor(self) -> ast.FLWOR:
         start = self.peek()
@@ -418,7 +444,8 @@ class _Parser:
     def _parse_unary(self) -> ast.Expr:
         if self.peek().is_symbol("-", "+"):
             token = self.next()
-            operand = self._parse_unary()
+            with self._nested(token.pos):
+                operand = self._parse_unary()
             return ast.UnaryOp(token.value, operand, pos=token.pos)
         return self._parse_path()
 
@@ -620,6 +647,11 @@ class _Parser:
 
     def _parse_ctor_element(self, text: str, pos: int
                             ) -> tuple[ast.ElementConstructor, int]:
+        with self._nested(pos):
+            return self._parse_ctor_element_at(text, pos)
+
+    def _parse_ctor_element_at(self, text: str, pos: int
+                               ) -> tuple[ast.ElementConstructor, int]:
         assert text[pos] == "<"
         i = pos + 1
         i, name = self._read_ctor_name(text, i)

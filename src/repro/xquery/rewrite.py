@@ -13,6 +13,14 @@ subtrees, never mutating the parse (the plan cache hands the same parse
 to every strategy) — and only the ``ll`` strategy runs its output:
 ``basic`` and ``udf`` evaluate the module as parsed, so the
 differential oracle still sees a wrong rewrite.
+
+Two static classifiers of predicates live here too, so that
+``Database.explain`` and the evaluator read one verdict:
+:func:`position_free` (a per-item test, safe to fuse and to run after
+the join) and the narrower :func:`column_predicate` (an attribute
+compare against a literal, decided on the attribute columns without
+decoding a node — a relational selection on the shredded attribute
+rows, §4.3).
 """
 
 from __future__ import annotations
@@ -80,6 +88,105 @@ def position_free(predicate: ast.Expr) -> bool:
     """
     return _never_numeric(predicate) \
         and not _reads_focus_position(predicate)
+
+
+#: ``L op @a`` is ``@a op' L``.
+_FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+#: Value comparisons as the general operator they apply to one item.
+_VALUE_AS_GENERAL = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=",
+                     "gt": ">", "ge": ">="}
+
+#: Integer literals up to this magnitude are exact as float64, so a
+#: float64 compare against them agrees with Python's exact int/float one.
+_EXACT_INT = 2 ** 53
+
+
+def _attribute_name(expr) -> str | None:
+    """The local name ``@a`` (or ``@p:a``) tests, for a bare attribute
+    step with a plain name test."""
+    if isinstance(expr, ast.AxisStep) and expr.axis == "attribute" \
+            and expr.test.kind == "name" and "*" not in expr.test.name \
+            and not expr.predicates:
+        return expr.test.name.rpartition(":")[2]
+    return None
+
+
+def _literal(expr):
+    """A string literal's value, or a numeric literal's with its signs
+    folded; None for anything else (a signed string casts to a number
+    at run time, so it is not a literal here)."""
+    sign, signed = 1, False
+    while isinstance(expr, ast.UnaryOp):
+        sign, signed = (-sign if expr.op == "-" else sign), True
+        expr = expr.operand
+    if not isinstance(expr, ast.Literal):
+        return None
+    value = expr.value
+    if isinstance(value, str):
+        return None if signed else value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(value, int) and abs(value) > _EXACT_INT):
+        return None
+    return sign * value
+
+
+def column_predicate(predicate: ast.Expr):
+    """The predicate as a *column term*, or None when it is not one.
+
+    A column term is decided per candidate on the candidate's own
+    attribute rows alone, with no DOM node and no interpreter:
+
+    * ``("exists", a)`` — ``[@a]``;
+    * ``("compare", a, op, literal, single)`` — ``[@a op L]`` or
+      ``[L op @a]`` for a general or value comparison against a string
+      or numeric literal, normalised to the attribute on the left and
+      the general operator ``op``; ``single`` marks a value comparison,
+      which raises where a candidate has two matching attributes;
+    * ``("not", t)``, ``("and", t, u)``, ``("or", t, u)``.
+
+    ``a`` is the local name the attribute test matches by.  Every
+    column term is position-free.  Variables, sequences, arithmetic,
+    ``@*``, child-element operands and function calls other than
+    ``not`` are not column terms.  Like :func:`position_free`, this
+    assumes ``not`` means the builtin.
+    """
+    if isinstance(predicate, ast.BinaryOp):
+        op = predicate.op
+        if op in ("and", "or"):
+            left = column_predicate(predicate.left)
+            right = column_predicate(predicate.right)
+            if left is None or right is None:
+                return None
+            return (op, left, right)
+        general = _VALUE_AS_GENERAL.get(op, op)
+        if general not in _FLIPPED:
+            return None
+        name, literal = _attribute_name(predicate.left), \
+            _literal(predicate.right)
+        if name is None or literal is None:
+            name, literal = _attribute_name(predicate.right), \
+                _literal(predicate.left)
+            general = _FLIPPED[general]
+        if name is None or literal is None:
+            return None
+        return ("compare", name, general, literal, op in _VALUE_AS_GENERAL)
+    if isinstance(predicate, ast.FunctionCall) \
+            and predicate.name.rpartition(":")[2] == "not" \
+            and len(predicate.args) == 1:
+        inner = column_predicate(predicate.args[0])
+        return None if inner is None else ("not", inner)
+    name = _attribute_name(predicate)
+    return None if name is None else ("exists", name)
+
+
+def column_predicates(predicates: list):
+    """The column terms of a non-empty predicate chain, or None unless
+    every predicate is one."""
+    terms = [column_predicate(p) for p in predicates]
+    if not terms or any(term is None for term in terms):
+        return None
+    return terms
 
 
 def _is_all_nodes_step(step) -> bool:

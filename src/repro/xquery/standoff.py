@@ -114,12 +114,15 @@ def _run(ctx: DynamicContext, op: StandoffOp,
          context_by_fragment: dict[int, tuple[_FragmentInfo, list[int]]],
          candidates_by_fragment: dict[int, np.ndarray | None],
          iter_rows: list[tuple[int, int, int]],
-         post=None) -> LazyIterData:
+         post=None, keep=None) -> LazyIterData:
     """Execute one StandOff step.
 
     Returns a lazy ``iter -> [DOM node, ...]`` mapping over the columnar
     step result; *post* (e.g. a node-test filter) is applied inside the
     per-iteration decode, so skipped iterations never pay for it.
+    *keep* (``(shredded, pres) -> bool mask``, one call per fragment)
+    filters the columnar result before anything is decoded.  It runs in
+    this process on the merged result, whichever executor ran the join.
     """
     indexes = {}
     for key, (info, _pres) in context_by_fragment.items():
@@ -160,6 +163,13 @@ def _run(ctx: DynamicContext, op: StandoffOp,
                         executor=getattr(ctx, "executor", None))
     infos = {key: info
              for key, (info, _pres) in context_by_fragment.items()}
+    if keep is not None:
+        mask = np.zeros(raw.n_pairs, dtype=bool)
+        for key in np.unique(raw.frags).tolist():
+            rows = raw.frags == key
+            mask[rows] = keep(ctx.shredded_for(infos[key].root),
+                              raw.values[rows])
+        raw = raw.keep_rows(mask)
 
     def decode(iteration: int) -> list[Node]:
         frags, pres = raw.segment(iteration)
@@ -243,19 +253,21 @@ def standoff_axis_step(ctx: DynamicContext, axis: str,
 
 def standoff_axis_step_lifted(ctx: DynamicContext, axis: str,
                               context_nodes_per_iter: dict[int, list[Node]],
-                              test: NodeTest) -> LazyIterData | dict:
+                              test: NodeTest, keep=None
+                              ) -> LazyIterData | dict:
     """Loop-lifted StandOff axis step: all iterations in one join call.
 
     Returns a lazy per-iteration node mapping (the node-test post-filter
     runs inside the decode); the bulk evaluator wraps it in an
-    :class:`~repro.relational.sequence.IterSeq` unchanged.
+    :class:`~repro.relational.sequence.IterSeq` unchanged.  *keep* is
+    the column filter of the step's predicates (see :func:`_run`).
     """
     if not context_nodes_per_iter:
         return {}
     op = StandoffOp.from_name(axis)
     parts = _prepare(ctx, context_nodes_per_iter, test, None)
     return _run(ctx, op, parts[0], parts[1], parts[2],
-                post=lambda nodes: _apply_test(nodes, test))
+                post=lambda nodes: _apply_test(nodes, test), keep=keep)
 
 
 def _apply_test(nodes: list[Node], test: NodeTest | None) -> list[Node]:

@@ -67,9 +67,12 @@ class TestDatabase:
         assert [line.split("  (: ")[0].strip() for line in lines] == [
             'doc("d")', 'descendant::a[attribute::i = "1"]', "child::b[1]"]
         assert "'//' fused" in lines[1]
-        assert "Staircase join, then per-item filter" in lines[1]
+        assert "Staircase join, column filter" in lines[1]
         assert "position masks" in lines[2]
         assert "descendant-or-self" not in "\n".join(lines)
+
+        per_item = db.explain('doc("d")//a[@i = $v]')
+        assert "Staircase join, then per-item filter" in per_item
 
         kept = db.explain('doc("d")//a[1]')
         assert "descendant-or-self::node()" in kept
@@ -79,7 +82,9 @@ class TestDatabase:
                            'return count($x/select-narrow::b[@i])')
         assert "child::a[attribute::i and (position() = 2)]" in mixed
         assert "DOM walk" in mixed
-        assert "StandOff merge join, then per-item filter" in mixed
+        assert "StandOff merge join, column filter" in mixed
+        assert "StandOff merge join, then per-item filter" in db.explain(
+            'doc("d")//a/select-narrow::b[c = "x"]')
         assert "refuses" in db.explain(
             "declare function local:f($x) { $x//b }; local:f(1)")
 

@@ -12,6 +12,11 @@ and re-derive their candidate pools, and memory-backed documents
 degrade the process executor to threads — none of which may change a
 single serialized byte.
 
+Random predicates include attribute compares that the engine decides
+on dictionary-encoded attribute columns; some of them raise in the
+oracle (a failed number cast, a value comparison over two attributes),
+and then the engine must raise the same error code.
+
 Beyond the stored-document paths, dedicated fuzz targets pin the
 corners that previously fell off the kernel path: the sibling axes
 (including attribute anchors — which have no siblings — and merged
@@ -33,6 +38,7 @@ from repro.config import (
     KERNEL_VECTORIZED,
     WORKERS_SERIAL,
 )
+from repro.errors import XQueryError
 from repro.xquery import Database
 
 TAGS = ("a", "b", "c", "d")
@@ -52,15 +58,23 @@ WORKERS_UNDER_TEST = (WORKERS_SERIAL, 4)
 # ----------------------------------------------------------------------
 
 def random_xml(rng: random.Random, max_nodes: int = 45) -> str:
-    """A random element tree with attributes, text and comments."""
+    """A random element tree with attributes, text and comments.
+
+    ``i`` is usually a digit but sometimes ``x``, which no number cast
+    accepts, and a prefixed ``p:i`` shares its local name — both corners
+    of attribute value compares (``[@i >= 2]`` over ``<a p:i="1"
+    i="x"/>`` raises ``err:FORG0001`` in the oracle)."""
     budget = [rng.randrange(8, max_nodes)]
 
     def element(depth: int) -> str:
         budget[0] -= 1
         tag = rng.choice(TAGS)
         attrs = ""
+        if rng.random() < 0.08:
+            attrs = f' p:i="{rng.randrange(9)}"'
         if rng.random() < 0.3:
-            attrs = f' i="{rng.randrange(9)}"'
+            value = "x" if rng.random() < 0.1 else rng.randrange(9)
+            attrs += f' i="{value}"'
         if rng.random() < 0.15:
             attrs += f' j="{rng.randrange(9)}"'
         children: list[str] = []
@@ -77,17 +91,27 @@ def random_xml(rng: random.Random, max_nodes: int = 45) -> str:
                 budget[0] -= 1
         return f"<{tag}{attrs}>{''.join(children)}</{tag}>"
 
-    return f"<r>{''.join(element(0) for _ in range(rng.randrange(1, 4)))}</r>"
+    elements = "".join(element(0) for _ in range(rng.randrange(1, 4)))
+    return f'<r xmlns:p="urn:p">{elements}</r>'
 
 
 def random_predicate(rng: random.Random) -> str:
     """Position-free and positional predicates alike: the first kind
-    lets the rewrite fuse a ``//`` step and the kernel filter after the
-    join, the second must keep both steps and count per context node."""
+    lets the rewrite fuse a ``//`` step and filter after the join — on
+    the attribute columns where every predicate is a column term, per
+    item otherwise — the second must keep both steps and count per
+    context node."""
+    n = rng.randrange(9)
     return rng.choice((
         f"[{rng.choice(TAGS)}]",
         "[@i]",
-        f'[@i = "{rng.randrange(9)}"]',
+        f'[@i = "{n}"]',
+        f"[@i >= {n}]",
+        f'[@i != "{n}"]',
+        f'["{n}" > @i]',
+        f'[@i eq "{n}"]',
+        f'[@i and not(@j = "{n}")]',
+        f'[@i = "{n}" or @j]',
         f"[not(@j) or {rng.choice(TAGS)}]",
         f"[{rng.randrange(1, 3)}]",
         "[last()]",
@@ -132,24 +156,82 @@ def random_query(rng: random.Random) -> str:
 # the oracle check
 # ----------------------------------------------------------------------
 
+def outcome(db: Database, query: str, **options) -> str:
+    """The serialized answer, or the error code a query raises — the
+    engine must raise where the oracle raises, with the same code."""
+    try:
+        return db.query(query, **options).serialize()
+    except XQueryError as error:
+        return f"raised {error.code}"
+
+
 def assert_engine_matches_oracle(seed: int, n_queries: int) -> None:
     rng = random.Random(seed)
     db = Database()
     db.add_document("f.xml", random_xml(rng))
     for _ in range(n_queries):
         query = random_query(rng)
-        oracle = db.query(query, strategy="basic").serialize()
+        oracle = outcome(db, query, strategy="basic")
         for kernel in KERNELS_UNDER_TEST:
             for workers in WORKERS_UNDER_TEST:
-                got = db.query(query, strategy="ll", kernel=kernel,
-                               staircase_kernel=kernel, workers=workers,
-                               shard_min_rows=1).serialize()
+                got = outcome(db, query, strategy="ll", kernel=kernel,
+                              staircase_kernel=kernel, workers=workers,
+                              shard_min_rows=1)
                 assert got == oracle, (seed, query, kernel, workers)
 
 
 @pytest.mark.parametrize("seed", range(5000, 5008))
 def test_fuzz_engine_vs_dom_walk(seed):
     assert_engine_matches_oracle(seed, n_queries=3)
+
+
+def attribute_predicate(rng: random.Random) -> str:
+    """Predicates made of column terms only: attribute compares against
+    literals (general and value, either side), existence, ``not``,
+    ``and``/``or`` and chains."""
+    n = rng.randrange(9)
+    return rng.choice((
+        f"[@i >= {n}]",
+        f'[@i != "{n}"]',
+        f'["{n}" > @i]',
+        f'[@i eq "{n}"]',
+        f'[@i and not(@j = "{n}")]',
+        f'[@i = "{n}" or @j]',
+        f"[@i lt {n}]",
+        f"[not(@i = {n})]",
+        "[@p:i]",
+        f"[@j][@i != {n}]",
+    ))
+
+
+def test_fuzz_attribute_predicates():
+    """Column-term predicates on Staircase steps, including documents
+    where some compare raises (``i="x"`` fails the number cast, ``i``
+    next to ``p:i`` is two items for ``eq``): the engine raises the
+    oracle's error code or returns its answer, under every kernel ×
+    workers setting."""
+    raised = answered = 0
+    for seed in range(7000, 7006):
+        rng = random.Random(seed)
+        db = Database()
+        db.add_document("f.xml", random_xml(rng, max_nodes=60))
+        for _ in range(6):
+            predicate = attribute_predicate(rng)
+            query = rng.choice((
+                f'doc("f.xml")//{rng.choice((*TAGS, "*"))}{predicate}',
+                f'doc("f.xml")/r/{rng.choice(AXES)}::*{predicate}',
+                f'for $x in doc("f.xml")//* '
+                f"return count($x/child::*{predicate})"))
+            oracle = outcome(db, query, strategy="basic")
+            raised += oracle.startswith("raised")
+            answered += bool(oracle) and not oracle.startswith("raised")
+            for kernel in KERNELS_UNDER_TEST:
+                for workers in WORKERS_UNDER_TEST:
+                    got = outcome(db, query, strategy="ll", kernel=kernel,
+                                  staircase_kernel=kernel, workers=workers,
+                                  shard_min_rows=1)
+                    assert got == oracle, (seed, query, kernel, workers)
+    assert raised and answered, (raised, answered)
 
 
 def test_fuzz_standoff_joins(seed=7100):
@@ -165,23 +247,29 @@ def test_fuzz_standoff_joins(seed=7100):
             inner = ""
             if rng.random() < 0.4:
                 s2 = start + rng.randrange(1, 10)
+                k = f' k="{rng.randrange(3)}"' if rng.random() < 0.7 else ""
                 inner = (f'<shot start="{s2}" '
-                         f'end="{s2 + rng.randrange(1, 10)}"/>')
+                         f'end="{s2 + rng.randrange(1, 10)}"{k}/>')
             parts.append(f'<music start="{start}" end="{end}">'
                          f'{inner}</music>')
         db = Database()
         db.add_document("v.xml", f"<doc>{''.join(parts)}</doc>")
         for op in ("select-wide", "select-narrow", "reject-wide",
                    "reject-narrow"):
+            # the shots' own attribute predicate filters the join's
+            # columnar result
+            test = rng.choice(("shot", f'shot[@k = "{rng.randrange(3)}"]',
+                               f"shot[@start >= {rng.randrange(200)}]",
+                               "shot[not(@k)]"))
             query = (f'for $m in doc("v.xml")//music '
-                     f'return count($m/{op}::shot)')
+                     f'return count($m/{op}::{test})')
             oracle = db.query(query, strategy="basic").serialize()
             for kernel in KERNELS_UNDER_TEST:
                 for workers in WORKERS_UNDER_TEST:
                     got = db.query(query, strategy="ll", kernel=kernel,
                                    workers=workers,
                                    shard_min_rows=1).serialize()
-                    assert got == oracle, (seed, op, kernel, workers)
+                    assert got == oracle, (seed, query, kernel, workers)
 
 
 SIBLING_AXES = ("following-sibling", "preceding-sibling")
@@ -457,16 +545,15 @@ def test_fuzz_executor_backend_matrix(seed=10400):
         databases[backend] = db
     oracle_db = databases["memory"]
     for query in queries:
-        oracle = oracle_db.query(query, strategy="basic").serialize()
+        oracle = outcome(oracle_db, query, strategy="basic")
         for backend, db in databases.items():
             for kernel in KERNELS_UNDER_TEST:
                 for workers in WORKERS_UNDER_TEST:
                     for executor in EXECUTORS_UNDER_TEST:
-                        got = db.query(
-                            query, strategy="ll", kernel=kernel,
+                        got = outcome(
+                            db, query, strategy="ll", kernel=kernel,
                             staircase_kernel=kernel, workers=workers,
-                            shard_min_rows=1,
-                            executor=executor).serialize()
+                            shard_min_rows=1, executor=executor)
                         assert got == oracle, (seed, query, backend,
                                                kernel, workers,
                                                executor)
@@ -527,15 +614,14 @@ def test_fuzz_reopened_store(tmp_path, seed):
         [(n.pre, n.size, n.level) for n in want.all_nodes()], seed
     for _ in range(4):
         query = random_query(rng)
-        oracle = db.query(query, strategy="basic").serialize()
-        assert reopened.query(
-            query, strategy="basic").serialize() == oracle, (seed, query)
+        oracle = outcome(db, query, strategy="basic")
+        assert outcome(reopened, query, strategy="basic") == oracle, \
+            (seed, query)
         for kernel in KERNELS_UNDER_TEST:
             for workers in WORKERS_UNDER_TEST:
-                got = reopened.query(
-                    query, strategy="ll", kernel=kernel,
-                    staircase_kernel=kernel, workers=workers,
-                    shard_min_rows=1).serialize()
+                got = outcome(reopened, query, strategy="ll",
+                              kernel=kernel, staircase_kernel=kernel,
+                              workers=workers, shard_min_rows=1)
                 assert got == oracle, (seed, query, kernel, workers)
 
 

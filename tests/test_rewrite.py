@@ -18,7 +18,12 @@ from repro.xquery import Database, parse
 from repro.xquery.bulk import evaluate_module_bulk
 from repro.xquery.context import DynamicContext, Focus
 from repro.xquery.parser import parse_expr
-from repro.xquery.rewrite import position_free, rewrite
+from repro.xquery.rewrite import (
+    column_predicate,
+    column_predicates,
+    position_free,
+    rewrite,
+)
 
 FREE = [
     "@i",
@@ -78,6 +83,68 @@ def test_position_free(predicate):
 @pytest.mark.parametrize("predicate", NOT_FREE)
 def test_not_position_free(predicate):
     assert not position_free(parse_expr(predicate))
+
+
+#: Column terms: the attribute on the left, the general operator,
+#: ``single`` for value comparisons, names by their local part.
+COLUMN = [
+    ("@a", ("exists", "a")),
+    ("@p:a", ("exists", "a")),
+    ('@a = "x"', ("compare", "a", "=", "x", False)),
+    ("@income >= 50000", ("compare", "income", ">=", 50000, False)),
+    ('@a != "3"', ("compare", "a", "!=", "3", False)),
+    ('"3" > @a', ("compare", "a", "<", "3", False)),
+    ("2.5 <= @a", ("compare", "a", ">=", 2.5, False)),
+    ('@a eq "x"', ("compare", "a", "=", "x", True)),
+    ("@a lt -2", ("compare", "a", "<", -2, True)),
+    ("@a ne --1", ("compare", "a", "!=", 1, True)),
+    ("not(@a)", ("not", ("exists", "a"))),
+    ('@a and not(@b = "1")',
+     ("and", ("exists", "a"), ("not", ("compare", "b", "=", "1", False)))),
+    ('@a = "1" or @b',
+     ("or", ("compare", "a", "=", "1", False), ("exists", "b"))),
+]
+
+NOT_COLUMN = [
+    "@a = $v",                       # a variable, not a literal
+    "@a = (1, 2)",                   # a sequence
+    "@a + 1 = 2",                    # arithmetic
+    'string(@a) = "x"',              # a function of the attribute
+    '@* = "x"',                      # any attribute
+    'a = "x"',                       # an element's content
+    '@a = @b',
+    '"x" = "y"',
+    '@a = -"1"',                     # a signed string casts at run time
+    "@a = 9007199254740993",         # past float64's exact integers
+    '@a is @b',
+    "@a[1]",
+    "not(u)",
+    "@a and u",
+    'contains(@a, "x")',
+    "1",
+    "position() = 1",
+]
+
+
+@pytest.mark.parametrize("predicate,term", COLUMN)
+def test_column_predicate(predicate, term):
+    assert column_predicate(parse_expr(predicate)) == term
+    assert position_free(parse_expr(predicate))
+
+
+@pytest.mark.parametrize("predicate", NOT_COLUMN)
+def test_not_column_predicate(predicate):
+    assert column_predicate(parse_expr(predicate)) is None
+
+
+def test_column_predicates_need_every_predicate():
+    def chain(text):
+        return parse(f"a{text}").body.predicates
+
+    assert column_predicates(chain('[@a][@b = "1"]')) == [
+        ("exists", "a"), ("compare", "b", "=", "1", False)]
+    assert column_predicates(chain("[@a][u]")) is None
+    assert column_predicates([]) is None
 
 
 # ----------------------------------------------------------------------

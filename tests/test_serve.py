@@ -16,6 +16,7 @@ Everything runs on plain ``asyncio.run`` — no async test plugin.
 
 import asyncio
 import json
+import sys
 import threading
 import time
 
@@ -29,6 +30,7 @@ from repro.serve import (
     estimate_pair_budget,
     serve,
 )
+from repro.xquery.bulk import _cast
 from repro.xquery.engine import Database
 
 from test_fuzz_differential import POSITIONAL_PREDICATES
@@ -363,6 +365,14 @@ def test_tcp_protocol_roundtrip():
                 "op": "query", "id": 3, "query": "syntax ((("})
             assert not reply["ok"] and reply["code"] == "error"
 
+            # Too deep to parse: a syntax error, not an internal
+            # RecursionError.
+            reply = await request(writer, reader, {
+                "op": "query", "id": 3,
+                "query": "(" * 300 + "1" + ")" * 300})
+            assert not reply["ok"] and reply["code"] == "error", reply
+            assert "nests deeper" in reply["error"]
+
             reply = await request(writer, reader, {
                 "op": "query", "id": 4, "query": 17})
             assert not reply["ok"] and reply["code"] == "bad-request"
@@ -497,6 +507,40 @@ def test_concurrent_lazy_node_by_pre(tmp_path):
             {id(stored.document)}
         assert {id(node) for node, _doc in results} == \
             {id(stored.document.node_by_pre(1))}
+
+
+def test_concurrent_attribute_column_build(tmp_path):
+    """N threads racing the first ``attribute_column`` and its first
+    ``numbers`` view on a fresh store-backed shred must all get the one
+    column and the one numeric view (both are lazy builds under a
+    lock)."""
+    path = str(tmp_path / "d.repro")
+    storage.save_store(path, build("memory"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(5):
+            shredded = storage.open_store(path).document("d.xml").shredded
+            results = []
+            barrier = threading.Barrier(8)
+
+            def grab():
+                barrier.wait()
+                column = shredded.attribute_column("start")
+                results.append((column, column.numbers(_cast)))
+
+            threads = [threading.Thread(target=grab) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 8
+            assert len({id(column) for column, _ in results}) == 1
+            assert len({id(numbers) for _, numbers in results}) == 1
+            assert len(results[0][0].owners) > 0
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_concurrent_store_reader_facades(tmp_path):

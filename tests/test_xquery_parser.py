@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import UnsupportedFeatureError, XQuerySyntaxError
-from repro.xquery import parse, parse_expr
+from repro.xquery import Database, parse, parse_expr
 from repro.xquery import ast
+from repro.xquery.parser import MAX_NESTING
 
 
 class TestLiteralsAndOperators:
@@ -287,3 +288,48 @@ class TestErrors:
     def test_trailing_garbage(self):
         with pytest.raises(XQuerySyntaxError):
             parse_expr("1 2 3")
+
+
+#: Queries nesting exactly *depth* levels (the query itself is level 1).
+NESTED = {
+    "parentheses": lambda depth: "(" * (depth - 1) + "1" + ")" * (depth - 1),
+    "predicates": lambda depth: 'doc("n.xml")/a' + "[a" * (depth - 1)
+                                + "]" * (depth - 1),
+    "constructors": lambda depth: "<a>" * (depth - 1) + "x"
+                                  + "</a>" * (depth - 1),
+}
+
+
+class TestNesting:
+    """Past :data:`MAX_NESTING` a query is a syntax error — not a bare
+    ``RecursionError`` from the recursive descent or the evaluators."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        database = Database()
+        database.add_document("n.xml", "<a><a><a/></a></a>")
+        return database
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_at_the_limit(self, db, shape):
+        query = NESTED[shape](MAX_NESTING)
+        want = db.query(query, strategy="basic").serialize()
+        for strategy in ("ll", "udf"):
+            assert db.query(query, strategy=strategy).serialize() == want
+        assert db.explain(query)
+        if shape == "constructors":
+            assert want == query
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_past_the_limit(self, db, shape):
+        for depth in (MAX_NESTING + 1, 300):
+            with pytest.raises(XQuerySyntaxError) as info:
+                db.query(NESTED[shape](depth))
+            assert info.value.code == "err:XPST0003"
+            assert f"deeper than {MAX_NESTING}" in str(info.value)
+
+    def test_unary_signs_count_as_levels(self):
+        assert isinstance(parse_expr("-" * (MAX_NESTING - 1) + "1"),
+                          ast.UnaryOp)
+        with pytest.raises(XQuerySyntaxError):
+            parse_expr("-" * MAX_NESTING + "1")
