@@ -1,14 +1,9 @@
-"""Cross-query caches: compiled plans and fragment shreds, warm vs cold.
+"""The compiled-plan cache, warm vs cold.
 
-The per-query constant factor the PR 7 caches eliminate:
-
-* **Plan cache** — a parse-heavy batch (prolog function declarations,
-  nested FLWOR, chained predicates) over a tiny document, so
-  compilation dominates evaluation.  Warm (LRU enabled) vs cold
-  (``plan_cache_size=0``, every query re-parses).
-* **Shred cache** — ``shred_fragment`` on content-equal constructed
-  fragments: a content-hash hit pays renumber + fingerprint + a
-  column rebind, a cold call pays renumber + the full column build.
+A parse-heavy batch (prolog function declarations, nested FLWOR,
+chained predicates) over a tiny document, so compilation dominates
+evaluation.  Warm (LRU enabled) vs cold (``plan_cache_size=0``, every
+query re-parses).
 
 The trajectory harness (``run_all.py``, scenario family
 ``plancache.*``) carries these as committed trajectory points; this
@@ -17,7 +12,6 @@ file keeps the pytest-benchmark view.
 
 import pytest
 
-from repro.xmldb.shred import SHRED_CACHE, shred_fragment
 from repro.xquery import Database
 
 XML = "<r><a i='1'><b>t</b></a><a i='2'><c/></a></r>"
@@ -58,34 +52,3 @@ def test_plan_cache_batch(benchmark, size):
     else:
         assert stats["entries"] == 0
 
-
-@pytest.fixture(scope="module")
-def fragment_roots():
-    """Distinct content-equal constructed roots: every cache hit goes
-    through the fingerprint + rebind path, never the same-root
-    shortcut."""
-    db = Database()
-    ctor = "<w>" + '<a i="1"><b>text</b></a>' * 2_000 + "</w>"
-    return [list(db.query(ctor))[0] for _ in range(4)]
-
-
-@pytest.fixture
-def shred_cache_budget():
-    saved = (SHRED_CACHE.max_entries, SHRED_CACHE.max_bytes)
-    SHRED_CACHE.clear()
-    yield SHRED_CACHE
-    SHRED_CACHE.configure(max_entries=saved[0], max_bytes=saved[1])
-    SHRED_CACHE.clear()
-
-
-@pytest.mark.parametrize("entries", [512, 0], ids=["hit", "rebuild"])
-def test_shred_fragment(benchmark, fragment_roots, shred_cache_budget,
-                        entries):
-    shred_cache_budget.configure(max_entries=entries)
-    if entries:
-        shred_fragment(fragment_roots[0])    # prime the one miss
-    results = benchmark(
-        lambda: [shred_fragment(root) for root in fragment_roots])
-    assert len(results) == len(fragment_roots)
-    for root, shredded in zip(fragment_roots, results):
-        assert shredded.node_by_pre(0) is root

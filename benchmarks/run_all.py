@@ -24,7 +24,7 @@ reference, per join family (``.serial`` vs ``.workers4`` scenario
 variants; each record carries the ``workers`` setting).  The
 ``positional.*`` family pits the vectorized positional-predicate
 filter against the per-node DOM walk; ``plancache.*`` measures the
-cross-query compiled-plan and fragment-shred caches warm vs cold.
+cross-query compiled-plan cache warm vs cold.
 The ``coldstart.*`` family times serving a saved store (zero-copy
 ``np.memmap`` open) against rebuilding the shred from XML text, and
 ``procpool.*`` pits the process-pool executor against the thread pool
@@ -813,17 +813,10 @@ _PLANCACHE_QUERIES = tuple(
 
 
 def scenario_plancache(r: Runner) -> dict | None:
-    """Cross-query caches: the compiled-plan LRU on a repeated
-    small-query batch (warm vs ``plan_cache_size=0``), and the
-    content-hash shred cache at the ``shred_fragment`` level (hit +
-    rebind vs full column rebuild).  Returns the plan-cache batch
-    speedup."""
-    from repro.xmldb.shred import SHRED_CACHE, shred_fragment
-
+    """The compiled-plan LRU on a repeated small-query batch (warm vs
+    ``plan_cache_size=0``).  Returns the batch speedup."""
     file = "bench_plancache.py"
     batch_names = ("plancache.batch.warm", "plancache.batch.cold")
-    shred_names = ("plancache.shred_fragment.hit",
-                   "plancache.shred_fragment.rebuild")
     summary = None
     if r.any_wanted(*batch_names):
         def batch(db):
@@ -848,30 +841,6 @@ def scenario_plancache(r: Runner) -> dict | None:
                 "cold_seconds": round(timings["cold"], 6),
                 "speedup": round(timings["cold"] / timings["warm"], 2),
             }
-    if r.any_wanted(*shred_names):
-        repeat = 200 if r.smoke else 2_000
-        db = Database()
-        ctor = "<w>" + "<a i=\"1\"><b>text</b></a>" * repeat + "</w>"
-        # distinct content-equal roots: every hit goes through the
-        # fingerprint + rebind path, never the same-root shortcut
-        roots = [list(db.query(ctor))[0] for _ in range(4)]
-        n = sum(1 for _ in roots[0].descendants_or_self())
-        saved = (SHRED_CACHE.max_entries, SHRED_CACHE.max_bytes)
-        try:
-            for tag, entries in (("hit", 512), ("rebuild", 0)):
-                SHRED_CACHE.clear()
-                SHRED_CACHE.configure(max_entries=entries)
-                if entries:
-                    shred_fragment(roots[0])    # prime the one miss
-                r.measure(
-                    f"plancache.shred_fragment.{tag}", file, None,
-                    n * len(roots),
-                    lambda: [shred_fragment(root) for root in roots],
-                    shred_cache_entries=entries)
-        finally:
-            SHRED_CACHE.configure(max_entries=saved[0],
-                                  max_bytes=saved[1])
-            SHRED_CACHE.clear()
     return summary
 
 

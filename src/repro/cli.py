@@ -17,9 +17,11 @@ Backslash commands: ``\load <uri> [path]``, ``\blob <uri> <path>``,
 ``\docs``, ``\strategy udf|basic|ll``, ``\kernel [standoff|staircase]
 ll|vectorized|auto``, ``\workers serial|<n>``, ``\executor
 thread|process``, ``\save-store <path>``, ``\store stats``,
-``\cache stats|clear``, ``\timing on|off``, ``\help``, ``\quit``.
-Everything else is evaluated as a query; results print one item per
-line (nodes serialized as XML).
+``\cache stats|clear`` (the compiled-plan cache), ``\timing on|off``,
+``\help``, ``\quit``.  The settings commands change the session's one
+:class:`~repro.config.ExecOptions` and refuse a bad value with its
+message.  Everything else is evaluated as a query; results print one
+item per line (nodes serialized as XML).
 
 Out-of-core stores: ``--store <path>`` opens a store file written by
 ``\save-store`` (or :func:`repro.storage.save_store`) instead of
@@ -45,24 +47,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from repro.config import (
-    DEFAULT_EXECUTOR,
-    DEFAULT_KERNEL,
     DEFAULT_SERVE_TIMEOUT,
-    DEFAULT_SHARD_MIN_ROWS,
-    DEFAULT_STAIRCASE_KERNEL,
     DEFAULT_STORAGE_BACKEND,
-    DEFAULT_WORKERS,
     FAMILY_STAIRCASE,
     FAMILY_STANDOFF,
-    SUPPORTED_EXECUTORS,
-    SUPPORTED_FAMILIES,
-    SUPPORTED_KERNELS,
     SUPPORTED_STORAGE_BACKENDS,
-    WORKERS_SERIAL,
-    normalize_workers,
+    ExecOptions,
 )
 from repro.errors import ReproError
 from repro.xquery.engine import Database
@@ -87,8 +81,7 @@ HELP = """\
                      versioned store file (reopen with --store)
 \\store stats         per-document storage backend, file size, and
                      mapped vs resident bytes
-\\cache stats|clear   show / reset the cross-query caches (compiled
-                     plans, constructed-fragment shreds)
+\\cache stats|clear   show / reset the compiled-plan cache
 \\timing on|off       print query wall-clock times
 \\help                this text
 \\quit                exit
@@ -109,12 +102,7 @@ class CliSession:
         else:
             self.db = Database(plan_cache_size=plan_cache_size,
                                storage_backend=storage_backend)
-        self.strategy = "basic"
-        self.kernel = DEFAULT_KERNEL
-        self.staircase_kernel = DEFAULT_STAIRCASE_KERNEL
-        self.workers = DEFAULT_WORKERS
-        self.shard_min_rows = DEFAULT_SHARD_MIN_ROWS
-        self.executor = DEFAULT_EXECUTOR
+        self.options = ExecOptions()
         self.timing = False
         self.out = out if out is not None else sys.stdout
         self.done = False
@@ -147,48 +135,22 @@ class CliSession:
             blob = self.db.blobs.get(uri)
             self.emit(f"blob {uri}  ({len(blob)} bytes)")
 
-    def set_strategy(self, name: str) -> None:
-        if name not in ("udf", "basic", "ll"):
-            self.emit(f"unknown strategy {name!r} "
-                      "(expected udf, basic or ll)")
+    def set_option(self, label: str, field: str, value: str) -> None:
+        try:
+            self.options = replace(self.options, **{field: value})
+        except ValueError as error:
+            self.emit(f"error: {error}")
             return
-        self.strategy = name
-        self.emit(f"strategy = {name}")
+        self.emit(f"{label} = {value}")
 
     def set_kernel(self, name: str, family: str = FAMILY_STANDOFF) -> None:
-        if family not in SUPPORTED_FAMILIES:
-            self.emit(f"unknown join family {family!r} "
-                      f"(expected {' or '.join(SUPPORTED_FAMILIES)})")
-            return
-        if name not in SUPPORTED_KERNELS:
-            self.emit(f"unknown kernel {name!r} "
-                      f"(expected {' or '.join(SUPPORTED_KERNELS)})")
-            return
         if family == FAMILY_STAIRCASE:
-            self.staircase_kernel = name
-            self.emit(f"staircase kernel = {name}")
+            self.set_option("staircase kernel", "staircase_kernel", name)
+        elif family == FAMILY_STANDOFF:
+            self.set_option("kernel", "kernel", name)
         else:
-            self.kernel = name
-            self.emit(f"kernel = {name}")
-
-    def set_workers(self, value: str) -> None:
-        try:
-            normalize_workers(value)
-        except ValueError:
-            self.emit(f"invalid workers {value!r} "
-                      f"(expected {WORKERS_SERIAL!r} or a positive "
-                      "integer)")
-            return
-        self.workers = value
-        self.emit(f"workers = {value}")
-
-    def set_executor(self, name: str) -> None:
-        if name not in SUPPORTED_EXECUTORS:
-            self.emit(f"unknown executor {name!r} "
-                      f"(expected {' or '.join(SUPPORTED_EXECUTORS)})")
-            return
-        self.executor = name
-        self.emit(f"executor = {name}")
+            self.emit(f"error: unknown join family {family!r}; expected "
+                      f"{FAMILY_STANDOFF!r} or {FAMILY_STAIRCASE!r}")
 
     def save_store(self, path: str) -> None:
         from repro import storage
@@ -217,38 +179,24 @@ class CliSession:
             self.emit(line)
 
     def cache_command(self, action: str) -> None:
-        from repro.xmldb.shred import SHRED_CACHE
-
         if action == "clear":
             self.db.plan_cache.clear()
-            SHRED_CACHE.clear()
-            self.emit("caches cleared")
+            self.emit("plan cache cleared")
             return
         if action != "stats":
             self.emit(f"unknown cache action {action!r} "
                       "(expected stats or clear)")
             return
         plan = self.db.plan_cache.stats()
-        shred = SHRED_CACHE.stats()
-        self.emit(f"plan cache:  entries={plan['entries']}"
+        self.emit(f"plan cache: entries={plan['entries']}"
                   f"/{plan['max_entries']} hits={plan['hits']} "
                   f"misses={plan['misses']} "
                   f"evictions={plan['evictions']}")
-        self.emit(f"shred cache: entries={shred['entries']}"
-                  f"/{shred['max_entries']} bytes={shred['bytes']}"
-                  f"/{shred['max_bytes']} hits={shred['hits']} "
-                  f"misses={shred['misses']} "
-                  f"evictions={shred['evictions']}")
 
     def run_query(self, text: str) -> None:
         start = time.perf_counter()
         try:
-            result = self.db.query(text, strategy=self.strategy,
-                                   kernel=self.kernel,
-                                   staircase_kernel=self.staircase_kernel,
-                                   workers=self.workers,
-                                   shard_min_rows=self.shard_min_rows,
-                                   executor=self.executor)
+            result = self.db.query(text, options=self.options)
         except ReproError as error:
             self.emit(f"error: {error}")
             return
@@ -282,16 +230,12 @@ class CliSession:
                 self.load_blob(args[0], args[1])
             elif command == "docs":
                 self.list_docs()
-            elif command == "strategy" and args:
-                self.set_strategy(args[0])
+            elif command in ("strategy", "workers", "executor") and args:
+                self.set_option(command, command, args[0])
             elif command == "kernel" and len(args) == 2:
                 self.set_kernel(args[1], family=args[0])
             elif command == "kernel" and args:
                 self.set_kernel(args[0])
-            elif command == "workers" and args:
-                self.set_workers(args[0])
-            elif command == "executor" and args:
-                self.set_executor(args[0])
             elif command == "save-store" and args:
                 self.save_store(args[0])
             elif command == "store" and args and args[0] == "stats":
@@ -318,17 +262,10 @@ def run_serve(session: CliSession, *, host: str, port: int,
 
     from repro.serve import QueryServer, serve
 
-    server = QueryServer(db=session.db,
-                         default_timeout=timeout,
-                         strategy=session.strategy,
-                         kernel=session.kernel,
-                         staircase_kernel=session.staircase_kernel,
-                         workers=session.workers,
-                         shard_min_rows=session.shard_min_rows,
-                         executor=session.executor,
-                         prefork=session.executor == "process")
+    server = QueryServer(db=session.db, default_timeout=timeout,
+                         **asdict(session.options))
     # The session already opened the store; hand the path over so a
-    # preforked process pool can warm-map it in every worker.
+    # warmed process pool can map it in every worker.
     server.store_path = store_path
 
     async def _serve_forever() -> None:
@@ -363,27 +300,21 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="URI=PATH", help="BLOB to register")
     parser.add_argument("--query", "-e", default=None,
                         help="run one query and exit")
-    parser.add_argument("--strategy", default="basic",
-                        choices=["udf", "basic", "ll"])
-    parser.add_argument("--kernel", default=DEFAULT_KERNEL,
-                        choices=list(SUPPORTED_KERNELS),
+    parser.add_argument("--strategy", metavar="udf|basic|ll",
+                        help="evaluation strategy (default basic)")
+    parser.add_argument("--kernel", metavar="ll|vectorized|auto",
                         help="StandOff join kernel (vectorized = batched "
                              "NumPy fast path; auto = per-join choice by "
                              "input size and overlap density)")
-    parser.add_argument("--staircase-kernel",
-                        default=DEFAULT_STAIRCASE_KERNEL,
-                        choices=list(SUPPORTED_KERNELS),
+    parser.add_argument("--staircase-kernel", metavar="ll|vectorized|auto",
                         help="Staircase axis kernel for the tree axes "
-                             "under strategy=ll (same choices; default "
-                             "auto)")
-    parser.add_argument("--workers", default=DEFAULT_WORKERS,
-                        metavar="N",
+                             "under strategy=ll (default auto)")
+    parser.add_argument("--workers", metavar="N",
                         help="shard batched joins across N worker "
                              "threads ('serial' = deterministic "
                              "single-shard reference; default from "
                              "REPRO_WORKERS)")
-    parser.add_argument("--executor", default=DEFAULT_EXECUTOR,
-                        choices=list(SUPPORTED_EXECUTORS),
+    parser.add_argument("--executor", metavar="thread|process",
                         help="where sharded joins run: 'thread' (shared "
                              "pool, the default) or "
                              "'process' (store-backed jobs fan out to "
@@ -400,11 +331,10 @@ def main(argv: list[str] | None = None) -> int:
                              "\\save-store) instead of parsing XML — "
                              "O(1) cold start off the mapped columns; "
                              "nodes are built from them on demand")
-    parser.add_argument("--shard-min-rows", type=int,
-                        default=DEFAULT_SHARD_MIN_ROWS, metavar="ROWS",
+    parser.add_argument("--shard-min-rows", type=int, metavar="ROWS",
                         help="minimum context rows per shard before a "
-                             f"join fans out (default "
-                             f"{DEFAULT_SHARD_MIN_ROWS})")
+                             "join fans out (default from "
+                             "REPRO_SHARD_MIN_ROWS)")
     parser.add_argument("--plan-cache-size", type=int, default=None,
                         metavar="N",
                         help="compiled-plan LRU capacity (0 disables; "
@@ -424,14 +354,12 @@ def main(argv: list[str] | None = None) -> int:
                              f"{DEFAULT_SERVE_TIMEOUT:g}; 0 disables)")
     args = parser.parse_args(argv)
 
+    knobs = {f.name: getattr(args, f.name) for f in fields(ExecOptions)
+             if getattr(args, f.name, None) is not None}
     try:
-        normalize_workers(args.workers)
+        options = ExecOptions(**knobs)
     except ValueError as error:
         parser.error(str(error))
-    if args.shard_min_rows < 1:
-        parser.error("--shard-min-rows must be >= 1 "
-                     f"(got {args.shard_min_rows}); the planner never "
-                     "fans out below one row per shard")
 
     if args.plan_cache_size is not None and args.plan_cache_size < 0:
         parser.error("--plan-cache-size must be >= 0 "
@@ -444,12 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    session.strategy = args.strategy
-    session.kernel = args.kernel
-    session.staircase_kernel = args.staircase_kernel
-    session.workers = args.workers
-    session.shard_min_rows = args.shard_min_rows
-    session.executor = args.executor
+    session.options = options
     try:
         for path in args.load:
             session.load_document(Path(path).name, path)

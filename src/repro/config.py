@@ -23,7 +23,7 @@ regions from a DOM element under either representation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import RegionError, UnknownKernelError, XQueryStaticError
 
@@ -235,7 +235,7 @@ DEFAULT_SERVE_TIMEOUT = 30.0
 
 
 # ----------------------------------------------------------------------
-# Cross-query caches (compiled plans, fragment shreds)
+# Cross-query cache (compiled plans)
 # ----------------------------------------------------------------------
 
 #: Compiled-plan LRU capacity (entries) of
@@ -244,18 +244,6 @@ DEFAULT_SERVE_TIMEOUT = 30.0
 #: ``REPRO_PLAN_CACHE`` overrides process-wide; ``0`` disables (every
 #: query re-parses — the cold-path reference CI runs tier-1 under).
 DEFAULT_PLAN_CACHE_SIZE = int(os.environ.get("REPRO_PLAN_CACHE", "256"))
-
-#: Entry budget of the content-hash shred cache
-#: (:data:`repro.xmldb.shred.SHRED_CACHE`): shredded column sets of
-#: constructed fragments, keyed on a structural fingerprint so repeated
-#: constructions of identical content reuse the columns across queries.
-#: ``REPRO_SHRED_CACHE`` overrides process-wide; ``0`` disables.
-DEFAULT_SHRED_CACHE_ENTRIES = int(os.environ.get("REPRO_SHRED_CACHE",
-                                                 "512"))
-
-#: Byte budget of the shred cache (sum of cached column ``nbytes``);
-#: the LRU evicts past either budget.
-DEFAULT_SHRED_CACHE_BYTES = 64 * 1024 * 1024
 
 
 def normalize_workers(workers) -> int:
@@ -440,6 +428,74 @@ for _family in SUPPORTED_FAMILIES:
                                 axes=_axes))
     KERNELS.register(KernelSpec(_family, KERNEL_AUTO, axes=_axes))
 del _family, _axes
+
+
+@dataclass(frozen=True)
+class ExecOptions:
+    """The execution settings one query runs under.
+
+    One frozen value carries them from where they are set
+    (``Database.query``, the CLI session, ``QueryServer``) through
+    :class:`~repro.xquery.context.DynamicContext` to the join calls.
+    Every field is checked here, on construction, so a bad setting is
+    refused where it is made rather than by the first query that
+    reaches the code reading it; ``dataclasses.replace`` checks again.
+
+    :param strategy: ``udf`` | ``basic`` | ``ll`` — how StandOff steps
+        run (§4.6): the nested-loop join of the UDF formulation, one
+        Basic MergeJoin per iteration, or the whole query loop-lifted
+        (see :mod:`repro.xquery.engine`).
+    :param active_structure: ``list`` | ``heap`` — the merge joins'
+        active-items structure (the §5 ablation).
+    :param pushdown: name-test pushdown for StandOff steps — ``always``
+        (the builtin-function behaviour), ``never`` (post-filter) or
+        ``auto`` (skip pushdown for non-selective tests; §3.3 (iii)).
+    :param kernel: StandOff join kernel — ``ll`` (row-at-a-time
+        reference merge), ``vectorized`` (batched NumPy kernels) or
+        ``auto`` (per join: ``ll`` below :data:`AUTO_KERNEL_MIN_ROWS`
+        and above :data:`AUTO_KERNEL_MAX_PAIRS`).
+    :param staircase_kernel: Staircase axis kernel for the tree axes
+        under ``ll`` — the same choices, default ``auto``.
+    :param workers: ``"serial"`` (the deterministic single-shard
+        reference) or a positive worker count; stored as the count.
+        Default from ``REPRO_WORKERS``.
+    :param shard_min_rows: minimum context rows per shard before a
+        join call fans out (see :mod:`repro.exec.sharding`).  Default
+        from ``REPRO_SHARD_MIN_ROWS``.
+    :param executor: where shards run — ``thread`` or ``process``
+        (see :data:`EXECUTOR_PROCESS`).
+    """
+
+    strategy: str = "basic"
+    active_structure: str = "list"
+    pushdown: str = "always"
+    kernel: str = DEFAULT_KERNEL
+    staircase_kernel: str = DEFAULT_STAIRCASE_KERNEL
+    workers: int | str = DEFAULT_WORKERS
+    shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS
+    executor: str = DEFAULT_EXECUTOR
+
+    def __post_init__(self) -> None:
+        if self.strategy not in ("udf", "basic", "ll"):
+            raise ValueError(
+                f"unknown strategy {self.strategy!r}; expected one of "
+                "['basic', 'll', 'udf']")
+        if self.active_structure not in ("list", "heap"):
+            raise ValueError(
+                f"unknown active structure {self.active_structure!r}; "
+                "expected one of ['heap', 'list']")
+        if self.pushdown not in ("always", "never", "auto"):
+            raise ValueError(
+                f"unknown pushdown policy {self.pushdown!r}; expected "
+                "'always', 'never' or 'auto'")
+        KERNELS.validate(FAMILY_STANDOFF, self.kernel)
+        KERNELS.validate(FAMILY_STAIRCASE, self.staircase_kernel)
+        object.__setattr__(self, "workers", normalize_workers(self.workers))
+        if self.shard_min_rows < 1:
+            raise ValueError(
+                f"shard_min_rows must be >= 1, got {self.shard_min_rows}")
+        object.__setattr__(self, "executor",
+                           normalize_executor(self.executor))
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,12 @@
 The paper pitches a standoff-annotation *service*; this package is the
 serving layer that makes the engine answer like one.  A
 :class:`QueryServer` admits many queries at once over one or more
-published stores, reusing the cross-query substrate the earlier
-optimization work put in place — the per-``Database`` compiled-plan
-LRU (keyed through ``Database._static_fingerprint``, so sessions with
-different static contexts share one cache safely) and the process-wide
-content-hash shred cache — and dispatching the actual evaluation onto
-the existing shared thread/process shard executors.
+published stores, sharing the per-``Database`` compiled-plan LRU
+(keyed through ``Database._static_fingerprint``, so sessions with
+different static contexts share one cache safely) and dispatching the
+actual evaluation onto the existing shared thread/process shard
+executors.  Every served query runs under the one
+:class:`~repro.config.ExecOptions` the server was built with.
 
 Two serving-specific mechanisms live here:
 

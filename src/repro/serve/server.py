@@ -20,17 +20,12 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.config import (
-    DEFAULT_KERNEL,
     DEFAULT_SERVE_CONCURRENCY,
     DEFAULT_SERVE_HEAVY_PAIRS,
     DEFAULT_SERVE_HEAVY_SLOTS,
     DEFAULT_SERVE_TIMEOUT,
-    DEFAULT_SHARD_MIN_ROWS,
-    DEFAULT_STAIRCASE_KERNEL,
-    DEFAULT_WORKERS,
     EXECUTOR_PROCESS,
-    normalize_executor,
-    normalize_workers,
+    ExecOptions,
 )
 from repro.errors import ReproError
 from repro.exec.cancel import CancelToken, QueryCancelled, cancel_scope
@@ -125,14 +120,13 @@ class QueryServer:
     :param heavy_pairs: pair-budget threshold for the heavy lane.
     :param default_timeout: per-query timeout (seconds) applied when a
         call/request carries none; ``0`` disables.
-    :param prefork: warm the process pool at :meth:`start` — spawn the
-        workers, import the engine in each, and (when serving a store
-        file) have each worker ``open_store`` it, so the first
-        process-executor query pays a shard job, not a cold start.
-        Only meaningful with ``executor="process"``.
-
-    The remaining keyword arguments mirror :meth:`Database.query` and
-    set the engine options every served query runs under.
+    :param knobs: :class:`~repro.config.ExecOptions` fields, checked
+        here once; every served query runs under them (default
+        ``strategy="ll"``).  With ``executor="process"`` and more than
+        one worker, :meth:`start` warms the process pool — spawns the
+        workers, imports the engine in each and, when serving a store
+        file, has each worker ``open_store`` it — so the first query
+        pays a shard job, not a cold start.
     """
 
     def __init__(self, db=None, *, store_path: str | None = None,
@@ -140,14 +134,9 @@ class QueryServer:
                  heavy_slots: int | None = None,
                  heavy_pairs: int | None = None,
                  default_timeout: float | None = None,
-                 strategy: str = "ll",
-                 kernel: str = DEFAULT_KERNEL,
-                 staircase_kernel: str = DEFAULT_STAIRCASE_KERNEL,
-                 workers=DEFAULT_WORKERS,
-                 shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS,
-                 executor: str | None = None,
                  plan_cache_size: int | None = None,
-                 prefork: bool = False):
+                 **knobs):
+        self.options = ExecOptions(**{"strategy": "ll", **knobs})
         if (db is None) == (store_path is None):
             raise ValueError(
                 "pass exactly one of db= or store_path=")
@@ -172,13 +161,6 @@ class QueryServer:
         self.default_timeout = (DEFAULT_SERVE_TIMEOUT
                                 if default_timeout is None
                                 else float(default_timeout))
-        self.strategy = strategy
-        self.kernel = kernel
-        self.staircase_kernel = staircase_kernel
-        self.workers = workers
-        self.shard_min_rows = shard_min_rows
-        self.executor = executor
-        self.prefork = prefork
         self._threads: ThreadPoolExecutor | None = None
         self._admission: asyncio.Semaphore | None = None
         self._heavy_lane: asyncio.Semaphore | None = None
@@ -199,8 +181,8 @@ class QueryServer:
         return self._threads is not None
 
     async def start(self) -> "QueryServer":
-        """Create the admission structures (idempotent) and, with
-        ``prefork=True``, warm the process-pool workers."""
+        """Create the admission structures (idempotent) and, on the
+        process executor with more than one worker, warm the pool."""
         if self.started:
             return self
         self._admission = asyncio.Semaphore(self.max_concurrency)
@@ -208,11 +190,10 @@ class QueryServer:
         self._threads = ThreadPoolExecutor(
             max_workers=self.max_concurrency,
             thread_name_prefix="repro-serve")
-        if self.prefork \
-                and normalize_executor(self.executor) == EXECUTOR_PROCESS:
+        count = self.options.workers
+        if self.options.executor == EXECUTOR_PROCESS and count > 1:
             from repro.exec import procpool
 
-            count = normalize_workers(self.workers)
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(
                 self._threads, partial(procpool.warm_pool, count))
@@ -332,13 +313,8 @@ class QueryServer:
         """Thread-side: run the query under its cancel scope."""
         started = time.perf_counter()
         with cancel_scope(token):
-            result = self.db.query(
-                text, strategy=self.strategy, kernel=self.kernel,
-                staircase_kernel=self.staircase_kernel,
-                workers=self.workers,
-                shard_min_rows=self.shard_min_rows,
-                executor=self.executor,
-                session_options=session_options)
+            result = self.db.query(text, options=self.options,
+                                   session_options=session_options)
             serialized = result.serialize()
         return ServeResult(serialized, len(result), lane,
                            time.perf_counter() - started)

@@ -13,24 +13,19 @@ recoverable through the ``parent`` column.  The encoding is lossless:
 a store file (:mod:`repro.storage`), holding columns only, hands out
 nodes.
 
-All columns are frozen (``writeable=False``) at construction: a shred
-may be shared across queries through the content-hash cache, and — via
-:mod:`repro.storage` — across *processes* through one memory-mapped
-store file, so nothing downstream may mutate a column in place.
+All columns are frozen (``writeable=False``) at construction: a stored
+document's shred serves every query, and — via :mod:`repro.storage` —
+every *process* mapping one store file, so nothing downstream may
+mutate a column in place.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.exec import lockcheck
-from repro.config import (
-    DEFAULT_SHRED_CACHE_BYTES,
-    DEFAULT_SHRED_CACHE_ENTRIES,
-)
 from repro.errors import StorageFormatError
 from repro.xmldb.dom import (
     Attr,
@@ -130,11 +125,6 @@ class StringHeap:
                     f"row {int(self.pres[i])}: value is not valid "
                     f"UTF-8") from None
         return strings
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.pres.nbytes + self.offsets.nbytes
-                   + self.heap.nbytes)
 
 
 class AttributeColumn:
@@ -462,48 +452,6 @@ class ShreddedDocument:
         """Post-order ranks derived from pre/size (pre + size)."""
         return self.pre + self.size
 
-    @property
-    def nbytes(self) -> int:
-        """Approximate column footprint (shred-cache budgeting): the
-        numeric columns plus the attribute/text value strings."""
-        values = self.values
-        value_bytes = (values.nbytes if isinstance(values, StringHeap)
-                       else sum(len(v) for v in values.values()))
-        return int(self.pre.nbytes + self.size.nbytes + self.level.nbytes
-                   + self.kind.nbytes + self.parent.nbytes
-                   + self.name.nbytes + value_bytes)
-
-    def rebound(self, nodes: list[Node], root: Node
-                ) -> "ShreddedDocument":
-        """A shallow copy bound to another content-identical fragment.
-
-        Every column (and the content-derived index caches) is shared;
-        only the pre -> node snapshot and the root change, so
-        :meth:`node_by_pre` yields the *new* fragment's nodes — node
-        identity inside one query never leaks across fragments that
-        merely hash alike.
-        """
-        clone = object.__new__(ShreddedDocument)
-        clone._document = None
-        clone._root = root
-        clone._store_ref = None
-        clone._nodes = nodes
-        clone.pre = self.pre
-        clone.size = self.size
-        clone.level = self.level
-        clone.kind = self.kind
-        clone.parent = self.parent
-        clone.names = self.names
-        clone._name_ids = self._name_ids
-        clone.name = self.name
-        clone.values = self.values
-        clone._kind_pres = self._kind_pres
-        clone._non_attribute = self._non_attribute
-        clone._element_index = self._element_index
-        clone._attr_columns = self._attr_columns
-        clone._columns_lock = self._columns_lock
-        return clone
-
 
 def shred(document: Document) -> ShreddedDocument:
     """Shred a document into its column representation."""
@@ -631,12 +579,12 @@ def fragment_fingerprint(nodes: list[Node]) -> str:
     payload back into per-node strings uniquely.  Kind + level in pre
     order determine the tree shape — the parent of any node is the
     nearest preceding node one level up — so two fragments with equal
-    fingerprints shred to identical columns.  Serialized XML would NOT
-    be a safe key: ``<a>xy</a>`` serializes identically for one text
-    node ``"xy"`` and adjacent ``"x"``/``"y"`` nodes, which shred
-    differently.  The hot loop is four list comprehensions plus C-level
-    byte encoding — keeping a cache hit's key cost well under the
-    column build it saves.
+    fingerprints shred to identical columns.  That makes it the
+    structural equality the round-trip tests compare with (a document
+    rebuilt from its columns or a store file against the original).
+    Serialized XML would not do: ``<a>xy</a>`` serializes identically
+    for one text node ``"xy"`` and adjacent ``"x"``/``"y"`` nodes,
+    which shred differently.
     """
     element, attr, text, comment, pi = (Element.kind, Attr.kind,
                                         Text.kind, Comment.kind,
@@ -663,107 +611,6 @@ def fragment_fingerprint(nodes: list[Node]) -> str:
     return digest.hexdigest()
 
 
-class ShredCache:
-    """Cross-query LRU of constructed-fragment shreds, keyed by content
-    hash.
-
-    Each entry pins the column-bearing :class:`ShreddedDocument` of the
-    first fragment that produced its fingerprint — a *strong* reference,
-    so a garbage-collected fragment can never alias a live entry through
-    a recycled address (the entry owns its nodes for as long as it
-    lives).  A hit for a *different* fragment of identical content
-    rebinds the shared columns to the new fragment's node list
-    (:meth:`ShreddedDocument.rebound`): column construction and index
-    builds are skipped, node identity stays per-fragment.
-
-    Eviction is LRU past either budget — ``max_entries`` entries or
-    ``max_bytes`` summed column footprint; a single shred larger than
-    the byte budget is served uncached.  ``max_entries == 0`` (env
-    ``REPRO_SHRED_CACHE=0``) disables the cache entirely.
-    """
-
-    def __init__(self, max_entries: int = DEFAULT_SHRED_CACHE_ENTRIES,
-                 max_bytes: int = DEFAULT_SHRED_CACHE_BYTES):
-        self._lock = lockcheck.new_lock("ShredCache._lock")
-        self._entries: OrderedDict[str, ShreddedDocument] = OrderedDict()
-        self._bytes = 0
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_entries > 0 and self.max_bytes > 0
-
-    def configure(self, *, max_entries: int | None = None,
-                  max_bytes: int | None = None) -> None:
-        """Adjust budgets (evicting down to them immediately)."""
-        with self._lock:
-            if max_entries is not None:
-                self.max_entries = max_entries
-            if max_bytes is not None:
-                self.max_bytes = max_bytes
-            self._evict()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.hits = self.misses = self.evictions = 0
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "bytes": self._bytes,
-                "max_bytes": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def shred(self, root: Node) -> ShreddedDocument:
-        """The cached (or freshly built) shred of an orphan fragment."""
-        nodes = renumber_fragment(root)
-        key = fragment_fingerprint(nodes)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None and len(cached) == len(nodes):
-                self._entries.move_to_end(key)
-                self.hits += 1
-                if cached.root is root:
-                    return cached
-                return cached.rebound(nodes, root)
-            self.misses += 1
-        shredded = ShreddedDocument(None, nodes=nodes, root=root)
-        cost = shredded.nbytes
-        with self._lock:
-            if key not in self._entries and cost <= self.max_bytes:
-                self._entries[key] = shredded
-                self._bytes += cost
-                self._evict()
-        return shredded
-
-    def _evict(self) -> None:
-        while self._entries and (len(self._entries) > self.max_entries
-                                 or self._bytes > self.max_bytes):
-            _key, victim = self._entries.popitem(last=False)
-            self._bytes -= victim.nbytes
-            self.evictions += 1
-
-
-#: The process-wide shred cache (entry budget from
-#: ``REPRO_SHRED_CACHE``); per-query identity caching stays in
-#: :meth:`repro.xquery.context.DynamicContext.shredded_for` on top.
-SHRED_CACHE = ShredCache()
-
-
 def shred_fragment(root: Node) -> ShreddedDocument:
     """Shred a constructed fragment (an orphan subtree) on demand.
 
@@ -772,13 +619,9 @@ def shred_fragment(root: Node) -> ShreddedDocument:
     :func:`~repro.xmldb.dom.renumber_fragment` — idempotent with the
     numbering the evaluator's fragment constructor already assigned —
     and the node list in pre order backs
-    :meth:`ShreddedDocument.node_by_pre`.  When the cross-query
-    :data:`SHRED_CACHE` is enabled, content-identical fragments reuse
-    one column set across queries.
+    :meth:`ShreddedDocument.node_by_pre`.
     """
     if isinstance(root, Document):
         return shred(root)
-    if SHRED_CACHE.enabled:
-        return SHRED_CACHE.shred(root)
     return ShreddedDocument(None, nodes=renumber_fragment(root),
                             root=root)

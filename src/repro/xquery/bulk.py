@@ -635,7 +635,8 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
     constructed fragments shred on demand through the context's
     transient cache — and each group runs one batched axis join; the
     kernel (reference dict path vs batched columnar) is resolved per
-    call through the unified registry from ``ctx.staircase_kernel``.
+    call through the unified registry from
+    ``ctx.options.staircase_kernel``.
     The common single-fragment case feeds the columnar result into the
     lazy node view directly — no ``dict[int, list]`` round-trip; mixed
     stored + constructed contexts merge per iteration in document
@@ -683,10 +684,10 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
     def join(shredded, rows, candidates):
         result = staircase_join(
             axis, shredded, rows, candidates, or_self=or_self,
-            kernel=env.ctx.staircase_kernel,
-            workers=env.ctx.workers,
-            shard_min_rows=env.ctx.shard_min_rows,
-            executor=env.ctx.executor,
+            kernel=env.ctx.options.staircase_kernel,
+            workers=env.ctx.options.workers,
+            shard_min_rows=env.ctx.options.shard_min_rows,
+            executor=env.ctx.options.executor,
             candidate_desc=desc)
         if keep is None:
             return result
@@ -1138,10 +1139,10 @@ def _staircase_positional_step(step: ast.AxisStep, env: BulkEnv,
     def filtered_join(key, rows):
         result = staircase_join(
             axis, shreds[key], rows, cand_by_key[key], or_self=or_self,
-            kernel=env.ctx.staircase_kernel,
-            workers=env.ctx.workers,
-            shard_min_rows=env.ctx.shard_min_rows,
-            executor=env.ctx.executor,
+            kernel=env.ctx.options.staircase_kernel,
+            workers=env.ctx.options.workers,
+            shard_min_rows=env.ctx.options.shard_min_rows,
+            executor=env.ctx.options.executor,
             candidate_desc=desc)
         if not isinstance(result, ColumnarResult):
             result = ColumnarResult.from_dict(result)

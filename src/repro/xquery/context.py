@@ -3,21 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Optional
 
-from repro.config import DEFAULT_KERNEL, DEFAULT_SHARD_MIN_ROWS, \
-    DEFAULT_STAIRCASE_KERNEL, DEFAULT_WORKERS, STANDOFF_OPTION_NAMES, \
-    StandoffConfig, normalize_executor, normalize_workers
+from repro.config import STANDOFF_OPTION_NAMES, ExecOptions, \
+    StandoffConfig
 from repro.core.region_index import RegionIndex
-from repro.core.steps import Strategy
 from repro.errors import XQueryDynamicError, XQueryStaticError
 from repro.xmldb.dom import Node
 from repro.xmldb.store import DocumentStore, extract_regions
 from repro.xquery import ast
 from repro.xquery.lexer import Lexer  # noqa: F401  (re-export convenience)
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 #: An item sequence: the uniform runtime value of every expression.
 Sequence = list
@@ -95,40 +90,15 @@ class DynamicContext:
 
     def __init__(self, store: DocumentStore,
                  static: StaticContext | None = None,
-                 strategy: Strategy = Strategy.BASIC,
-                 active_structure: str = "list",
-                 blobs=None,
-                 kernel: str = DEFAULT_KERNEL,
-                 staircase_kernel: str = DEFAULT_STAIRCASE_KERNEL,
-                 workers=DEFAULT_WORKERS,
-                 shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS,
-                 executor: str | None = None):
+                 options: ExecOptions | None = None,
+                 blobs=None):
         from repro.xmldb.blob import BlobStore
 
         self.store = store
         self.blobs = blobs if blobs is not None else BlobStore()
         self.static = static or StaticContext()
-        self.strategy = strategy
-        self.active_structure = active_structure
-        #: StandOff join kernel: "ll" | "vectorized" | "auto"
-        self.kernel = kernel
-        #: Staircase axis kernel (same choices, resolved per step by
-        #: the unified registry)
-        self.staircase_kernel = staircase_kernel
-        #: sharded fan-out: worker count ("serial" normalizes to 1 —
-        #: the deterministic single-shard reference) and the minimum
-        #: rows per shard before a join call fans out
-        self.workers = normalize_workers(workers)
-        if shard_min_rows < 1:
-            raise ValueError(
-                f"shard_min_rows must be >= 1, got {shard_min_rows}")
-        self.shard_min_rows = shard_min_rows
-        #: shard executor: "thread" (shared pool) or "process"
-        #: (store-backed jobs fan out to worker processes that re-open
-        #: the memory-mapped store; non-store jobs fall back to threads)
-        self.executor = normalize_executor(executor)
-        #: name-test pushdown policy: "always" | "never" | "auto"
-        self.pushdown = "always"
+        #: the query's execution settings, shared by every scope
+        self.options = options if options is not None else ExecOptions()
         self.variables: dict[str, Sequence] = {}
         self.focus: Optional[Focus] = None
         self.globals: dict[str, Sequence] = {}
@@ -138,10 +108,9 @@ class DynamicContext:
         # fragment, so a GC'd fragment's recycled address can never
         # alias a live entry, and lookups verify identity
         self._transient_indexes: dict[int, tuple[Node, RegionIndex]] = {}
-        # shredded columns for constructed fragments, same keying — the
-        # per-query identity layer over the cross-query content-hash
-        # cache (repro.xmldb.shred.SHRED_CACHE) that keeps staircase
-        # axis steps over constructed content on the kernel path
+        # shredded columns for constructed fragments, same keying: one
+        # shred per fragment per query keeps staircase axis steps over
+        # constructed content on the kernel path
         self._transient_shreds: dict = {}
         #: observability hook: number of standoff join invocations
         #: (a shared mutable cell so child scopes count into the root)
@@ -154,14 +123,7 @@ class DynamicContext:
         ctx.store = self.store
         ctx.blobs = self.blobs
         ctx.static = self.static
-        ctx.strategy = self.strategy
-        ctx.active_structure = self.active_structure
-        ctx.kernel = self.kernel
-        ctx.staircase_kernel = self.staircase_kernel
-        ctx.workers = self.workers
-        ctx.shard_min_rows = self.shard_min_rows
-        ctx.executor = self.executor
-        ctx.pushdown = self.pushdown
+        ctx.options = self.options
         ctx.variables = dict(self.variables)
         ctx.focus = self.focus
         ctx.globals = self.globals
@@ -235,11 +197,9 @@ class DynamicContext:
         Stored documents use the store's cached shred; constructed
         fragments shred on demand — the substrate that lets the bulk
         evaluator run staircase axis steps over constructed content
-        through the batched kernels instead of the DOM walk.  Two cache
-        layers serve the fragment case: this context's per-query
-        identity cache (stable ``id(shredded)`` within one query, with
-        a strong root reference per entry), backed by the cross-query
-        content-hash cache in :mod:`repro.xmldb.shred`.
+        through the batched kernels instead of the DOM walk.  The shred
+        is cached per query and per fragment (stable ``id(shredded)``
+        within one query, with a strong root reference per entry).
         """
         from repro.xmldb.dom import Document
         from repro.xmldb.shred import shred_fragment

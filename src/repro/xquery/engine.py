@@ -24,20 +24,11 @@ Example::
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
 from typing import NamedTuple
 
-from repro.config import (
-    DEFAULT_KERNEL,
-    DEFAULT_PLAN_CACHE_SIZE,
-    DEFAULT_SHARD_MIN_ROWS,
-    DEFAULT_STAIRCASE_KERNEL,
-    DEFAULT_WORKERS,
-    FAMILY_STAIRCASE,
-    FAMILY_STANDOFF,
-    KERNELS,
-)
+from repro.config import DEFAULT_PLAN_CACHE_SIZE, ExecOptions
 from repro.exec import lockcheck
-from repro.core.steps import Strategy
 from repro.errors import UnsupportedFeatureError, XQueryTypeError
 from repro.xmldb.dom import Attr, Document, Element, Node
 from repro.xmldb.store import DocumentStore, StoredDocument
@@ -46,12 +37,6 @@ from repro.xquery.context import DynamicContext, Focus, StaticContext
 from repro.xquery.parser import parse
 from repro.xquery.rewrite import rewrite
 from repro.xquery.values import atomic_to_string
-
-_STRATEGIES = {
-    "udf": Strategy.UDF,
-    "basic": Strategy.BASIC,
-    "ll": Strategy.LOOP_LIFTED,
-}
 
 
 class QueryResult(list):
@@ -264,47 +249,19 @@ class Database:
 
     # -- querying -----------------------------------------------------------
 
-    def query(self, text: str, *, strategy: str = "basic",
-              active_structure: str = "list",
-              pushdown: str = "always",
-              kernel: str = DEFAULT_KERNEL,
-              staircase_kernel: str = DEFAULT_STAIRCASE_KERNEL,
-              workers=DEFAULT_WORKERS,
-              shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS,
-              executor: str | None = None,
+    def query(self, text: str, *, options: ExecOptions | None = None,
               context_uri: str | None = None,
               variables: dict | None = None,
-              session_options: dict[str, str] | None = None
-              ) -> QueryResult:
+              session_options: dict[str, str] | None = None,
+              **knobs) -> QueryResult:
         """Parse and evaluate a query.
 
         :param text: the XQuery text (prolog + body).
-        :param strategy: ``udf`` | ``basic`` | ``ll`` (see module docs).
-        :param active_structure: merge-join active-items structure
-            (``list`` or ``heap``, §5 ablation).
-        :param pushdown: name-test pushdown policy for StandOff steps —
-            ``always`` (the builtin-function behaviour), ``never``
-            (post-filter) or ``auto`` (skip pushdown for non-selective
-            tests; the §3.3 (iii) optimizer choice).
-        :param kernel: StandOff join kernel — ``ll`` (row-at-a-time
-            reference merge), ``vectorized`` (batched NumPy kernels
-            building columnar results) or ``auto`` (per-join choice:
-            ``ll`` below the input-size threshold where NumPy call
-            overhead dominates, and for overlap densities that would
-            exhaust the vectorized pair budget).
-        :param staircase_kernel: Staircase axis kernel for the tree
-            axes under the loop-lifted strategy — same choices,
-            resolved per step through the unified kernel registry
-            (default ``auto``).
-        :param workers: sharded fan-out — ``"serial"`` (deterministic
-            single-shard reference, the default) or a worker count:
-            a batched kernel call's context is cut between
-            iterations (StandOff steps per fragment first), one shard
-            per worker, and the shard results concatenate block by
-            block.  Default overridable process-wide via
-            ``REPRO_WORKERS``.
-        :param shard_min_rows: minimum context rows per shard before
-            a join call fans out (see :mod:`repro.exec.sharding`).
+        :param options: the execution settings (default
+            ``ExecOptions()``: ``strategy="basic"``).
+        :param knobs: :class:`~repro.config.ExecOptions` fields
+            (``strategy="ll"``, ``kernel=...``, ``workers=...``)
+            overriding *options* for this call.
         :param context_uri: optional document whose root becomes the
             initial context item (so relative paths like ``//a`` work
             without ``doc(...)``).
@@ -316,27 +273,13 @@ class Database:
             part of the plan-cache key, so sessions with different
             static contexts share the cache without collisions.
         """
-        try:
-            strat = _STRATEGIES[strategy]
-        except KeyError:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected one of "
-                f"{sorted(_STRATEGIES)}") from None
+        if options is None:
+            options = ExecOptions(**knobs)
+        elif knobs:
+            options = replace(options, **knobs)
         plan = self.compile(text, session_options=session_options)
-        if pushdown not in ("always", "never", "auto"):
-            raise ValueError(
-                f"unknown pushdown policy {pushdown!r}; expected "
-                "'always', 'never' or 'auto'")
-        KERNELS.validate(FAMILY_STANDOFF, kernel)
-        KERNELS.validate(FAMILY_STAIRCASE, staircase_kernel)
-        ctx = DynamicContext(self.store, plan.static, strat,
-                             active_structure,
-                             blobs=self.blobs, kernel=kernel,
-                             staircase_kernel=staircase_kernel,
-                             workers=workers,
-                             shard_min_rows=shard_min_rows,
-                             executor=executor)
-        ctx.pushdown = pushdown
+        ctx = DynamicContext(self.store, plan.static, options,
+                             blobs=self.blobs)
         if variables:
             for name, value in variables.items():
                 ctx.variables[name] = (list(value)
@@ -347,7 +290,7 @@ class Database:
             root = self.store.get(context_uri).document
             ctx.focus = Focus(root, 1, 1)
 
-        if strat is Strategy.LOOP_LIFTED:
+        if options.strategy == "ll":
             from repro.xquery.bulk import evaluate_module_bulk
 
             return QueryResult(evaluate_module_bulk(plan.rewritten, ctx))

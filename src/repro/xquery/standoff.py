@@ -17,12 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import (
-    DEFAULT_KERNEL,
-    DEFAULT_SHARD_MIN_ROWS,
-    DEFAULT_WORKERS,
-    KERNEL_LL,
-)
+from repro.config import KERNEL_LL
 from repro.core.naive import StandoffOp
 from repro.core.steps import Strategy, standoff_step
 from repro.errors import XQueryTypeError
@@ -97,7 +92,7 @@ def _candidate_ids_for_test(ctx: DynamicContext, info: _FragmentInfo,
     if test.kind == "name":
         if test.name == "*":
             return None
-        policy = getattr(ctx, "pushdown", "always")
+        policy = ctx.options.pushdown
         if policy == "never":
             return None
         named = info.elements_named(test.name)
@@ -133,9 +128,9 @@ def _run(ctx: DynamicContext, op: StandoffOp,
             key: (cand if cand is not None
                   else indexes[key].annotated_ids())
             for key, cand in candidates_by_fragment.items()}
-    strategy = ctx.strategy
-    kernel = getattr(ctx, "kernel", DEFAULT_KERNEL)
-    if strategy is Strategy.LOOP_LIFTED and kernel == KERNEL_LL and \
+    options = ctx.options
+    strategy = Strategy(options.strategy)
+    if strategy is Strategy.LOOP_LIFTED and options.kernel == KERNEL_LL and \
             len({it for it, _f, _n in iter_rows}) <= 1:
         # A single iteration: basic and loop-lifted coincide; use the
         # basic code path (the tree-walking evaluator's situation).
@@ -154,13 +149,12 @@ def _run(ctx: DynamicContext, op: StandoffOp,
     raw = standoff_step(op, iter_rows, indexes,
                         candidate_map,
                         strategy=strategy,
-                        active_structure=ctx.active_structure,
-                        kernel=kernel,
+                        active_structure=options.active_structure,
+                        kernel=options.kernel,
                         fragment_rank=fragment_rank,
-                        workers=getattr(ctx, "workers", DEFAULT_WORKERS),
-                        shard_min_rows=getattr(ctx, "shard_min_rows",
-                                               DEFAULT_SHARD_MIN_ROWS),
-                        executor=getattr(ctx, "executor", None))
+                        workers=options.workers,
+                        shard_min_rows=options.shard_min_rows,
+                        executor=options.executor)
     infos = {key: info
              for key, (info, _pres) in context_by_fragment.items()}
     if keep is not None:

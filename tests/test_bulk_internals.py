@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.steps import Strategy
+from repro.config import ExecOptions
 from repro.errors import ReproError, UnsupportedFeatureError
 from repro.xquery import Database, parse
 from repro.xquery.bulk import (
@@ -15,9 +15,11 @@ from repro.xquery.context import DynamicContext
 from repro.xquery.parser import parse_expr
 from repro.relational import IterSeq
 
+LL = ExecOptions(strategy="ll")
+
 
 def make_env(db: Database, loop, variables=None):
-    ctx = DynamicContext(db.store, strategy=Strategy.LOOP_LIFTED)
+    ctx = DynamicContext(db.store, options=LL)
     return BulkEnv(ctx, loop, variables or {})
 
 
@@ -68,7 +70,7 @@ class TestIterSeqResults:
 class TestSingleJoinCall:
     def test_nested_loops_still_one_join(self, db):
         """Even a doubly nested for-loop runs the StandOff step once."""
-        ctx = DynamicContext(db.store, strategy=Strategy.LOOP_LIFTED)
+        ctx = DynamicContext(db.store, options=LL)
         module = parse(
             'for $i in (1, 2) '
             'for $c in doc("d.xml")//c '
@@ -78,7 +80,7 @@ class TestSingleJoinCall:
         assert ctx.standoff_join_calls == 1
 
     def test_constructor_content_stays_lifted(self, db):
-        ctx = DynamicContext(db.store, strategy=Strategy.LOOP_LIFTED)
+        ctx = DynamicContext(db.store, options=LL)
         module = parse(
             'for $c in doc("d.xml")//c '
             'return <hits n="{count($c/select-narrow::t)}"/>')
@@ -87,7 +89,7 @@ class TestSingleJoinCall:
         assert ctx.standoff_join_calls == 1
 
     def test_where_clause_filters_before_body_join(self, db):
-        ctx = DynamicContext(db.store, strategy=Strategy.LOOP_LIFTED)
+        ctx = DynamicContext(db.store, options=LL)
         module = parse(
             'for $c in doc("d.xml")//c '
             'where $c/@id = "1" '
@@ -97,13 +99,13 @@ class TestSingleJoinCall:
 
 class TestUnsupported:
     def test_udf_raises(self, db):
-        ctx = DynamicContext(db.store, strategy=Strategy.LOOP_LIFTED)
+        ctx = DynamicContext(db.store, options=LL)
         module = parse("declare function f($x) { $x }; f(1)")
         with pytest.raises(UnsupportedFeatureError):
             evaluate_module_bulk(module, ctx)
 
     def test_primary_midpath_raises(self, db):
-        ctx = DynamicContext(db.store, strategy=Strategy.LOOP_LIFTED)
+        ctx = DynamicContext(db.store, options=LL)
         module = parse('for $x in (1) return doc("d.xml")/s/count(.)')
         with pytest.raises(UnsupportedFeatureError):
             evaluate_module_bulk(module, ctx)
@@ -111,25 +113,25 @@ class TestUnsupported:
 
 class TestLLStaircaseFastPath:
     def test_descendant_on_stored_doc(self, db):
-        ctx = DynamicContext(db.store, strategy=Strategy.LOOP_LIFTED)
+        ctx = DynamicContext(db.store, options=LL)
         module = parse('for $i in (1, 2) '
                        'return count(doc("d.xml")/s/descendant::t)')
         assert evaluate_module_bulk(module, ctx) == [3, 3]
 
     def test_descendant_or_self_includes_self(self, db):
-        ctx = DynamicContext(db.store, strategy=Strategy.LOOP_LIFTED)
+        ctx = DynamicContext(db.store, options=LL)
         module = parse(
             'count(doc("d.xml")//c[1]/descendant-or-self::c)')
         assert evaluate_module_bulk(module, ctx) == [1]
 
     def test_descendant_on_constructed_fragment_falls_back(self, db):
-        ctx = DynamicContext(db.store, strategy=Strategy.LOOP_LIFTED)
+        ctx = DynamicContext(db.store, options=LL)
         module = parse('let $f := <a><b/><b/></a> '
                        'return count($f/descendant::b)')
         assert evaluate_module_bulk(module, ctx) == [2]
 
     def test_descendant_with_predicate_takes_the_column_route(self, db):
-        ctx = DynamicContext(db.store, strategy=Strategy.LOOP_LIFTED)
+        ctx = DynamicContext(db.store, options=LL)
         module = parse(
             'count(doc("d.xml")/s/descendant::t[@start="25"])')
         (path,) = module.body.args
@@ -383,14 +385,11 @@ class TestAttributeColumn:
         assert by_text["x"][1] is True
         assert by_text["NaN"][1] is False
 
-    def test_rebound_shares_and_touch_drops(self, column_db):
+    def test_column_cached_and_touch_drops(self, column_db):
         stored = column_db.document("c.xml")
         shredded = stored.shredded
         column = shredded.attribute_column("i")
         assert shredded.attribute_column("i") is column
-        document = shredded.document
-        clone = shredded.rebound(document.all_nodes(), document)
-        assert clone.attribute_column("i") is column
         column_db.store.touch("c.xml")
         assert stored.shredded.attribute_column("i") is not column
 

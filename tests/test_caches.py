@@ -1,23 +1,19 @@
-"""Cross-query cache correctness: plans and fragment shreds.
+"""Cross-query cache correctness: compiled plans.
 
 The differential contract: a warm cache must be answer-invisible.
-Repeated mixed batches with the plan cache and the content-hash shred
-cache enabled serialize identically to cold-cache runs — including
-after forced evictions at tiny budgets — and node identity stays
-per-fragment even when content-equal fragments share one column set.
+Repeated mixed batches with the plan cache enabled serialize
+identically to cold-cache runs — including after forced evictions at
+tiny budgets.
 """
 
-import gc
 import io
 
-import pytest
-
-from repro.xmldb.shred import SHRED_CACHE, fragment_fingerprint, \
-    shred_fragment
+from repro.xmldb.shred import fragment_fingerprint
 from repro.xquery import Database
 
 #: A mixed batch: stored-document paths, positional predicates and
-#: constructed fragments (the shapes both caches serve).
+#: constructed fragments (content-equal fragments keep their own
+#: identity: the last query counts two ``p``, not one).
 BATCH = (
     'doc("f.xml")//a',
     'doc("f.xml")/r/child::*[position() mod 2 = 1]',
@@ -33,18 +29,6 @@ BATCH = (
 XML = "<r><a><b/>t1<a i='1'><b/></a></a><a>t2</a><b/></r>"
 
 
-@pytest.fixture
-def pristine_shred_cache():
-    """Snapshot/restore the process-wide shred cache around a test."""
-    saved = (SHRED_CACHE.max_entries, SHRED_CACHE.max_bytes)
-    SHRED_CACHE.clear()
-    SHRED_CACHE.reset_stats()
-    yield SHRED_CACHE
-    SHRED_CACHE.configure(max_entries=saved[0], max_bytes=saved[1])
-    SHRED_CACHE.clear()
-    SHRED_CACHE.reset_stats()
-
-
 def run_batch(db, rounds=1):
     out = []
     for _ in range(rounds):
@@ -56,41 +40,32 @@ def run_batch(db, rounds=1):
 
 
 def cold_answers():
-    """Every query on a fresh Database with both caches off."""
-    SHRED_CACHE.configure(max_entries=0)
-    try:
-        db = Database(plan_cache_size=0)
-        db.add_document("f.xml", XML)
-        return run_batch(db)
-    finally:
-        SHRED_CACHE.configure(max_entries=512)
+    """Every query on a fresh Database with the plan cache off."""
+    db = Database(plan_cache_size=0)
+    db.add_document("f.xml", XML)
+    return run_batch(db)
 
 
-def test_warm_caches_answer_identical_to_cold(pristine_shred_cache):
+def test_warm_caches_answer_identical_to_cold():
     cold = cold_answers()
-    pristine_shred_cache.configure(max_entries=512,
-                                   max_bytes=64 * 1024 * 1024)
+    assert cold[-1] == "2"
     db = Database(plan_cache_size=256)
     db.add_document("f.xml", XML)
     for _round in range(3):
         assert run_batch(db) == cold
     plan = db.plan_cache.stats()
-    shred = pristine_shred_cache.stats()
     assert plan["hits"] > 0 and plan["misses"] > 0
-    assert shred["hits"] > 0 and shred["misses"] > 0
 
 
-def test_forced_evictions_stay_correct(pristine_shred_cache):
-    """Tiny budgets force constant eviction churn; answers must not
-    change (an evicted entry rebuilds, it never corrupts)."""
+def test_forced_evictions_stay_correct():
+    """A tiny budget forces constant eviction churn; answers must not
+    change (an evicted plan recompiles, it never corrupts)."""
     cold = cold_answers()
-    pristine_shred_cache.configure(max_entries=1, max_bytes=400)
     db = Database(plan_cache_size=2)
     db.add_document("f.xml", XML)
     for _round in range(3):
         assert run_batch(db) == cold
     assert db.plan_cache.stats()["evictions"] > 0
-    assert pristine_shred_cache.stats()["evictions"] > 0
 
 
 def test_plan_cache_counters_and_disable():
@@ -112,64 +87,6 @@ def test_plan_cache_counters_and_disable():
     assert not off.plan_cache.enabled
 
 
-def test_shred_cache_rebinds_node_identity(pristine_shred_cache):
-    """A content-hash hit shares columns but never node identity: each
-    fragment resolves ``node_by_pre`` to its *own* DOM nodes."""
-    pristine_shred_cache.configure(max_entries=8,
-                                   max_bytes=1 << 20)
-    db = Database()
-    first = list(db.query("<w><x/>y</w>"))[0]
-    second = list(db.query("<w><x/>y</w>"))[0]
-    assert first is not second
-    s1 = shred_fragment(first)
-    s2 = shred_fragment(second)
-    stats = pristine_shred_cache.stats()
-    assert stats["hits"] == 1 and stats["misses"] == 1
-    assert s1.pre is s2.pre and s1.parent is s2.parent
-    assert s1.root is first and s2.root is second
-    for pre in range(len(s1)):
-        assert s1.node_by_pre(pre) is not s2.node_by_pre(pre)
-    # identity-sensitive query semantics over content-equal fragments
-    assert db.query(
-        'let $a := <w><x/></w> let $b := <w><x/></w> '
-        'return count(($a/child::x, $b/child::x))',
-        strategy="ll").serialize() == "2"
-
-
-def test_shred_cache_entry_survives_fragment_gc(pristine_shred_cache):
-    """Entries hold a strong root reference: after the producing
-    fragment is collected, a content-equal newcomer still hits and is
-    rebound to live nodes (never a recycled address)."""
-    pristine_shred_cache.configure(max_entries=8,
-                                   max_bytes=1 << 20)
-    db = Database()
-    victim = list(db.query("<w><x/>y</w>"))[0]
-    shred_fragment(victim)
-    del victim
-    gc.collect()
-    fresh = list(db.query("<w><x/>y</w>"))[0]
-    reshredded = shred_fragment(fresh)
-    stats = pristine_shred_cache.stats()
-    assert stats["hits"] == 1 and stats["misses"] == 1
-    assert reshredded.root is fresh
-    assert reshredded.node_by_pre(0) is fresh
-
-
-def test_oversized_shred_served_uncached(pristine_shred_cache):
-    pristine_shred_cache.configure(max_entries=8, max_bytes=1)
-    db = Database()
-    node = list(db.query("<w><x/><y/><z/></w>"))[0]
-    shredded = shred_fragment(node)
-    assert shredded.nbytes > 1
-    assert pristine_shred_cache.stats()["entries"] == 0
-    # disabled entirely: shred_fragment bypasses the cache
-    pristine_shred_cache.configure(max_entries=0)
-    pristine_shred_cache.reset_stats()
-    again = shred_fragment(node)
-    assert again.node_by_pre(0) is node
-    assert pristine_shred_cache.stats()["misses"] == 0
-
-
 def test_fingerprint_distinguishes_adjacent_text():
     """Serialized XML would collapse ``('x', 'y')`` vs ``('xy',)`` text
     siblings; the per-node length-prefixed fingerprint must not."""
@@ -186,7 +103,7 @@ def test_fingerprint_distinguishes_adjacent_text():
     assert fragment_fingerprint(renumber_fragment(twin)) == fp_merged
 
 
-def test_cli_cache_commands(pristine_shred_cache):
+def test_cli_cache_commands():
     from repro.cli import CliSession
 
     out = io.StringIO()
@@ -195,12 +112,11 @@ def test_cli_cache_commands(pristine_shred_cache):
     session.handle('let $f := <w><x/></w> return $f/child::x')
     session.handle('\\cache stats')
     text = out.getvalue()
-    assert "plan cache:" in text and "shred cache:" in text
-    assert "hits=1" in text
+    assert "plan cache:" in text and "hits=1" in text
     out.truncate(0)
     out.seek(0)
     session.handle('\\cache clear')
     session.handle('\\cache stats')
     cleared = out.getvalue()
-    assert "caches cleared" in cleared
+    assert "plan cache cleared" in cleared
     assert "entries=0/4" in cleared

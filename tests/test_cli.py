@@ -105,7 +105,7 @@ class TestSession:
         session.load_document("video.xml", str(video_file))
         session.handle("\\workers 4")
         assert "workers = 4" in out.getvalue()
-        assert session.workers == "4"
+        assert session.options.workers == 4
         session.handle('doc("video.xml")//music/select-wide::shot')
         assert 'id="Intro"' in out.getvalue()
         session.handle("\\workers serial")
@@ -114,9 +114,9 @@ class TestSession:
     def test_bad_workers_reported(self):
         session, out = make_session()
         session.handle("\\workers plenty")
-        assert "invalid workers" in out.getvalue()
+        assert "error: invalid workers setting 'plenty'" in out.getvalue()
         session.handle("\\workers 0")
-        assert "invalid workers '0'" in out.getvalue()
+        assert "invalid workers setting '0'" in out.getvalue()
 
     def test_workers_in_help(self):
         session, out = make_session()
@@ -161,4 +161,4 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["--load", str(video_file), "--shard-min-rows", "0",
                   "--query", "1"])
-        assert "--shard-min-rows" in capsys.readouterr().err
+        assert "shard_min_rows must be >= 1" in capsys.readouterr().err

@@ -383,7 +383,7 @@ class TestAutoKernel:
         out = io.StringIO()
         session = CliSession(out=out)
         session.handle("\\kernel auto")
-        assert session.kernel == "auto"
+        assert session.options.kernel == "auto"
         assert "kernel = auto" in out.getvalue()
 
 

@@ -124,7 +124,7 @@ class TestObservability:
         """The paper's basic-vs-ll difference is visible in join calls:
         the loop-lifted strategy issues one call per step, the basic
         strategy one per iteration."""
-        from repro.core.steps import Strategy
+        from repro.config import ExecOptions
         from repro.xquery.context import DynamicContext
         from repro.xquery.evaluator import evaluate_module
         from repro.xquery.bulk import evaluate_module_bulk
@@ -143,12 +143,12 @@ class TestObservability:
                       'return count($c/select-narrow::t)')
 
         ctx = DynamicContext(database.store,
-                             strategy=Strategy.BASIC)
+                             options=ExecOptions(strategy="basic"))
         evaluate_module(query, ctx)
         assert ctx.standoff_join_calls == 3      # one per iteration
 
         ctx = DynamicContext(database.store,
-                             strategy=Strategy.LOOP_LIFTED)
+                             options=ExecOptions(strategy="ll"))
         evaluate_module_bulk(query, ctx)
         assert ctx.standoff_join_calls == 1      # one for the whole loop
 

@@ -405,8 +405,8 @@ def test_fuzz_positional_predicates(seed):
 
 
 def test_fuzz_positional_constructed_fragments(seed=6500):
-    """Positional predicates over constructed-fragment contexts ride
-    the content-hash shred cache; answers must stay oracle-identical."""
+    """Positional predicates over constructed-fragment contexts run on
+    the per-query fragment shreds; answers must stay oracle-identical."""
     rng = random.Random(seed)
     for _trial in range(2):
         db = Database()

@@ -255,14 +255,14 @@ def test_cli_kernel_flag_and_command(tmp_path):
     session = CliSession(out=out)
     session.handle(f"\\load d.xml {doc}")
     session.handle("\\kernel vectorized")
-    assert session.kernel == "vectorized"
+    assert session.options.kernel == "vectorized"
     session.handle('doc("d.xml")//a/select-wide::b')
     text = out.getvalue()
     assert "kernel = vectorized" in text
     assert "(3 item(s))" in text
     session.handle("\\kernel turbo")
-    assert session.kernel == "vectorized"
-    assert "unknown kernel" in out.getvalue()
+    assert session.options.kernel == "vectorized"
+    assert "error: unknown join kernel 'turbo'" in out.getvalue()
 
 
 def test_vectorized_matches_ll_on_random_documents():

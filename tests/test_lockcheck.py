@@ -66,11 +66,11 @@ class TestLockGraph:
         assert "A" in str(exc.value) and "C" in str(exc.value)
 
     def test_two_instances_of_one_lock_class_form_a_self_edge(self):
-        # Two ShredCache._lock-style instances are one lock *class*:
+        # Two PlanCache._lock-style instances are one lock *class*:
         # nesting them is the same deadlock as nesting one of them.
         graph = LockGraph()
-        first = CheckedLock("ShredCache._lock", graph)
-        second = CheckedLock("ShredCache._lock", graph)
+        first = CheckedLock("PlanCache._lock", graph)
+        second = CheckedLock("PlanCache._lock", graph)
         with first:
             with pytest.raises(LockOrderError):
                 second.acquire()

@@ -11,8 +11,7 @@ import copy
 
 import pytest
 
-from repro.config import DEFAULT_SERVE_HEAVY_PAIRS
-from repro.core.steps import Strategy
+from repro.config import DEFAULT_SERVE_HEAVY_PAIRS, ExecOptions
 from repro.serve.server import estimate_pair_budget
 from repro.xquery import Database, parse
 from repro.xquery.bulk import evaluate_module_bulk
@@ -209,7 +208,7 @@ def external_variables(db):
 def run_raw_ll(db, module, static, variables):
     """``ll`` over *module* exactly as given — what ``Database.query``
     did before the rewrite pass existed."""
-    ctx = DynamicContext(db.store, static, Strategy.LOOP_LIFTED,
+    ctx = DynamicContext(db.store, static, ExecOptions(strategy="ll"),
                          blobs=db.blobs)
     ctx.variables.update(variables)
     ctx.focus = Focus(db.document("d").document, 1, 1)

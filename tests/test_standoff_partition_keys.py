@@ -13,13 +13,13 @@ is exactly what a stale entry at a recycled address looks like.
 import gc
 
 import repro.xquery.standoff as standoff
-from repro.core.steps import Strategy
+from repro.config import ExecOptions
 from repro.xquery import Database
 from repro.xquery.context import DynamicContext
 
 
 def make_context(db: Database) -> DynamicContext:
-    return DynamicContext(db.store, strategy=Strategy.LOOP_LIFTED)
+    return DynamicContext(db.store, options=ExecOptions(strategy="ll"))
 
 
 def test_stale_candidate_at_recycled_address_is_dropped(monkeypatch):
