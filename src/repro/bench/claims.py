@@ -7,7 +7,8 @@ reproduction targets and prints PASS/FAIL per claim::
 
 This is deliberately smaller than the full Figure 6 sweep (seconds, not
 minutes) — a smoke test that the *shape* of the evaluation still holds
-after any code change.  EXPERIMENTS.md records the full-size numbers.
+after any code change.  README.md names the full-size runs: the Figure 6
+sweep and the kernel trajectory.
 """
 
 from __future__ import annotations

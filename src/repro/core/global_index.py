@@ -14,10 +14,10 @@ The paper weighs two designs for StandOff matching:
   conflicts among documents in case of updates".
 
 This module implements that second design so the trade-off can be
-measured (``benchmarks/bench_ablation_global_index.py``).  The global
-index is a start-clustered region table whose node ids are *composite*:
-row ids mapping to ``(fragment, node)`` pairs, so all existing merge
-joins run on it unchanged.
+measured (the ``global_index`` family of ``benchmarks/scenarios.py``).
+The global index is a start-clustered region table whose node ids are
+*composite*: row ids mapping to ``(fragment, node)`` pairs, so all
+existing merge joins run on it unchanged.
 """
 
 from __future__ import annotations
