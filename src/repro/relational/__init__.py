@@ -8,8 +8,8 @@ from repro.relational.columnar import (
 )
 from repro.relational.sequence import (
     IterSeq,
-    LazyIterData,
     Loop,
+    NodeColumns,
     expand_loop,
     unlift,
 )
@@ -19,8 +19,8 @@ __all__ = [
     "ColumnarStepResult",
     "complement",
     "IterSeq",
-    "LazyIterData",
     "Loop",
+    "NodeColumns",
     "expand_loop",
     "unlift",
 ]

@@ -30,6 +30,7 @@ the per-iteration complement of the matching ``select-*`` through it.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -179,9 +180,6 @@ class _ColumnarMapping(Mapping):
         i = self._find(iteration)
         return int(self.offsets[i]), int(self.offsets[i + 1])
 
-    def iterations(self) -> list[int]:
-        return self.iters.tolist()
-
     def keep_rows(self, keep: np.ndarray):
         """The value rows where the boolean *keep* holds, under the same
         iterations (one may be left with an empty slice)."""
@@ -293,11 +291,14 @@ class ColumnarResult(_ColumnarMapping):
         if not mapping:
             return cls.empty()
         its = sorted(mapping)
-        chunks = [np.unique(_as_int64(mapping[it])) for it in its]
+        # The reference kernels hand over short, mostly sorted lists:
+        # canonicalizing them in Python and building the value column
+        # in one pass beats a NumPy call per iteration.
+        chunks = [sorted(set(mapping[it])) for it in its]
         offsets = np.zeros(len(its) + 1, np.int64)
         np.cumsum([len(c) for c in chunks], out=offsets[1:])
-        values = (np.concatenate(chunks) if offsets[-1]
-                  else np.empty(0, np.int64))
+        values = np.fromiter(chain.from_iterable(chunks), np.int64,
+                             count=int(offsets[-1]))
         return cls(_as_int64(its), offsets, values)
 
     # -- hooks -------------------------------------------------------------
@@ -309,11 +310,6 @@ class ColumnarResult(_ColumnarMapping):
         return (self.iters, self.offsets, self.values)
 
     # -- columnar accessors ------------------------------------------------
-
-    def values_for(self, iteration: int) -> np.ndarray:
-        """An iteration's id column (no Python-list materialization)."""
-        a, b = self.slice_of(iteration)
-        return self.values[a:b]
 
     @property
     def n_values(self) -> int:
@@ -418,11 +414,6 @@ class ColumnarStepResult(_ColumnarMapping):
         return (self.iters, self.offsets, self.frags, self.values)
 
     # -- columnar accessors ------------------------------------------------
-
-    def segment(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
-        """An iteration's ``(fragment, node id)`` column pair."""
-        a, b = self.slice_of(iteration)
-        return self.frags[a:b], self.values[a:b]
 
     @property
     def n_pairs(self) -> int:

@@ -3,9 +3,21 @@
 Pathfinder represents the value of an expression *inside a for-loop* as a
 single table with columns ``iter|pos|item``: for every iteration ``iter``
 of the loop, the rows with that iteration number are the expression's
-item sequence (ordered by ``pos``).  :class:`IterSeq` is that table; the
-physical storage groups items per iteration (``pos`` is implicit in list
-order).
+item sequence (ordered by ``pos``).  :class:`IterSeq` is that table.  It
+has two physical forms:
+
+* a node sequence from one fragment is a :class:`NodeColumns` — the
+  table itself, ``item`` a pre rank of the fragment's shredded columns,
+  stored CSR (:class:`~repro.relational.columnar.ColumnarResult`:
+  ascending ``iters``, per-iteration ``offsets`` into a ``values``
+  column in document order, so ``pos`` is the row's rank in its
+  segment).  Join kernels produce it, the next join takes its
+  ``(iter, pre)`` rows as they are, and a ``for`` loop expands from
+  its offsets; Python nodes are decoded only when a consumer asks for
+  items;
+* everything else (atomics, constructed nodes, nodes from several
+  fragments) groups Python items per iteration in a dict, ``pos``
+  implicit in list order.
 
 The for-loop machinery follows Pathfinder's *loop lifting* [Grust et al.,
 VLDB 2004]:
@@ -17,6 +29,9 @@ VLDB 2004]:
   inner loop (each inner iteration sees its outer iteration's items);
 * :func:`unlift` folds the body's inner-loop result back onto the outer
   loop, concatenating per outer iteration in inner-iteration order.
+
+The column form stays columns through :func:`expand_loop`,
+:meth:`IterSeq.relift` and :meth:`IterSeq.restrict`.
 """
 
 from __future__ import annotations
@@ -24,74 +39,146 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Callable, Iterable, Iterator
 
-#: A loop relation: the ordered iteration numbers of a live scope.
+import numpy as np
+
+from repro.relational.columnar import (
+    ColumnarResult,
+    expand_ranges,
+    run_starts,
+    segment_positions,
+)
+
+#: A loop relation: the iteration numbers of a live scope, ascending.
 Loop = list
 
 
-class LazyIterData(Mapping):
-    """A lazily-decoded ``iter -> item list`` mapping over a columnar
-    backbone.
+def _in_loop(iters: np.ndarray, loop: Loop) -> np.ndarray | None:
+    """Which of the ascending *iters* lie in *loop*; ``None`` when all
+    do.  A dense loop (the usual one: ``expand_loop`` numbers inner
+    iterations ``0..n-1``) is a range test, not a set lookup."""
+    if not len(iters):
+        return None
+    if not loop:
+        return np.zeros(len(iters), dtype=bool)
+    lo, hi = loop[0], loop[-1]
+    if hi - lo + 1 == len(loop):
+        if iters[0] >= lo and iters[-1] <= hi:
+            return None
+        return (iters >= lo) & (iters <= hi)
+    return np.isin(iters, np.asarray(loop, dtype=np.int64))
 
-    Wraps the sorted iteration keys of a columnar join result and a
-    ``decode(iteration) -> list`` callable; per-iteration item lists are
-    materialized only when accessed (and cached, shared across
-    :meth:`restrict` copies).  This is the node-id fast path that lets
-    the bulk evaluator consume StandOff join output without eagerly
-    exploding every iteration into Python lists — iterations dropped by
-    a ``where`` clause or an ``if`` branch are never decoded.
+
+class NodeColumns(Mapping):
+    """A loop-lifted node sequence over one fragment, kept as columns.
+
+    *result* is a canonical :class:`ColumnarResult` whose values are pre
+    ranks of *shredded* (unique and ascending per iteration, which is
+    document order).  The column operations never decode:
+
+    * :meth:`rows` — the ``(iter, pre)`` columns of the live iterations,
+      in the canonical order a join kernel takes as its context;
+    * :meth:`lengths` — each loop iteration's item count;
+    * :meth:`restrict` and :meth:`relift` — gathers of CSR segments
+      (:func:`~repro.relational.columnar.expand_ranges`), returning new
+      views.
+
+    As the read-only ``iter -> list[Node]`` mapping every other
+    consumer reads, a view decodes once, on first access, in a single
+    batched pass: one ``tolist()`` and one ``node_by_pre`` sweep.
     """
 
-    __slots__ = ("_keys", "_keyset", "_decode", "_cache")
+    __slots__ = ("shredded", "result", "_decoded")
 
-    def __init__(self, keys: list[int], decode: Callable[[int], list],
-                 _cache: dict | None = None):
-        self._keys = keys
-        self._keyset = frozenset(keys)
-        self._decode = decode
-        self._cache: dict[int, list] = {} if _cache is None else _cache
+    def __init__(self, shredded, result: ColumnarResult):
+        self.shredded = shredded
+        self.result = result
+        self._decoded: dict[int, list] | None = None
+
+    # -- columns -------------------------------------------------------------
+
+    def _gather(self, keys: np.ndarray, segments: np.ndarray
+                ) -> "NodeColumns":
+        """The view whose iteration ``keys[i]`` holds this view's
+        segment ``segments[i]``."""
+        offsets = self.result.offsets
+        _keys, index, bounds = expand_ranges(
+            keys, offsets[segments], offsets[segments + 1])
+        return NodeColumns(self.shredded, ColumnarResult(
+            keys, bounds, self.result.values[index]))
+
+    def restrict(self, loop: Loop) -> "NodeColumns":
+        """The iterations of *loop* only, still undecoded."""
+        iters = self.result.iters
+        live = _in_loop(iters, loop)
+        if live is None:
+            return self
+        return self._gather(iters[live], np.flatnonzero(live))
+
+    def rows(self, loop: Loop) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(iter, pre)`` columns of the iterations in *loop*,
+        sorted by ``(iter, pre)`` and duplicate-free."""
+        result = self.restrict(loop).result
+        offsets = result.offsets
+        return (np.repeat(result.iters, offsets[1:] - offsets[:-1]),
+                result.values)
+
+    def lengths(self, loop: Loop) -> np.ndarray:
+        """The item count of every iteration of *loop*, aligned with it."""
+        iters = self.result.iters
+        wanted = np.asarray(loop, dtype=np.int64)
+        at = np.minimum(np.searchsorted(iters, wanted), len(iters) - 1)
+        out = np.zeros(len(wanted), dtype=np.int64)
+        if len(iters):
+            found = iters[at] == wanted
+            counts = np.diff(self.result.offsets)
+            out[found] = counts[at[found]]
+        return out
+
+    def relift(self, outer_of_inner: list[int]) -> "NodeColumns":
+        """Inner iteration *q* sees the items of iteration
+        ``outer_of_inner[q]`` (see :meth:`IterSeq.relift`)."""
+        iters = self.result.iters
+        outer = np.asarray(outer_of_inner, dtype=np.int64)
+        if not len(iters) or not len(outer):
+            return NodeColumns(self.shredded, ColumnarResult.empty())
+        at = np.minimum(np.searchsorted(iters, outer), len(iters) - 1)
+        found = iters[at] == outer
+        return self._gather(np.flatnonzero(found), at[found])
+
+    # -- the decoded mapping ----------------------------------------------------
+
+    def _nodes(self) -> dict[int, list]:
+        if self._decoded is None:
+            node_by_pre = self.shredded.node_by_pre
+            nodes = [node_by_pre(pre) for pre in self.result.values.tolist()]
+            bounds = self.result.offsets.tolist()
+            self._decoded = {
+                it: nodes[a:b] for it, a, b in zip(
+                    self.result.iters.tolist(), bounds, bounds[1:])}
+        return self._decoded
 
     def __getitem__(self, iteration: int) -> list:
-        # Membership first: the decode cache is shared with restrict()
-        # views, so it may hold iterations this view has filtered out.
-        if iteration not in self._keyset:
-            raise KeyError(iteration)
-        cached = self._cache.get(iteration)
-        if cached is None:
-            cached = self._decode(iteration)
-            self._cache[iteration] = cached
-        return cached
+        return self._nodes()[iteration]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._keys)
+        return iter(self.result.iters.tolist())
 
     def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, iteration) -> bool:
-        return iteration in self._keyset
-
-    def restrict(self, live: set) -> "LazyIterData":
-        """The sub-mapping of iterations in *live*, still lazy.
-
-        The decode cache is shared with the parent, so an iteration
-        decoded through either view is decoded once.
-        """
-        return LazyIterData([it for it in self._keys if it in live],
-                            self._decode, _cache=self._cache)
+        return len(self.result.iters)
 
     def __repr__(self) -> str:
-        return (f"LazyIterData(iters={len(self._keys)}, "
-                f"decoded={len(self._cache)})")
+        return (f"NodeColumns(iters={len(self.result.iters)}, "
+                f"rows={len(self.result.values)}, "
+                f"decoded={self._decoded is not None})")
 
 
 class IterSeq:
     """A loop-lifted item sequence (``iter|pos|item``).
 
     ``data`` maps an iteration number to its item list — a plain dict,
-    or any read-only mapping such as :class:`LazyIterData` (the
-    columnar-backed lazy view over join results).  Iterations with
-    an empty sequence may be absent — consumers must treat a missing key
-    as the empty sequence.
+    or a :class:`NodeColumns` (a one-fragment node sequence kept as
+    columns).  Iterations with an empty sequence may be absent —
+    consumers must treat a missing key as the empty sequence.
     """
 
     __slots__ = ("data",)
@@ -144,15 +231,15 @@ class IterSeq:
         return IterSeq({it: [fn(x) for x in items]
                         for it, items in self.data.items()})
 
-    def restrict(self, live: Iterable[int]) -> "IterSeq":
-        """Keep only the iterations in *live*.
+    def restrict(self, live: Loop) -> "IterSeq":
+        """Keep only the iterations of the loop *live*.
 
-        Lazily-backed sequences stay lazy (iterations outside *live*
+        Column-backed sequences stay columns (iterations outside *live*
         are never decoded); dict-backed ones are filtered eagerly.
         """
+        if isinstance(self.data, NodeColumns):
+            return IterSeq(self.data.restrict(live))
         live_set = set(live)
-        if isinstance(self.data, LazyIterData):
-            return IterSeq(self.data.restrict(live_set))
         return IterSeq({it: items for it, items in self.data.items()
                         if it in live_set})
 
@@ -187,6 +274,8 @@ class IterSeq:
         *q* descends from; each inner iteration sees its outer
         iteration's item sequence.
         """
+        if isinstance(self.data, NodeColumns):
+            return IterSeq(self.data.relift(outer_of_inner))
         out: dict[int, list] = {}
         for q, outer in enumerate(outer_of_inner):
             items = self.data.get(outer)
@@ -195,8 +284,8 @@ class IterSeq:
         return IterSeq(out)
 
 
-def expand_loop(binding: IterSeq, loop: Loop
-                ) -> tuple[Loop, list[int], IterSeq, IterSeq]:
+def expand_loop(binding: IterSeq, loop: Loop, *, positions: bool = True
+                ) -> tuple[Loop, list[int], IterSeq, IterSeq | None]:
     """Create the inner loop for ``for $v [at $p] in <binding>``.
 
     Every ``(iter, item)`` row of the binding sequence becomes one inner
@@ -205,8 +294,28 @@ def expand_loop(binding: IterSeq, loop: Loop
     :returns: ``(inner_loop, outer_of_inner, var_seq, pos_seq)`` where
         ``var_seq`` binds ``$v`` (one item per inner iteration) and
         ``pos_seq`` binds the positional variable (1-based position of
-        the item within its outer iteration's binding sequence).
+        the item within its outer iteration's binding sequence; ``None``
+        unless *positions*).
+
+    A column-backed binding expands from its CSR offsets: the inner
+    iterations are its rows, ``outer_of_inner`` is its ``iter`` column,
+    ``$v`` binds the ``pre`` column as a one-row-per-iteration
+    :class:`NodeColumns`, and the positions are the rows' ranks in
+    their segments — no node is decoded.
     """
+    if isinstance(binding.data, NodeColumns):
+        its, pres = binding.data.rows(loop)
+        n = len(pres)
+        inner = np.arange(n + 1, dtype=np.int64)
+        var_seq = IterSeq(NodeColumns(binding.data.shredded,
+                                      ColumnarResult(inner[:-1], inner, pres)))
+        pos_seq = None
+        if positions:
+            ranks = segment_positions(np.append(run_starts(its), n)) \
+                if n else inner[:0]
+            pos_seq = IterSeq({q: [pos]
+                               for q, pos in enumerate(ranks.tolist())})
+        return list(range(n)), its.tolist(), var_seq, pos_seq
     inner_loop: Loop = []
     outer_of_inner: list[int] = []
     var_data: dict[int, list] = {}
@@ -219,7 +328,8 @@ def expand_loop(binding: IterSeq, loop: Loop
             var_data[q] = [item]
             pos_data[q] = [pos]
             q += 1
-    return inner_loop, outer_of_inner, IterSeq(var_data), IterSeq(pos_data)
+    return (inner_loop, outer_of_inner, IterSeq(var_data),
+            IterSeq(pos_data) if positions else None)
 
 
 def unlift(result: IterSeq, outer_of_inner: list[int],

@@ -487,7 +487,9 @@ def staircase_join(axis: str, doc: ShreddedDocument,
     (:func:`repro.staircase.loop_lifted.ll_axis_join`), ``"vectorized"``
     the batched columnar kernels, ``"auto"`` picks per call by input
     size.  The ``ll`` reference path never shards (it exists to be the
-    deterministic oracle).
+    deterministic oracle).  *context* is ``(iter, pre)`` pairs, or the
+    canonical ``(its, pres)`` column pair (:func:`_context_arrays`) a
+    column-backed node sequence hands over, on every route.
 
     ``workers`` fans the batched kernel out by the one scheme of
     :mod:`repro.exec.sharding`: the canonical ``(iter, pre)`` context
@@ -512,12 +514,17 @@ def staircase_join(axis: str, doc: ShreddedDocument,
     )
     from repro.staircase.loop_lifted import ll_axis_join
 
-    context = list(context)
+    columns = isinstance(context, tuple)
+    if not columns:
+        context = list(context)
     n_cand = len(candidates) if candidates is not None else len(doc)
     effective = KERNELS.select(FAMILY_STAIRCASE, kernel,
-                               context_rows=len(context),
+                               context_rows=len(context[0]) if columns
+                               else len(context),
                                candidate_rows=n_cand)
     if effective != KERNEL_VECTORIZED:
+        if columns:
+            context = list(zip(context[0].tolist(), context[1].tolist()))
         return ll_axis_join(doc, axis, context, candidates,
                             or_self=or_self)
     if normalize_workers(workers) <= 1:     # skip the counting pass
@@ -525,7 +532,7 @@ def staircase_join(axis: str, doc: ShreddedDocument,
                                   or_self=or_self)
     # Canonicalize the context (sort + dedup) once; the plan counts its
     # rows per iteration and every shard takes a slice of the columns.
-    its, pres = _context_arrays(np.asarray(context, dtype=np.int64))
+    its, pres = _context_arrays(context)
     bounds = np.append(run_starts(its), len(its))
     plan = partition_by_iteration(np.diff(bounds), workers,
                                   shard_min_rows=shard_min_rows)

@@ -34,6 +34,26 @@ body sees the context nodes of **all** iterations at once:
   StandOff steps whose predicates are column terms filter the merge
   join's columnar result the same way before decoding.
 
+A node sequence in one fragment stays the join's CSR output — a
+:class:`~repro.relational.sequence.NodeColumns`, ``iter|pos|item`` with
+``item`` a pre rank — from one step to the next and across ``for``
+boundaries:
+
+* the next Staircase or StandOff join takes its ``(iter, pre)`` rows as
+  its context, as they stand;
+* ``for $v [at $p] in <path>`` expands the inner loop from the
+  binding's CSR offsets: one inner iteration per row, ``outer_of_inner``
+  its ``iter`` column, ``$v`` its ``pre`` column, ``$p`` the rows'
+  positions in their segments (:func:`~repro.relational.sequence.
+  expand_loop`); the visible variables relift by gathering segments;
+* ``count``, ``empty`` and ``exists`` read the segment lengths.
+
+Python nodes are decoded once per sequence, in one batched pass, and
+only at the edges: a per-item predicate, an atomizing or constructing
+consumer, the query's result.  Contexts spanning several fragments,
+tie-prone ones and or-self steps over attributes take the per-node
+path, which groups decoded nodes per fragment.
+
 The evaluator is handed the *rewritten* module
 (:func:`repro.xquery.rewrite.rewrite`), in which ``//t`` is the single
 step ``descendant::t`` rather than the parser's literal
@@ -66,8 +86,8 @@ from repro.relational.columnar import (
 )
 from repro.relational.sequence import (
     IterSeq,
-    LazyIterData,
     Loop,
+    NodeColumns,
     expand_loop,
     unlift,
 )
@@ -93,7 +113,12 @@ from repro.xquery.evaluator import (
     _filter_by_predicate,
     _renumber_fragment,
 )
-from repro.xquery.functions import lookup_builtin
+from repro.xquery.functions import (
+    fn_count,
+    fn_empty,
+    fn_exists,
+    lookup_builtin,
+)
 from repro.xquery.rewrite import column_predicates, position_free
 from repro.xquery.standoff import standoff_axis_step_lifted
 from repro.xquery.values import (
@@ -323,7 +348,8 @@ def _bulk_flwor(expr: ast.FLWOR, env: BulkEnv) -> IterSeq:
         else:
             binding = eval_bulk(clause.binding, inner_env)
             inner_loop, outer_of_inner, var_seq, pos_seq = expand_loop(
-                binding, inner_env.loop)
+                binding, inner_env.loop,
+                positions=clause.position_var is not None)
             variables = {name: seq.relift(outer_of_inner)
                          for name, seq in inner_env.variables.items()}
             variables[clause.var] = var_seq
@@ -393,8 +419,8 @@ def _bulk_quantified(expr: ast.Quantified, env: BulkEnv) -> IterSeq:
     loop, evaluate the satisfies clause for all bindings at once, and
     aggregate per outer iteration (existential / universal)."""
     binding = eval_bulk(expr.binding, env)
-    inner_loop, outer_of_inner, var_seq, _pos = expand_loop(binding,
-                                                            env.loop)
+    inner_loop, outer_of_inner, var_seq, _pos = expand_loop(
+        binding, env.loop, positions=False)
     variables = {name: seq.relift(outer_of_inner)
                  for name, seq in env.variables.items()}
     variables[expr.var] = var_seq
@@ -431,8 +457,23 @@ def _bulk_call(expr: ast.FunctionCall, env: BulkEnv) -> IterSeq:
             f"unknown function {expr.name}#{len(expr.args)}",
             code="err:XPST0017")
     arg_seqs = [eval_bulk(arg, env) for arg in expr.args]
+    from_length = _FROM_LENGTH.get(builtin)
+    if from_length is not None and isinstance(arg_seqs[0].data, NodeColumns):
+        lengths = arg_seqs[0].data.lengths(env.loop).tolist()
+        return IterSeq({it: [from_length(n)]
+                        for it, n in zip(env.loop, lengths)})
     return _per_iter(env, arg_seqs,
                      lambda *args: builtin(env.ctx, list(args)))
+
+
+#: Builtins that read only the length of their one argument: over a
+#: column-backed node sequence they are answered from its segment
+#: lengths, no node decoded.
+_FROM_LENGTH = {
+    fn_count: lambda n: n,
+    fn_empty: lambda n: n == 0,
+    fn_exists: lambda n: n > 0,
+}
 
 
 # ----------------------------------------------------------------------
@@ -468,29 +509,16 @@ def _bulk_step(step, env: BulkEnv, context: IterSeq | None) -> IterSeq:
     if context is None:
         context = _bulk_context_item(None, env)
     if step.is_standoff:
-        per_iter = {}
-        for it in env.loop:
-            items = context.items_for(it)
-            if items:
-                per_iter[it] = items
         terms = column_predicates(step.predicates)
         if terms is not None:
             try:
                 return IterSeq(standoff_axis_step_lifted(
-                    env.ctx, step.axis, per_iter, step.test,
+                    env.ctx, step.axis, context, env.loop, step.test,
                     keep=_column_keep(terms)))
             except _Undecided:
                 pass     # rejoin, then filter per item
-        result_map = standoff_axis_step_lifted(env.ctx, step.axis,
-                                               per_iter, step.test)
-        if isinstance(result_map, LazyIterData):
-            # Columnar fast path: keep the join output lazy — per-
-            # iteration node lists decode on access, so iterations a
-            # later clause discards are never materialized.
-            result = IterSeq(result_map)
-        else:
-            result = IterSeq({it: nodes for it, nodes in result_map.items()
-                              if nodes})
+        result = IterSeq(standoff_axis_step_lifted(
+            env.ctx, step.axis, context, env.loop, step.test))
         return _bulk_predicates_whole(result, step.predicates, env)
     return _bulk_standard_axis(step, env, context)
 
@@ -625,21 +653,53 @@ def _tie_prone(env: BulkEnv, context: IterSeq,
     return False
 
 
+def _staircase_join(env: BulkEnv, axis: str, or_self: bool, desc: tuple,
+                    shredded, rows, candidates) -> ColumnarResult:
+    """One loop-lifted Staircase Join under the query's kernel and
+    fan-out settings; the result is columnar whichever kernel ran."""
+    from repro.staircase.kernels_vec import staircase_join
+
+    options = env.ctx.options
+    result = staircase_join(
+        axis, shredded, rows, candidates, or_self=or_self,
+        kernel=options.staircase_kernel, workers=options.workers,
+        shard_min_rows=options.shard_min_rows, executor=options.executor,
+        candidate_desc=desc)
+    if isinstance(result, ColumnarResult):
+        return result
+    return ColumnarResult.from_dict(result)
+
+
+def _column_context(context: IterSeq, or_self: bool) -> NodeColumns | None:
+    """The context's columns, when a join can take its ``(iter, pre)``
+    rows as they are: a one-fragment node sequence, unless an or-self
+    step meets an attribute there (whose self-match rides along outside
+    the kernel, on the per-node path)."""
+    columns = context.data
+    if not isinstance(columns, NodeColumns):
+        return None
+    if or_self and np.any(columns.shredded.kind[columns.result.values]
+                          == Attr.kind):
+        return None
+    return columns
+
+
 def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
                          context: IterSeq, axis: str,
                          or_self: bool, keep=None) -> IterSeq | None:
     """Loop-lifted Staircase Join path for the tree axes.
 
-    Applies whenever the test is a name or kind test: context nodes are
+    Applies whenever the test is a name or kind test.  A context held
+    as one fragment's columns (:func:`_column_context`) is the join's
+    ``(iter, pre)`` input as it stands.  Otherwise context nodes are
     grouped per fragment — stored documents use the store's shred,
     constructed fragments shred on demand through the context's
     transient cache — and each group runs one batched axis join; the
     kernel (reference dict path vs batched columnar) is resolved per
     call through the unified registry from
     ``ctx.options.staircase_kernel``.
-    The common single-fragment case feeds the columnar result into the
-    lazy node view directly — no ``dict[int, list]`` round-trip; mixed
-    stored + constructed contexts merge per iteration in document
+    A single-fragment result stays columns (:class:`NodeColumns`);
+    mixed stored + constructed contexts merge per iteration in document
     order, exactly like the DOM walk would (iterations touching two or
     more transient fragments collect per context row so cross-tree
     order ties break identically).  *keep* (``(shredded, pres) -> bool
@@ -647,14 +707,28 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
     before anything is decoded.  Returns None only for tests the
     shredded encoding has no candidate pool for.
     """
-    from repro.staircase.kernels_vec import (
-        resolve_staircase_pool,
-        staircase_join,
-    )
+    from repro.staircase.kernels_vec import resolve_staircase_pool
 
     desc = _staircase_candidate_desc(step.test)
     if desc is None:
         return None
+
+    def join(shredded, rows, candidates) -> ColumnarResult:
+        result = _staircase_join(env, axis, or_self, desc, shredded, rows,
+                                 candidates)
+        if keep is None:
+            return result
+        return result.keep_rows(keep(shredded, result.values))
+
+    columns = _column_context(context, or_self)
+    if columns is not None:
+        shredded = columns.shredded
+        rows = columns.rows(env.loop)
+        if not len(rows[0]):
+            return IterSeq({})
+        return IterSeq(NodeColumns(shredded, join(
+            shredded, rows, resolve_staircase_pool(shredded, desc))))
+
     groups: dict[int, list[tuple[int, int]]] = {}
     shreds: dict[int, object] = {}
     attr_self: dict[int, list[Node]] = {}
@@ -681,20 +755,6 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
     cand_by_key = {key: resolve_staircase_pool(shredded, desc)
                    for key, shredded in shreds.items()}
 
-    def join(shredded, rows, candidates):
-        result = staircase_join(
-            axis, shredded, rows, candidates, or_self=or_self,
-            kernel=env.ctx.options.staircase_kernel,
-            workers=env.ctx.options.workers,
-            shard_min_rows=env.ctx.options.shard_min_rows,
-            executor=env.ctx.options.executor,
-            candidate_desc=desc)
-        if keep is None:
-            return result
-        if not isinstance(result, ColumnarResult):
-            result = ColumnarResult.from_dict(result)
-        return result.keep_rows(keep(shredded, result.values))
-
     # document_order sorts by (doc id, pre), stable on ties — and two
     # *transient* fragments (orphan subtrees or unstored documents) can
     # tie, because neither owns a store-unique doc id.  The DOM walk
@@ -717,9 +777,8 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
                     shredded = env.ctx.shredded_for(node.root)
                     result = join(shredded, [(0, node.pre)],
                                   cand_by_key[id(shredded)])
-                    if 0 in result:
-                        collected.extend(shredded.node_by_pre(p)
-                                         for p in result[0])
+                    collected.extend(shredded.node_by_pre(p)
+                                     for p in result.values.tolist())
                     if or_self and isinstance(node, Attr) \
                             and matches_test(node, step.test, step.axis) \
                             and _self_kept(keep, shredded, node):
@@ -732,18 +791,10 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
     results = [(shreds[key], join(shreds[key], rows, cand_by_key[key]))
                for key, rows in groups.items()]
     if len(results) == 1 and not attr_self:
-        shredded, result = results[0]
-        if isinstance(result, ColumnarResult):
-            def decode(iteration: int, _result=result,
-                       _sh=shredded) -> list:
-                return [_sh.node_by_pre(pre)
-                        for pre in _result.values_for(iteration).tolist()]
-
-            return IterSeq(LazyIterData(result.iterations(), decode))
+        return IterSeq(NodeColumns(*results[0]))
     out = {}
     for shredded, result in results:
-        for it in result:   # Mapping protocol covers both result shapes
-            nodes = [shredded.node_by_pre(pre) for pre in result[it]]
+        for it, nodes in NodeColumns(shredded, result).items():
             if nodes:
                 out.setdefault(it, []).extend(nodes)
     for it, extra in attr_self.items():
@@ -1099,20 +1150,46 @@ def _staircase_positional_step(step: ast.AxisStep, env: BulkEnv,
     flipped ordinals (:func:`segment_positions`).  Attribute anchors
     whose or-self match would ride along DOM-side shift their whole
     sequence, so those anchors evaluate through the walk; everything
-    else stays columnar.  Per-row collection in context order keeps
-    cross-fragment document_order ties identical to the oracle.
+    else stays columnar.  A context held as one fragment's columns
+    (:func:`_column_context`) makes its rows the anchors as they stand.
+    Per-row collection in context order keeps cross-fragment
+    document_order ties identical to the oracle.
     Returns None to fall back (unsupported test pool, non-node context,
     or arithmetic past the exact-float range).
     """
-    from repro.staircase.kernels_vec import (
-        resolve_staircase_pool,
-        staircase_join,
-    )
+    from repro.staircase.kernels_vec import resolve_staircase_pool
 
     desc = _staircase_candidate_desc(step.test)
     if desc is None:
         return None
     reverse = step.axis in REVERSE_AXES
+
+    def filtered_join(shredded, rows):
+        result = _staircase_join(env, axis, or_self, desc, shredded, rows,
+                                 resolve_staircase_pool(shredded, desc))
+        offsets, values = _apply_positional_chain(
+            result.offsets, result.values, maskers, reverse)
+        return result.iters, offsets, values
+
+    def lifted(shredded, anchor_iters: np.ndarray, rows) -> IterSeq:
+        # Survivors map straight back to iterations columnar;
+        # from_pairs re-sorts and dedups, which is document order
+        # within one fragment.
+        anchors, offsets, values = filtered_join(shredded, rows)
+        return IterSeq(NodeColumns(shredded, ColumnarResult.from_pairs(
+            np.repeat(anchor_iters[anchors], np.diff(offsets)), values)))
+
+    columns = _column_context(context, or_self)
+    if columns is not None:
+        its, pres = columns.rows(env.loop)
+        if not len(pres):
+            return IterSeq({})
+        try:
+            return lifted(columns.shredded, its,
+                          (np.arange(len(pres), dtype=np.int64), pres))
+        except _PositionalOverflow:
+            return None
+
     groups: dict[int, list[tuple[int, int]]] = {}
     shreds: dict[int, object] = {}
     anchor_iters: list[int] = []
@@ -1133,45 +1210,16 @@ def _staircase_positional_step(step: ast.AxisStep, env: BulkEnv,
                 groups.setdefault(key, []).append((anchor, node.pre))
     if not anchor_iters:
         return IterSeq({})
-    cand_by_key = {key: resolve_staircase_pool(shredded, desc)
-                   for key, shredded in shreds.items()}
-
-    def filtered_join(key, rows):
-        result = staircase_join(
-            axis, shreds[key], rows, cand_by_key[key], or_self=or_self,
-            kernel=env.ctx.options.staircase_kernel,
-            workers=env.ctx.options.workers,
-            shard_min_rows=env.ctx.options.shard_min_rows,
-            executor=env.ctx.options.executor,
-            candidate_desc=desc)
-        if not isinstance(result, ColumnarResult):
-            result = ColumnarResult.from_dict(result)
-        offsets, values = _apply_positional_chain(
-            result.offsets, result.values, maskers, reverse)
-        return result.iters, offsets, values
 
     anchor_map = np.asarray(anchor_iters, dtype=np.int64)
     try:
         if len(groups) == 1 and not dom_anchors:
-            # Single-fragment fast path: survivors map straight back to
-            # iterations columnar; from_pairs re-sorts and dedups, which
-            # is document order within one fragment.
             ((key, rows),) = groups.items()
-            anchors, offsets, values = filtered_join(key, rows)
-            lifted = ColumnarResult.from_pairs(
-                np.repeat(anchor_map[anchors], np.diff(offsets)), values)
-            shredded = shreds[key]
-
-            def decode(iteration: int, _result=lifted,
-                       _sh=shredded) -> list:
-                return [_sh.node_by_pre(pre)
-                        for pre in _result.values_for(iteration).tolist()]
-
-            return IterSeq(LazyIterData(lifted.iterations(), decode))
+            return lifted(shreds[key], anchor_map, rows)
 
         survivors: dict[int, list] = {}
         for key, rows in groups.items():
-            anchors, offsets, values = filtered_join(key, rows)
+            anchors, offsets, values = filtered_join(shreds[key], rows)
             bounds = offsets.tolist()
             vals = values.tolist()
             shredded = shreds[key]

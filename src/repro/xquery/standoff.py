@@ -7,13 +7,18 @@ the resulting node ids back to DOM nodes in document order.
 
 The step layer hands back a columnar result
 (:class:`~repro.relational.columnar.ColumnarStepResult`, already in
-document order because the fragment ranking is pushed *into* the join);
-this module wraps it in a :class:`~repro.relational.sequence.LazyIterData`
-that decodes node ids to DOM nodes per accessed iteration — the bulk
-evaluator never sees an eagerly-exploded ``dict[int, list[Node]]``.
+document order because the fragment ranking is pushed *into* the join).
+Under the loop-lifted evaluator, a step whose context lies in one
+fragment takes that context as ``(iter, pre)`` columns
+(:class:`~repro.relational.sequence.NodeColumns`) and returns its
+result the same way, with the node test applied as a column mask where
+it was not pushed down — nothing is decoded.  Only a step spanning
+several fragments decodes its result to per-iteration node lists.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -21,7 +26,8 @@ from repro.config import KERNEL_LL
 from repro.core.naive import StandoffOp
 from repro.core.steps import Strategy, standoff_step
 from repro.errors import XQueryTypeError
-from repro.relational.sequence import LazyIterData
+from repro.relational.columnar import ColumnarResult, ColumnarStepResult
+from repro.relational.sequence import IterSeq, Loop, NodeColumns
 from repro.xmldb.dom import Document, Element, Node
 from repro.xquery.ast import NodeTest
 from repro.xquery.context import DynamicContext
@@ -109,12 +115,9 @@ def _run(ctx: DynamicContext, op: StandoffOp,
          context_by_fragment: dict[int, tuple[_FragmentInfo, list[int]]],
          candidates_by_fragment: dict[int, np.ndarray | None],
          iter_rows: list[tuple[int, int, int]],
-         post=None, keep=None) -> LazyIterData:
-    """Execute one StandOff step.
+         keep=None) -> ColumnarStepResult:
+    """Execute one StandOff step; returns the columnar step result.
 
-    Returns a lazy ``iter -> [DOM node, ...]`` mapping over the columnar
-    step result; *post* (e.g. a node-test filter) is applied inside the
-    per-iteration decode, so skipped iterations never pay for it.
     *keep* (``(shredded, pres) -> bool mask``, one call per fragment)
     filters the columnar result before anything is decoded.  It runs in
     this process on the merged result, whichever executor ran the join.
@@ -164,14 +167,23 @@ def _run(ctx: DynamicContext, op: StandoffOp,
             mask[rows] = keep(ctx.shredded_for(infos[key].root),
                               raw.values[rows])
         raw = raw.keep_rows(mask)
+    return raw
 
-    def decode(iteration: int) -> list[Node]:
-        frags, pres = raw.segment(iteration)
-        nodes = [infos[frag].node_by_pre(pre)
-                 for frag, pre in zip(frags.tolist(), pres.tolist())]
-        return nodes if post is None else post(nodes)
 
-    return LazyIterData(raw.iterations(), decode)
+def _decode(raw: ColumnarStepResult,
+            context_by_fragment: dict[int, tuple[_FragmentInfo, list[int]]],
+            test: NodeTest | None = None) -> dict[int, list[Node]]:
+    """The step result as ``iter -> [DOM node, ...]`` (one batched
+    pass), post-filtered by the node test; empty iterations drop out."""
+    bounds = raw.offsets.tolist()
+    rows = list(zip(raw.frags.tolist(), raw.values.tolist()))
+    out: dict[int, list[Node]] = {}
+    for it, a, b in zip(raw.iters.tolist(), bounds, bounds[1:]):
+        nodes = _apply_test([context_by_fragment[frag][0].node_by_pre(pre)
+                             for frag, pre in rows[a:b]], test)
+        if nodes:
+            out[it] = nodes
+    return out
 
 
 def _prepare(ctx: DynamicContext,
@@ -241,27 +253,56 @@ def standoff_axis_step(ctx: DynamicContext, axis: str,
         return []
     op = StandoffOp.from_name(axis)
     parts = _prepare(ctx, {0: context_nodes}, test, None)
-    result = _run(ctx, op, parts[0], parts[1], parts[2])
-    return _apply_test(result.get(0, []), test)
+    return _decode(_run(ctx, op, *parts), parts[0], test).get(0, [])
+
+
+def _prepare_columns(ctx: DynamicContext, shredded, its: np.ndarray,
+                     pres: np.ndarray, test: NodeTest | None):
+    """:func:`_prepare` for a context held as one fragment's
+    ``(iter, pre)`` columns: one partition, no node touched."""
+    root = shredded.root
+    key = id(root)
+    info = _FragmentInfo(root, ctx)
+    pre_list = pres.tolist()
+    iter_rows = list(zip(its.tolist(), [key] * len(pre_list), pre_list))
+    return ({key: (info, pre_list)},
+            {key: _candidate_ids_for_test(ctx, info, test)}, iter_rows)
 
 
 def standoff_axis_step_lifted(ctx: DynamicContext, axis: str,
-                              context_nodes_per_iter: dict[int, list[Node]],
-                              test: NodeTest, keep=None
-                              ) -> LazyIterData | dict:
-    """Loop-lifted StandOff axis step: all iterations in one join call.
+                              context: IterSeq, loop: Loop,
+                              test: NodeTest, keep=None) -> Mapping:
+    """Loop-lifted StandOff axis step: all iterations of *loop* in one
+    join call.
 
-    Returns a lazy per-iteration node mapping (the node-test post-filter
-    runs inside the decode); the bulk evaluator wraps it in an
-    :class:`~repro.relational.sequence.IterSeq` unchanged.  *keep* is
-    the column filter of the step's predicates (see :func:`_run`).
+    A context held as :class:`~repro.relational.sequence.NodeColumns`
+    joins from its ``(iter, pre)`` columns.  A result in one fragment
+    comes back as ``NodeColumns`` too: the node test is redundant where
+    it was pushed into the candidates, and a pool mask on the columns
+    where it was not.  A result spanning fragments is decoded.  *keep*
+    is the column filter of the step's predicates (see :func:`_run`).
     """
-    if not context_nodes_per_iter:
+    if isinstance(context.data, NodeColumns):
+        its, pres = context.data.rows(loop)
+        parts = _prepare_columns(ctx, context.data.shredded, its, pres,
+                                 test)
+    else:
+        per_iter = {it: context.items_for(it) for it in loop}
+        parts = _prepare(ctx, per_iter, test, None)
+    if not parts[2]:
         return {}
-    op = StandoffOp.from_name(axis)
-    parts = _prepare(ctx, context_nodes_per_iter, test, None)
-    return _run(ctx, op, parts[0], parts[1], parts[2],
-                post=lambda nodes: _apply_test(nodes, test), keep=keep)
+    raw = _run(ctx, StandoffOp.from_name(axis), *parts, keep=keep)
+    context_by_fragment, candidates_by_fragment, _rows = parts
+    if len(context_by_fragment) > 1:
+        return _decode(raw, context_by_fragment, test)
+    ((key, (info, _pres)),) = context_by_fragment.items()
+    shredded = ctx.shredded_for(info.root)
+    result = ColumnarResult(raw.iters, raw.offsets, raw.values)
+    if candidates_by_fragment[key] is None and test.kind == "name" \
+            and test.name != "*":
+        result = result.keep_rows(np.isin(
+            result.values, shredded.elements_matching(test.name)))
+    return NodeColumns(shredded, result)
 
 
 def _apply_test(nodes: list[Node], test: NodeTest | None) -> list[Node]:
@@ -287,5 +328,4 @@ def standoff_function(ctx: DynamicContext, op_name: str,
         return []
     op = StandoffOp.from_name(op_name)
     parts = _prepare(ctx, {0: context_nodes}, None, candidates)
-    result = _run(ctx, op, parts[0], parts[1], parts[2])
-    return result.get(0, [])
+    return _decode(_run(ctx, op, *parts), parts[0]).get(0, [])

@@ -276,8 +276,64 @@ def test_standoff_column_route_decodes_only_survivors(column_db,
     got = column_db.query(query, strategy="ll")
     assert got.serialize() == want.serialize() != ""
     assert calls == []
-    assert len(steps) == 1                      # the one a[@i = "3"]
-    assert joins == [node.pre for node in got]  # the one b under it
+    # the a[@i = "3"] context reaches the join as columns, undecoded;
+    # the one b under it is the only node decoded
+    assert steps == [node.pre for node in got]
+    assert joins == []
+
+
+# ----------------------------------------------------------------------
+# node sequences stay columns across steps and for clauses
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def xmark_db():
+    from repro.xmark import generate_xmark
+
+    database = Database()
+    database.add_document("x.xml", generate_xmark(0.05, seed=1))
+    return database
+
+
+@pytest.mark.parametrize("qid", ["q3", "q17"])
+def test_for_loops_over_paths_encode_at_the_edges(xmark_db, monkeypatch,
+                                                   qid):
+    """``for $b in <path>`` expands from the join's offsets and the
+    body's steps join on ``(iter, pre)`` columns, so no per-node
+    ``shredded_for`` lookup runs: the count stays fixed while the
+    document grows.  Decoding at every step boundary cost one lookup
+    per context node, about 1 700 a call at scale 1."""
+    from repro.xmark import EXTENDED_PLAIN
+
+    query = EXTENDED_PLAIN[qid].format(uri="x.xml")
+    want = xmark_db.query(query, strategy="basic").serialize()
+    calls = []
+    original = DynamicContext.shredded_for
+
+    def spy(self, root):
+        calls.append(root)
+        return original(self, root)
+
+    monkeypatch.setattr(DynamicContext, "shredded_for", spy)
+    got = xmark_db.query(query, strategy="ll").serialize()
+    assert got == want != ""
+    assert len(calls) < 10, len(calls)
+
+
+def test_count_of_a_step_decodes_none_of_its_nodes(xmark_db, monkeypatch):
+    """``count`` of a path from a ``for`` variable reads the join's
+    segment lengths: not one bidder becomes a Python node."""
+    from repro.xmldb.shred import ShreddedDocument
+
+    query = ('for $a in doc("x.xml")//open_auction '
+             'return count($a/descendant::bidder)')
+    want = xmark_db.query(query, strategy="basic").serialize()
+    decoded = _spy_decode(monkeypatch, ShreddedDocument)
+    got = xmark_db.query(query, strategy="ll").serialize()
+    assert got == want
+    assert any(n != "0" for n in got.split())
+    shredded = xmark_db.document("x.xml").shredded
+    assert "bidder" not in {shredded.name_of(pre) for pre in decoded}
 
 
 OPERATORS = ("=", "!=", "<", "<=", ">", ">=",

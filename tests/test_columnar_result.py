@@ -3,9 +3,10 @@
 Covers the ``ColumnarResult`` <-> dict round-trip (empty iterations,
 unsorted input, duplicates — property-based), the ``Mapping``
 compatibility adapter, the shared anti-join ``complement`` helper, the
-per-fragment columnar concatenation of the step layer, the lazy
-``LazyIterData`` decode path, and the ``auto`` kernel selection
-heuristic.
+per-fragment columnar concatenation of the step layer, the column
+form of node sequences (``NodeColumns``: column operations that decode
+nothing, one batched decode per view), and the ``auto`` kernel
+selection heuristic.
 """
 
 import random
@@ -33,8 +34,9 @@ from repro.relational import (
     ColumnarResult,
     ColumnarStepResult,
     IterSeq,
-    LazyIterData,
+    NodeColumns,
     complement,
+    expand_loop,
 )
 from repro.xquery import Database
 
@@ -139,8 +141,7 @@ class TestMappingAdapter:
     def test_columnar_accessors(self):
         col = self.make()
         assert col.n_values == 3
-        assert col.iterations() == [0, 2, 5]
-        assert col.values_for(0).tolist() == [1, 3]
+        assert col.iters.tolist() == [0, 2, 5]
         assert col.slice_of(5) == (2, 3)
 
     def test_unhashable(self):
@@ -216,10 +217,9 @@ class TestStepConcatenation:
         # within each fragment; empty iteration 1 survives.
         assert merged == {0: [(7, 2), (7, 4), (3, 1)], 1: [], 2: [(3, 9)]}
         assert merged.n_pairs == 4
-        assert merged.iterations() == [0, 1, 2]
-        frags, vals = merged.segment(0)
-        assert frags.tolist() == [7, 7, 3]
-        assert vals.tolist() == [2, 4, 1]
+        assert merged.iters.tolist() == [0, 1, 2]
+        assert merged.frags[:3].tolist() == [7, 7, 3]
+        assert merged.values[:3].tolist() == [2, 4, 1]
 
     def test_empty(self):
         assert ColumnarStepResult.from_fragments([]) == {}
@@ -241,54 +241,91 @@ class TestStepConcatenation:
 # lazy decode path
 # ----------------------------------------------------------------------
 
-class TestLazyIterData:
-    def test_decodes_only_accessed_iterations(self):
-        decoded = []
+class _Shred:
+    """A ``node_by_pre`` stand-in that records every decode."""
 
-        def decode(it):
-            decoded.append(it)
-            return [it * 10]
+    def __init__(self):
+        self.decoded = []
 
-        lazy = LazyIterData([1, 2, 3], decode)
-        assert lazy[2] == [20]
-        assert decoded == [2]
-        assert lazy[2] == [20]          # cached
-        assert decoded == [2]
-        assert len(lazy) == 3 and list(lazy) == [1, 2, 3]
+    def node_by_pre(self, pre):
+        self.decoded.append(pre)
+        return f"n{pre}"
+
+
+def node_columns(mapping):
+    shred = _Shred()
+    return shred, NodeColumns(shred, ColumnarResult.from_dict(mapping))
+
+
+class TestNodeColumns:
+    def test_decodes_once_per_view_in_one_pass(self):
+        shred, columns = node_columns({1: [10], 2: [20, 21], 3: [30]})
+        assert shred.decoded == []
+        assert columns[2] == ["n20", "n21"]
+        assert shred.decoded == [10, 20, 21, 30]    # one batched pass
+        assert columns[1] == ["n10"] and columns[3] == ["n30"]
+        assert shred.decoded == [10, 20, 21, 30]    # and only one
+        assert len(columns) == 3 and list(columns) == [1, 2, 3]
         with pytest.raises(KeyError):
-            lazy[9]
-        assert lazy.get(9) is None
+            columns[9]
+        assert columns.get(9) is None
 
-    def test_restrict_shares_cache_and_stays_lazy(self):
-        decoded = []
-
-        def decode(it):
-            decoded.append(it)
-            return [it]
-
-        seq = IterSeq(LazyIterData([1, 2, 3, 4], decode))
-        live = seq.restrict([2, 4])
-        assert isinstance(live.data, LazyIterData)
-        assert decoded == []
-        assert live.items_for(4) == [4]
-        assert seq.items_for(4) == [4]  # decoded once, shared cache
-        assert decoded == [4]
-        assert live.items_for(1) == []  # restricted away
+    def test_restrict_stays_columns(self):
+        shred, columns = node_columns({1: [1], 2: [2], 3: [3], 4: [4]})
+        live = IterSeq(columns).restrict([2, 4])
+        assert isinstance(live.data, NodeColumns)
+        assert shred.decoded == []
+        assert live.items_for(4) == ["n4"]
+        assert shred.decoded == [2, 4]              # the live rows only
+        assert live.items_for(1) == []              # restricted away
 
     def test_dict_backed_restrict(self):
         seq = IterSeq({1: ["a"], 2: ["b"]})
         assert seq.restrict([2]).data == {2: ["b"]}
 
-    def test_restricted_view_hides_cached_dead_iterations(self):
-        """The shared cache must not leak restricted-away iterations."""
-        lazy = LazyIterData([1, 2], lambda it: [it])
-        assert lazy[2] == [2]           # decode *before* restricting
-        live = lazy.restrict({1})
-        assert live.get(2) is None      # cached but filtered out
+    def test_restricted_view_hides_dead_iterations(self):
+        shred, columns = node_columns({1: [1], 2: [2]})
+        assert columns[2] == ["n2"]                 # decode *before*
+        live = columns.restrict([1])
+        assert live.get(2) is None
         with pytest.raises(KeyError):
             live[2]
         assert 2 not in live
-        assert lazy[2] == [2]           # parent view unaffected
+        assert columns[2] == ["n2"]                 # parent unaffected
+
+    def test_column_operations_decode_nothing(self):
+        shred, columns = node_columns({0: [3, 5], 2: [7], 5: [1, 2, 9]})
+        its, pres = columns.rows([0, 1, 2, 5])
+        assert its.tolist() == [0, 0, 2, 5, 5, 5]
+        assert pres.tolist() == [3, 5, 7, 1, 2, 9]
+        its, pres = columns.rows([2, 4])            # a sparse loop
+        assert (its.tolist(), pres.tolist()) == ([2], [7])
+        its, pres = columns.rows([0, 1, 2])         # a dense prefix
+        assert (its.tolist(), pres.tolist()) == ([0, 0, 2], [3, 5, 7])
+        assert columns.rows([])[0].tolist() == []
+        assert columns.lengths([0, 1, 5, 9]).tolist() == [2, 0, 3, 0]
+        inner = columns.relift([0, 0, 1, 5, 9]).result
+        assert inner.iters.tolist() == [0, 1, 3]
+        assert inner.offsets.tolist() == [0, 2, 4, 7]
+        assert inner.values.tolist() == [3, 5, 3, 5, 1, 2, 9]
+        assert shred.decoded == []
+
+    def test_expand_loop_from_offsets(self):
+        mapping = {0: [3, 5], 2: [7]}
+        shred, columns = node_columns(mapping)
+        loop, outer, var, pos = expand_loop(IterSeq(columns), [0, 1, 2])
+        assert (loop, outer) == ([0, 1, 2], [0, 0, 2])
+        assert isinstance(var.data, NodeColumns)
+        assert [pos.items_for(q) for q in loop] == [[1], [2], [1]]
+        assert shred.decoded == []
+        # the same binding as the dict form's
+        decoded = {it: [f"n{pre}" for pre in pres]
+                   for it, pres in mapping.items()}
+        *_, want, want_pos = expand_loop(IterSeq(decoded), [0, 1, 2])
+        assert [var.items_for(q) for q in loop] == \
+            [want.items_for(q) for q in loop]
+        assert [pos.items_for(q) for q in loop] == \
+            [want_pos.items_for(q) for q in loop]
 
     def test_where_clause_filters_cached_join_results(self):
         """End-to-end FLWOR repro: a where clause that decodes every

@@ -20,8 +20,10 @@ and then the engine must raise the same error code.
 Beyond the stored-document paths, dedicated fuzz targets pin the
 corners that previously fell off the kernel path: the sibling axes
 (including attribute anchors — which have no siblings — and merged
-text-node siblings) and *constructed-fragment* contexts, which now
-shred on demand instead of dropping to the DOM walk.
+text-node siblings), *constructed-fragment* contexts, which now
+shred on demand instead of dropping to the DOM walk, and ``for`` loops
+over paths, whose node sequences stay ``(iter, pre)`` columns from one
+join to the next.
 
 Seeds are fixed: every failure is reproducible from the printed
 (seed, query) pair.  The whole module is budgeted at roughly two
@@ -57,13 +59,16 @@ WORKERS_UNDER_TEST = (WORKERS_SERIAL, 4)
 # generators
 # ----------------------------------------------------------------------
 
-def random_xml(rng: random.Random, max_nodes: int = 45) -> str:
+def random_xml(rng: random.Random, max_nodes: int = 45, *,
+               regions: bool = False) -> str:
     """A random element tree with attributes, text and comments.
 
     ``i`` is usually a digit but sometimes ``x``, which no number cast
     accepts, and a prefixed ``p:i`` shares its local name — both corners
     of attribute value compares (``[@i >= 2]`` over ``<a p:i="1"
-    i="x"/>`` raises ``err:FORG0001`` in the oracle)."""
+    i="x"/>`` raises ``err:FORG0001`` in the oracle).  With *regions*,
+    most elements also carry a random ``start``/``end`` region, so the
+    StandOff axes have annotations to join."""
     budget = [rng.randrange(8, max_nodes)]
 
     def element(depth: int) -> str:
@@ -77,6 +82,9 @@ def random_xml(rng: random.Random, max_nodes: int = 45) -> str:
             attrs += f' i="{value}"'
         if rng.random() < 0.15:
             attrs += f' j="{rng.randrange(9)}"'
+        if regions and rng.random() < 0.8:
+            start = rng.randrange(100)
+            attrs += f' start="{start}" end="{start + rng.randrange(40)}"'
         children: list[str] = []
         while budget[0] > 0 and depth < 5 \
                 and rng.random() < (0.75 if depth < 2 else 0.45):
@@ -270,6 +278,104 @@ def test_fuzz_standoff_joins(seed=7100):
                                    workers=workers,
                                    shard_min_rows=1).serialize()
                     assert got == oracle, (seed, query, kernel, workers)
+
+
+STANDOFF_AXES = ("select-narrow", "select-wide", "reject-narrow",
+                 "reject-wide")
+
+
+#: Axes that usually reach something from an element of a small tree.
+FLWOR_AXES = ("child", "child", "descendant", "descendant-or-self",
+              "ancestor", "parent", "self", "following-sibling",
+              "preceding")
+
+
+def relative_path(rng: random.Random) -> str:
+    """One or two steps from a bound node: tree axes with the usual
+    predicates, or StandOff joins."""
+    steps = []
+    for _ in range(rng.randrange(1, 3)):
+        if rng.random() < 0.35:
+            step = f"{rng.choice(STANDOFF_AXES)}::{rng.choice((*TAGS, '*'))}"
+            if rng.random() < 0.3:
+                step += rng.choice(
+                    ("[@i]", "[1]", f'[@i = "{rng.randrange(9)}"]'))
+        else:
+            test = rng.choice((*TAGS, "*", "*", "node()", "text()"))
+            step = f"{rng.choice(FLWOR_AXES)}::{test}"
+            if rng.random() < 0.25 and not test.endswith(")"):
+                step += random_predicate(rng)
+        steps.append(step)
+    return "/".join(steps)
+
+
+def flwor_query(rng: random.Random) -> str:
+    """``for $x [at $i] in <path> [let] [where] return <path from $x>``
+    over the stored document or a fragment constructed from it, the
+    body one of: a path, ``count``/``empty``/``exists`` of one, an
+    ``if (count(…))``, a nested ``for $y [at $j] in $x/<path>``."""
+    constructed = rng.random() < 0.4
+    root = "$f" if constructed else 'doc("f.xml")/r'
+    source = rng.choice(("{root}//{tag}", "{root}/*", "{root}//*[@i]"))
+    clauses = ['let $f := <w>{doc("f.xml")/r/node()}</w>'] \
+        if constructed else []
+    at = rng.random() < 0.3
+    clauses.append(f'for $x{" at $i" if at else ""} in '
+                   + source.format(root=root, tag=rng.choice(TAGS)))
+    bodies = [f"$x/{relative_path(rng)}",
+              f"count($x/{relative_path(rng)})",
+              f"empty($x/{relative_path(rng)})",
+              f"exists($x/{relative_path(rng)})",
+              f"if (count($x/{relative_path(rng)})) "
+              f"then $x/{relative_path(rng)} else ()",
+              f"for $y in $x/{relative_path(rng)} "
+              f"return $y/{relative_path(rng)}",
+              f"for $y in $x/{relative_path(rng)} "
+              f"return count($y/{relative_path(rng)})",
+              f"for $y at $j in $x/{relative_path(rng)} "
+              f"return ($j, $y/{relative_path(rng)})"]
+    if rng.random() < 0.3:
+        clauses.append(f"let $z := $x/{relative_path(rng)}")
+        bodies.append(f"($z, count($z/{relative_path(rng)}))")
+        bodies.append(f"for $y in $x/{relative_path(rng)} "
+                      f"return ($y/{relative_path(rng)}, count($z))")
+    conditions = [f"exists($x/{relative_path(rng)})",
+                  f"count($x/{relative_path(rng)}) > {rng.randrange(3)}",
+                  f"empty($x/{relative_path(rng)})",
+                  f'$x/@i = "{rng.randrange(9)}"',
+                  f"$x/@i >= {rng.randrange(9)}"]
+    if at:
+        conditions += ["$i mod 2 = 1", f"$i <= {rng.randrange(1, 4)}"]
+        bodies.append(f"($i, $x/{relative_path(rng)})")
+    if rng.random() < 0.4:
+        clauses.append(f"where {rng.choice(conditions)}")
+    return " ".join(clauses) + f" return {rng.choice(bodies)}"
+
+
+def test_fuzz_flwor_over_paths():
+    """A ``for`` over a path binds its variable as the join's columns
+    and the body's steps, ``count``/``empty``/``exists`` and nested
+    loops consume them undecoded; on stored and constructed fragments,
+    with tree and StandOff steps, every kernel × workers setting must
+    answer (or raise) exactly as the DOM-walk oracle."""
+    queries = answered = 0
+    for seed in range(11000, 11008):
+        rng = random.Random(seed)
+        db = Database()
+        db.add_document("f.xml",
+                        random_xml(rng, max_nodes=70, regions=True))
+        for _ in range(12):
+            query = flwor_query(rng)
+            oracle = outcome(db, query, strategy="basic")
+            queries += 1
+            answered += bool(oracle) and not oracle.startswith("raised")
+            for kernel in KERNELS_UNDER_TEST:
+                for workers in WORKERS_UNDER_TEST:
+                    got = outcome(db, query, strategy="ll", kernel=kernel,
+                                  staircase_kernel=kernel, workers=workers,
+                                  shard_min_rows=1)
+                    assert got == oracle, (seed, query, kernel, workers)
+    assert answered >= queries // 3, (answered, queries)
 
 
 SIBLING_AXES = ("following-sibling", "preceding-sibling")

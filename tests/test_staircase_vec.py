@@ -32,6 +32,7 @@ from repro.config import (
     KERNEL_LL,
     KERNEL_VECTORIZED,
     KERNELS,
+    WORKERS_SERIAL,
 )
 from repro.relational import ColumnarResult
 from repro.staircase import (
@@ -329,6 +330,22 @@ class TestRegistryDispatch:
             assert vec.to_dict() == ref
             auto = staircase_join(axis, sh, context, kernel=KERNEL_AUTO)
             assert dict(auto) == ref
+
+    @pytest.mark.parametrize("kernel", (KERNEL_VECTORIZED, KERNEL_LL,
+                                        KERNEL_AUTO))
+    @pytest.mark.parametrize("workers", (WORKERS_SERIAL, 2))
+    def test_canonical_column_context(self, kernel, workers):
+        """A ``(its, pres)`` column pair is a context of two rows
+        ``(0, 2)`` and ``(1, 4)`` on every route — not two pairs made of
+        its columns."""
+        sh = shred(parse_document(
+            "<a><b><c/></b><b><c/><c/></b><b/></a>"))
+        pool = sh.elements_named("c")
+        context = (np.array([0, 1], dtype=np.int64),
+                   np.array([2, 4], dtype=np.int64))
+        got = staircase_join("child", sh, context, pool, kernel=kernel,
+                             workers=workers, shard_min_rows=1)
+        assert dict(got) == {0: [3], 1: [5, 6]}
 
     def test_auto_resolves_by_size(self):
         small = KERNELS.select(FAMILY_STAIRCASE, KERNEL_AUTO,
