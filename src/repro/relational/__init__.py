@@ -11,6 +11,7 @@ from repro.relational.sequence import (
     Loop,
     NodeColumns,
     expand_loop,
+    loop_positions,
     unlift,
 )
 
@@ -22,5 +23,6 @@ __all__ = [
     "Loop",
     "NodeColumns",
     "expand_loop",
+    "loop_positions",
     "unlift",
 ]

@@ -7,13 +7,13 @@ item sequence (ordered by ``pos``).  :class:`IterSeq` is that table.  It
 has two physical forms:
 
 * a node sequence from one fragment is a :class:`NodeColumns` — the
-  table itself, ``item`` a pre rank of the fragment's shredded columns,
-  stored CSR (:class:`~repro.relational.columnar.ColumnarResult`:
-  ascending ``iters``, per-iteration ``offsets`` into a ``values``
-  column in document order, so ``pos`` is the row's rank in its
-  segment).  Join kernels produce it, the next join takes its
-  ``(iter, pre)`` rows as they are, and a ``for`` loop expands from
-  its offsets; Python nodes are decoded only when a consumer asks for
+  table itself, ``item`` a pre rank of the fragment's shredded columns:
+  ascending ``iters``, each naming its segment of a shared join result
+  (a kernel's CSR :class:`~repro.relational.columnar.ColumnarResult`,
+  ``pre`` values in document order), so ``pos`` is the row's rank in
+  its segment.  Join kernels produce it, the next join takes its
+  ``(iter, pre)`` rows as they are, and a ``for`` loop expands from its
+  offsets; Python nodes are decoded only when a consumer asks for
   items;
 * everything else (atomics, constructed nodes, nodes from several
   fragments) groups Python items per iteration in a dict, ``pos``
@@ -25,13 +25,16 @@ VLDB 2004]:
 * :func:`expand_loop` maps every ``(iter, item)`` row of the binding
   sequence to a fresh inner iteration number (the inner ``loop``
   relation), remembering the outer iteration each inner one came from;
+  :func:`loop_positions` numbers the rows for ``at $p``;
 * :meth:`IterSeq.relift` re-expresses an outer-scope variable in the
   inner loop (each inner iteration sees its outer iteration's items);
 * :func:`unlift` folds the body's inner-loop result back onto the outer
   loop, concatenating per outer iteration in inner-iteration order.
 
 The column form stays columns through :func:`expand_loop`,
-:meth:`IterSeq.relift` and :meth:`IterSeq.restrict`.
+:meth:`IterSeq.relift` and :meth:`IterSeq.restrict`, and the latter two
+share the join result: they cost one segment index per iteration, like
+the dict form's shared item lists, never a copy of the rows.
 """
 
 from __future__ import annotations
@@ -41,12 +44,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.relational.columnar import (
-    ColumnarResult,
-    expand_ranges,
-    run_starts,
-    segment_positions,
-)
+from repro.relational.columnar import ColumnarResult, expand_ranges
 
 #: A loop relation: the iteration numbers of a live scope, ascending.
 Loop = list
@@ -73,102 +71,137 @@ class NodeColumns(Mapping):
 
     *result* is a canonical :class:`ColumnarResult` whose values are pre
     ranks of *shredded* (unique and ascending per iteration, which is
-    document order).  The column operations never decode:
+    document order).  A view of it is ``iters`` (ascending) and, per
+    iteration, the index of its segment of *result* — ``None`` for the
+    whole result in order.  Views share *result*: :meth:`restrict` and
+    :meth:`relift` gather segment indices, never rows, so they cost the
+    view's iteration count however long its segments are.  The column
+    operations never decode:
 
     * :meth:`rows` — the ``(iter, pre)`` columns of the live iterations,
-      in the canonical order a join kernel takes as its context;
-    * :meth:`lengths` — each loop iteration's item count;
-    * :meth:`restrict` and :meth:`relift` — gathers of CSR segments
-      (:func:`~repro.relational.columnar.expand_ranges`), returning new
-      views.
+      in the canonical order a join kernel takes as its context (the
+      only place rows are materialized);
+    * :meth:`lengths` — each loop iteration's item count.
 
-    As the read-only ``iter -> list[Node]`` mapping every other
-    consumer reads, a view decodes once, on first access, in a single
-    batched pass: one ``tolist()`` and one ``node_by_pre`` sweep.
+    As the read-only ``iter -> list[Node]`` mapping every other consumer
+    reads, a view decodes once, on first item access, in a single
+    batched pass over its distinct segments: one ``tolist()`` and one
+    ``node_by_pre`` sweep.  Inner iterations that share a segment (a
+    relift) share its node list.
     """
 
-    __slots__ = ("shredded", "result", "_decoded")
+    __slots__ = ("shredded", "result", "iters", "_segments", "_decoded")
 
-    def __init__(self, shredded, result: ColumnarResult):
+    def __init__(self, shredded, result: ColumnarResult,
+                 iters: np.ndarray | None = None,
+                 segments: np.ndarray | None = None):
         self.shredded = shredded
         self.result = result
+        self.iters = result.iters if iters is None else iters
+        self._segments = segments
         self._decoded: dict[int, list] | None = None
+
+    @property
+    def segments(self) -> np.ndarray:
+        """Per iteration, the index of its segment of the result."""
+        if self._segments is None:
+            return np.arange(len(self.iters), dtype=np.int64)
+        return self._segments
+
+    def _view(self, iters: np.ndarray, segments: np.ndarray
+              ) -> "NodeColumns":
+        return NodeColumns(self.shredded, self.result, iters, segments)
 
     # -- columns -------------------------------------------------------------
 
-    def _gather(self, keys: np.ndarray, segments: np.ndarray
-                ) -> "NodeColumns":
-        """The view whose iteration ``keys[i]`` holds this view's
-        segment ``segments[i]``."""
-        offsets = self.result.offsets
-        _keys, index, bounds = expand_ranges(
-            keys, offsets[segments], offsets[segments + 1])
-        return NodeColumns(self.shredded, ColumnarResult(
-            keys, bounds, self.result.values[index]))
-
     def restrict(self, loop: Loop) -> "NodeColumns":
         """The iterations of *loop* only, still undecoded."""
-        iters = self.result.iters
-        live = _in_loop(iters, loop)
+        live = _in_loop(self.iters, loop)
         if live is None:
             return self
-        return self._gather(iters[live], np.flatnonzero(live))
+        return self._view(self.iters[live], self.segments[live])
 
     def rows(self, loop: Loop) -> tuple[np.ndarray, np.ndarray]:
         """The ``(iter, pre)`` columns of the iterations in *loop*,
         sorted by ``(iter, pre)`` and duplicate-free."""
-        result = self.restrict(loop).result
-        offsets = result.offsets
-        return (np.repeat(result.iters, offsets[1:] - offsets[:-1]),
-                result.values)
+        view = self.restrict(loop)
+        offsets, values = self.result.offsets, self.result.values
+        if view._segments is None:
+            return np.repeat(view.iters, offsets[1:] - offsets[:-1]), values
+        its, index, _bounds = expand_ranges(
+            view.iters, offsets[view._segments], offsets[view._segments + 1])
+        return its, values[index]
 
     def lengths(self, loop: Loop) -> np.ndarray:
         """The item count of every iteration of *loop*, aligned with it."""
-        iters = self.result.iters
+        iters = self.iters
         wanted = np.asarray(loop, dtype=np.int64)
-        at = np.minimum(np.searchsorted(iters, wanted), len(iters) - 1)
         out = np.zeros(len(wanted), dtype=np.int64)
         if len(iters):
+            at = np.minimum(np.searchsorted(iters, wanted), len(iters) - 1)
             found = iters[at] == wanted
-            counts = np.diff(self.result.offsets)
-            out[found] = counts[at[found]]
+            segments = self.segments[at[found]]
+            offsets = self.result.offsets
+            out[found] = offsets[segments + 1] - offsets[segments]
         return out
 
     def relift(self, outer_of_inner: list[int]) -> "NodeColumns":
         """Inner iteration *q* sees the items of iteration
-        ``outer_of_inner[q]`` (see :meth:`IterSeq.relift`)."""
-        iters = self.result.iters
+        ``outer_of_inner[q]`` (see :meth:`IterSeq.relift`): its segment,
+        not a copy of its rows."""
+        iters = self.iters
         outer = np.asarray(outer_of_inner, dtype=np.int64)
         if not len(iters) or not len(outer):
-            return NodeColumns(self.shredded, ColumnarResult.empty())
+            return self._view(iters[:0], iters[:0])
         at = np.minimum(np.searchsorted(iters, outer), len(iters) - 1)
         found = iters[at] == outer
-        return self._gather(np.flatnonzero(found), at[found])
+        return self._view(np.flatnonzero(found), self.segments[at[found]])
 
     # -- the decoded mapping ----------------------------------------------------
 
-    def _nodes(self) -> dict[int, list]:
-        if self._decoded is None:
-            node_by_pre = self.shredded.node_by_pre
-            nodes = [node_by_pre(pre) for pre in self.result.values.tolist()]
-            bounds = self.result.offsets.tolist()
-            self._decoded = {
-                it: nodes[a:b] for it, a, b in zip(
-                    self.result.iters.tolist(), bounds, bounds[1:])}
+    def _decode(self) -> dict[int, list]:
+        offsets, values = self.result.offsets, self.result.values
+        if self._segments is None:
+            pres, bounds, which = values, offsets, None
+        else:
+            distinct, which = np.unique(self._segments, return_inverse=True)
+            _keys, index, bounds = expand_ranges(
+                distinct, offsets[distinct], offsets[distinct + 1])
+            pres = values[index]
+        rows = list(map(self.shredded.node_by_pre, pres.tolist()))
+        bounds = bounds.tolist()
+        nodes = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+        if which is not None:
+            nodes = list(map(nodes.__getitem__, which.tolist()))
+        self._decoded = dict(zip(self.iters.tolist(), nodes))
         return self._decoded
 
+    def get(self, iteration, default=None):
+        decoded = self._decoded
+        if decoded is None:
+            decoded = self._decode()
+        return decoded.get(iteration, default)
+
     def __getitem__(self, iteration: int) -> list:
-        return self._nodes()[iteration]
+        nodes = self.get(iteration)
+        if nodes is None:
+            raise KeyError(iteration)
+        return nodes
+
+    def __contains__(self, iteration) -> bool:
+        if self._decoded is not None:
+            return iteration in self._decoded
+        at = int(np.searchsorted(self.iters, iteration))
+        return at < len(self.iters) and self.iters[at] == iteration
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.result.iters.tolist())
+        return iter(self.iters.tolist())
 
     def __len__(self) -> int:
-        return len(self.result.iters)
+        return len(self.iters)
 
     def __repr__(self) -> str:
-        return (f"NodeColumns(iters={len(self.result.iters)}, "
-                f"rows={len(self.result.values)}, "
+        return (f"NodeColumns(iters={len(self.iters)}, "
                 f"decoded={self._decoded is not None})")
 
 
@@ -284,52 +317,53 @@ class IterSeq:
         return IterSeq(out)
 
 
-def expand_loop(binding: IterSeq, loop: Loop, *, positions: bool = True
-                ) -> tuple[Loop, list[int], IterSeq, IterSeq | None]:
-    """Create the inner loop for ``for $v [at $p] in <binding>``.
+def expand_loop(binding: IterSeq, loop: Loop
+                ) -> tuple[Loop, list[int], IterSeq]:
+    """Create the inner loop for ``for $v in <binding>``.
 
     Every ``(iter, item)`` row of the binding sequence becomes one inner
     iteration, numbered densely in (outer iter, pos) order.
 
-    :returns: ``(inner_loop, outer_of_inner, var_seq, pos_seq)`` where
-        ``var_seq`` binds ``$v`` (one item per inner iteration) and
-        ``pos_seq`` binds the positional variable (1-based position of
-        the item within its outer iteration's binding sequence; ``None``
-        unless *positions*).
+    :returns: ``(inner_loop, outer_of_inner, var_seq)`` where
+        ``var_seq`` binds ``$v`` (one item per inner iteration);
+        :func:`loop_positions` of ``outer_of_inner`` binds ``at $p``.
 
     A column-backed binding expands from its CSR offsets: the inner
-    iterations are its rows, ``outer_of_inner`` is its ``iter`` column,
-    ``$v`` binds the ``pre`` column as a one-row-per-iteration
-    :class:`NodeColumns`, and the positions are the rows' ranks in
-    their segments — no node is decoded.
+    iterations are its rows, ``outer_of_inner`` is its ``iter`` column
+    and ``$v`` binds the ``pre`` column as a one-row-per-iteration
+    :class:`NodeColumns` — no node is decoded.
     """
     if isinstance(binding.data, NodeColumns):
         its, pres = binding.data.rows(loop)
-        n = len(pres)
-        inner = np.arange(n + 1, dtype=np.int64)
-        var_seq = IterSeq(NodeColumns(binding.data.shredded,
-                                      ColumnarResult(inner[:-1], inner, pres)))
-        pos_seq = None
-        if positions:
-            ranks = segment_positions(np.append(run_starts(its), n)) \
-                if n else inner[:0]
-            pos_seq = IterSeq({q: [pos]
-                               for q, pos in enumerate(ranks.tolist())})
-        return list(range(n)), its.tolist(), var_seq, pos_seq
+        inner = np.arange(len(pres) + 1, dtype=np.int64)
+        var_seq = IterSeq(NodeColumns(
+            binding.data.shredded, ColumnarResult(inner[:-1], inner, pres)))
+        return list(range(len(pres))), its.tolist(), var_seq
     inner_loop: Loop = []
     outer_of_inner: list[int] = []
     var_data: dict[int, list] = {}
-    pos_data: dict[int, list] = {}
     q = 0
     for it in loop:
-        for pos, item in enumerate(binding.items_for(it), start=1):
+        for item in binding.items_for(it):
             inner_loop.append(q)
             outer_of_inner.append(it)
             var_data[q] = [item]
-            pos_data[q] = [pos]
             q += 1
-    return (inner_loop, outer_of_inner, IterSeq(var_data),
-            IterSeq(pos_data) if positions else None)
+    return inner_loop, outer_of_inner, IterSeq(var_data)
+
+
+def loop_positions(outer_of_inner: list[int]) -> IterSeq:
+    """The ``at $p`` sequence of the inner loop :func:`expand_loop` made:
+    inner iteration *q* holds the 1-based position of its item within
+    its outer iteration's binding sequence (the inner iterations of one
+    outer iteration are consecutive)."""
+    data: dict[int, list] = {}
+    previous, pos = None, 0
+    for q, outer in enumerate(outer_of_inner):
+        pos = pos + 1 if outer == previous else 1
+        previous = outer
+        data[q] = [pos]
+    return IterSeq(data)
 
 
 def unlift(result: IterSeq, outer_of_inner: list[int],

@@ -43,14 +43,17 @@ boundaries:
   its context, as they stand;
 * ``for $v [at $p] in <path>`` expands the inner loop from the
   binding's CSR offsets: one inner iteration per row, ``outer_of_inner``
-  its ``iter`` column, ``$v`` its ``pre`` column, ``$p`` the rows'
-  positions in their segments (:func:`~repro.relational.sequence.
-  expand_loop`); the visible variables relift by gathering segments;
+  its ``iter`` column, ``$v`` its ``pre`` column (:func:`~repro.
+  relational.sequence.expand_loop`), ``$p`` counted along
+  ``outer_of_inner``; the visible variables relift by gathering one
+  segment index per inner iteration, sharing the join result;
 * ``count``, ``empty`` and ``exists`` read the segment lengths.
 
-Python nodes are decoded once per sequence, in one batched pass, and
-only at the edges: a per-item predicate, an atomizing or constructing
-consumer, the query's result.  Contexts spanning several fragments,
+Python nodes are decoded only at the edges — a per-item predicate, an
+atomizing or constructing consumer, the query's result — once per
+sequence, in one batched pass.  A variable read in a loop narrowed by
+``where`` or ``if`` is restricted to it first, so the pass covers the
+live iterations only.  Contexts spanning several fragments,
 tie-prone ones and or-self steps over attributes take the per-node
 path, which groups decoded nodes per fragment.
 
@@ -89,6 +92,7 @@ from repro.relational.sequence import (
     Loop,
     NodeColumns,
     expand_loop,
+    loop_positions,
     unlift,
 )
 from repro.xmldb.dom import (
@@ -201,12 +205,22 @@ def _bulk_empty(expr, env: BulkEnv) -> IterSeq:
 
 def _bulk_varref(expr: ast.VarRef, env: BulkEnv) -> IterSeq:
     try:
-        return env.variables[expr.name]
+        value = env.variables[expr.name]
     except KeyError:
         from repro.errors import XQueryDynamicError
 
         raise XQueryDynamicError(f"undefined variable ${expr.name}",
                                  code="err:XPDY0002") from None
+    return _live(value, env.loop)
+
+
+def _live(seq: IterSeq, loop: Loop) -> IterSeq:
+    """*seq* as read in *loop*.  A column-backed sequence is restricted
+    to it (a few array operations), so a loop narrowed by ``where`` or
+    ``if`` decodes only its live iterations; a dict is read as is."""
+    if isinstance(seq.data, NodeColumns):
+        return seq.restrict(loop)
+    return seq
 
 
 def _bulk_context_item(expr, env: BulkEnv) -> IterSeq:
@@ -347,14 +361,14 @@ def _bulk_flwor(expr: ast.FLWOR, env: BulkEnv) -> IterSeq:
             inner_env = inner_env.child(variables=variables)
         else:
             binding = eval_bulk(clause.binding, inner_env)
-            inner_loop, outer_of_inner, var_seq, pos_seq = expand_loop(
-                binding, inner_env.loop,
-                positions=clause.position_var is not None)
+            inner_loop, outer_of_inner, var_seq = expand_loop(
+                binding, inner_env.loop)
             variables = {name: seq.relift(outer_of_inner)
                          for name, seq in inner_env.variables.items()}
             variables[clause.var] = var_seq
             if clause.position_var:
-                variables[clause.position_var] = pos_seq
+                variables[clause.position_var] = loop_positions(
+                    outer_of_inner)
             focus_seq = (inner_env.focus_seq.relift(outer_of_inner)
                          if inner_env.focus_seq is not None else None)
             inner_env = BulkEnv(env.ctx, inner_loop, variables, focus_seq)
@@ -419,8 +433,7 @@ def _bulk_quantified(expr: ast.Quantified, env: BulkEnv) -> IterSeq:
     loop, evaluate the satisfies clause for all bindings at once, and
     aggregate per outer iteration (existential / universal)."""
     binding = eval_bulk(expr.binding, env)
-    inner_loop, outer_of_inner, var_seq, _pos = expand_loop(
-        binding, env.loop, positions=False)
+    inner_loop, outer_of_inner, var_seq = expand_loop(binding, env.loop)
     variables = {name: seq.relift(outer_of_inner)
                  for name, seq in env.variables.items()}
     variables[expr.var] = var_seq
@@ -670,18 +683,19 @@ def _staircase_join(env: BulkEnv, axis: str, or_self: bool, desc: tuple,
     return ColumnarResult.from_dict(result)
 
 
-def _column_context(context: IterSeq, or_self: bool) -> NodeColumns | None:
-    """The context's columns, when a join can take its ``(iter, pre)``
-    rows as they are: a one-fragment node sequence, unless an or-self
-    step meets an attribute there (whose self-match rides along outside
-    the kernel, on the per-node path)."""
+def _column_context(context: IterSeq, loop: Loop, or_self: bool):
+    """``(shredded, its, pres)``: the context's ``(iter, pre)`` rows in
+    *loop*, when a join can take them as they are — a one-fragment node
+    sequence, unless an or-self step meets an attribute there (whose
+    self-match rides along outside the kernel, on the per-node path).
+    ``None`` otherwise."""
     columns = context.data
     if not isinstance(columns, NodeColumns):
         return None
-    if or_self and np.any(columns.shredded.kind[columns.result.values]
-                          == Attr.kind):
+    its, pres = columns.rows(loop)
+    if or_self and np.any(columns.shredded.kind[pres] == Attr.kind):
         return None
-    return columns
+    return columns.shredded, its, pres
 
 
 def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
@@ -720,14 +734,13 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
             return result
         return result.keep_rows(keep(shredded, result.values))
 
-    columns = _column_context(context, or_self)
+    columns = _column_context(context, env.loop, or_self)
     if columns is not None:
-        shredded = columns.shredded
-        rows = columns.rows(env.loop)
-        if not len(rows[0]):
+        shredded, its, pres = columns
+        if not len(its):
             return IterSeq({})
         return IterSeq(NodeColumns(shredded, join(
-            shredded, rows, resolve_staircase_pool(shredded, desc))))
+            shredded, (its, pres), resolve_staircase_pool(shredded, desc))))
 
     groups: dict[int, list[tuple[int, int]]] = {}
     shreds: dict[int, object] = {}
@@ -1179,13 +1192,13 @@ def _staircase_positional_step(step: ast.AxisStep, env: BulkEnv,
         return IterSeq(NodeColumns(shredded, ColumnarResult.from_pairs(
             np.repeat(anchor_iters[anchors], np.diff(offsets)), values)))
 
-    columns = _column_context(context, or_self)
+    columns = _column_context(context, env.loop, or_self)
     if columns is not None:
-        its, pres = columns.rows(env.loop)
+        shredded, its, pres = columns
         if not len(pres):
             return IterSeq({})
         try:
-            return lifted(columns.shredded, its,
+            return lifted(shredded, its,
                           (np.arange(len(pres), dtype=np.int64), pres))
         except _PositionalOverflow:
             return None
@@ -1255,7 +1268,7 @@ class _PredicateScopes:
     def __init__(self, env: BulkEnv, predicates: list):
         self._scope = env.ctx.child_scope()
         self._lifted = {
-            node.name: env.variables[node.name]
+            node.name: _live(env.variables[node.name], env.loop)
             for node in ast.walk(predicates)
             if isinstance(node, ast.VarRef) and node.name in env.variables}
 

@@ -336,7 +336,60 @@ def test_count_of_a_step_decodes_none_of_its_nodes(xmark_db, monkeypatch):
     assert "bidder" not in {shredded.name_of(pre) for pre in decoded}
 
 
-OPERATORS = ("=", "!=", "<", "<=", ">", ">=",
+def test_where_decodes_only_the_live_iterations(xmark_db, monkeypatch):
+    """A sequence bound before ``where`` and read per item after it
+    decodes the iterations the ``where`` kept, not the dead ones."""
+    from repro.xmldb.shred import ShreddedDocument
+
+    query = ('for $a in doc("x.xml")//open_auction '
+             'let $b := $a/bidder where count($b) > 3 '
+             'return <n>{$b}</n>')
+    want = xmark_db.query(query, strategy="basic").serialize()
+    decoded = _spy_decode(monkeypatch, ShreddedDocument)
+    got = xmark_db.query(query, strategy="ll").serialize()
+    assert got == want
+    shredded = xmark_db.document("x.xml").shredded
+    bidders = [pre for pre in decoded if shredded.name_of(pre) == "bidder"]
+    assert 0 < len(bidders) == got.count("<bidder>")
+    every = xmark_db.query('count(doc("x.xml")//open_auction/bidder)')
+    assert len(bidders) < int(every.serialize())
+
+
+def test_relift_costs_the_inner_iterations_not_their_rows(monkeypatch):
+    """``let $i`` of N nodes before ``for $p`` over P nodes relifts $i
+    into the P inner iterations by segment bounds: the evaluation stays
+    far below the P x N rows a copy per iteration would allocate, and
+    reading $i in every iteration decodes its nodes once."""
+    import tracemalloc
+
+    from repro.xmldb.shred import ShreddedDocument
+
+    n = 1500
+    database = Database()
+    database.add_document(
+        "r.xml", "<r>" + "<item/>" * n + "<p><name/></p>" * n + "</r>")
+    query = ('let $i := doc("r.xml")//item '
+             'for $p in doc("r.xml")//p return $p/name')
+    want = database.query(query, strategy="basic").serialize()
+    tracemalloc.start()
+    try:
+        got = database.query(query, strategy="ll").serialize()
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 * 2 ** 20, peak         # one P x N int64 column: 18 MB
+
+    query = ('let $i := doc("r.xml")//item[position() <= 100] '
+             'for $p in doc("r.xml")//p[position() <= 100] '
+             'return ($p/name, $i[1])')
+    want = database.query(query, strategy="basic").serialize()
+    decoded = _spy_decode(monkeypatch, ShreddedDocument)
+    assert database.query(query, strategy="ll").serialize() == want
+    assert len(decoded) <= 2 * 100 + 10, len(decoded)
+
+
+OPERATORS =("=", "!=", "<", "<=", ">", ">=",
              "eq", "ne", "lt", "le", "gt", "ge")
 
 

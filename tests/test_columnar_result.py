@@ -5,7 +5,7 @@ unsorted input, duplicates — property-based), the ``Mapping``
 compatibility adapter, the shared anti-join ``complement`` helper, the
 per-fragment columnar concatenation of the step layer, the column
 form of node sequences (``NodeColumns``: column operations that decode
-nothing, one batched decode per view), and the ``auto`` kernel
+nothing, decoding per accessed iteration), and the ``auto`` kernel
 selection heuristic.
 """
 
@@ -37,6 +37,7 @@ from repro.relational import (
     NodeColumns,
     complement,
     expand_loop,
+    loop_positions,
 )
 from repro.xquery import Database
 
@@ -260,7 +261,8 @@ def node_columns(mapping):
 class TestNodeColumns:
     def test_decodes_once_per_view_in_one_pass(self):
         shred, columns = node_columns({1: [10], 2: [20, 21], 3: [30]})
-        assert shred.decoded == []
+        assert 2 in columns and 9 not in columns
+        assert shred.decoded == []                  # membership: no decode
         assert columns[2] == ["n20", "n21"]
         assert shred.decoded == [10, 20, 21, 30]    # one batched pass
         assert columns[1] == ["n10"] and columns[3] == ["n30"]
@@ -302,30 +304,48 @@ class TestNodeColumns:
         assert (its.tolist(), pres.tolist()) == ([2], [7])
         its, pres = columns.rows([0, 1, 2])         # a dense prefix
         assert (its.tolist(), pres.tolist()) == ([0, 0, 2], [3, 5, 7])
+        its, pres = columns.rows([0, 5])            # non-adjacent segments
+        assert (its.tolist(), pres.tolist()) == \
+            ([0, 0, 5, 5, 5], [3, 5, 1, 2, 9])
         assert columns.rows([])[0].tolist() == []
         assert columns.lengths([0, 1, 5, 9]).tolist() == [2, 0, 3, 0]
-        inner = columns.relift([0, 0, 1, 5, 9]).result
+        inner = columns.relift([0, 0, 1, 5, 9])
         assert inner.iters.tolist() == [0, 1, 3]
-        assert inner.offsets.tolist() == [0, 2, 4, 7]
-        assert inner.values.tolist() == [3, 5, 3, 5, 1, 2, 9]
+        assert inner.lengths([0, 1, 2, 3, 4]).tolist() == [2, 2, 0, 3, 0]
+        its, pres = inner.rows([0, 1, 2, 3, 4])
+        assert its.tolist() == [0, 0, 1, 1, 3, 3, 3]
+        assert pres.tolist() == [3, 5, 3, 5, 1, 2, 9]
         assert shred.decoded == []
+
+    def test_relift_shares_the_rows(self):
+        """A relift gathers one segment index per inner iteration and
+        shares the result: inner iterations of one outer iteration read
+        one decoded list, however many there are."""
+        shred, columns = node_columns({0: list(range(1000)), 1: [5000]})
+        inner = columns.relift([0] * 500)
+        assert inner.result is columns.result
+        assert inner.segments.tolist() == [0] * 500
+        assert inner[0] is inner[499]
+        assert len(shred.decoded) == 1000           # one decode in all
+        again = inner.relift(list(range(500))).restrict([7, 9])
+        assert again.result is columns.result
+        assert again[9] == inner[0] and 5000 not in shred.decoded
 
     def test_expand_loop_from_offsets(self):
         mapping = {0: [3, 5], 2: [7]}
         shred, columns = node_columns(mapping)
-        loop, outer, var, pos = expand_loop(IterSeq(columns), [0, 1, 2])
+        loop, outer, var = expand_loop(IterSeq(columns), [0, 1, 2])
         assert (loop, outer) == ([0, 1, 2], [0, 0, 2])
         assert isinstance(var.data, NodeColumns)
+        pos = loop_positions(outer)
         assert [pos.items_for(q) for q in loop] == [[1], [2], [1]]
         assert shred.decoded == []
         # the same binding as the dict form's
         decoded = {it: [f"n{pre}" for pre in pres]
                    for it, pres in mapping.items()}
-        *_, want, want_pos = expand_loop(IterSeq(decoded), [0, 1, 2])
+        *_, want = expand_loop(IterSeq(decoded), [0, 1, 2])
         assert [var.items_for(q) for q in loop] == \
             [want.items_for(q) for q in loop]
-        assert [pos.items_for(q) for q in loop] == \
-            [want_pos.items_for(q) for q in loop]
 
     def test_where_clause_filters_cached_join_results(self):
         """End-to-end FLWOR repro: a where clause that decodes every

@@ -1,6 +1,6 @@
 """Tests for the relational substrate: loop-lifted IterSeq."""
 
-from repro.relational import IterSeq, expand_loop, unlift
+from repro.relational import IterSeq, expand_loop, loop_positions, unlift
 
 
 class TestIterSeq:
@@ -27,11 +27,11 @@ class TestIterSeq:
         """The $x/$y/$z loop-lifting example of §4.1."""
         outer_loop = [0]
         x_binding = IterSeq.single(["twenty", "thirty"])
-        loop_x, outer_x, x_var, _ = expand_loop(x_binding, outer_loop)
+        loop_x, outer_x, x_var = expand_loop(x_binding, outer_loop)
         assert loop_x == [0, 1]
 
         y_binding = IterSeq.lifted(["one", "two"], loop_x)
-        loop_y, outer_y, y_var, _ = expand_loop(y_binding, loop_x)
+        loop_y, outer_y, y_var = expand_loop(y_binding, loop_x)
         assert loop_y == [0, 1, 2, 3]
         # $x relifted into the inner loop: "twenty" in iters 1-2 (paper
         # numbers iterations from 1; ours from 0).
@@ -52,7 +52,7 @@ class TestIterSeq:
             "thirty", "one", "thirty", "two"]
 
     def test_expand_loop_positional(self):
-        binding = IterSeq({7: ["a", "b"]})
-        _loop, _outer, _var, pos = expand_loop(binding, [7])
-        assert pos.items_for(0) == [1]
-        assert pos.items_for(1) == [2]
+        binding = IterSeq({7: ["a", "b"], 9: ["c"]})
+        _loop, outer, _var = expand_loop(binding, [7, 9])
+        pos = loop_positions(outer)
+        assert [pos.items_for(q) for q in range(3)] == [[1], [2], [1]]
