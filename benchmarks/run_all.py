@@ -11,19 +11,21 @@ under 30 s) and writes a ``repro-bench-trajectory/1`` file::
     PYTHONPATH=src python benchmarks/run_all.py --only staircase --out ...
 
 Each record carries ``scenario`` (dotted name), ``kernel`` (``ll-list``
-| ``ll-heap`` | ``ll-dict`` | ``dom-walk`` | ``vectorized`` | ``auto``
-| ``null`` for rows that run no join kernel), ``n`` (workload size),
-``seconds`` (median wall time; ``null`` + ``dnf: true`` on budget
-overrun), ``repeats`` and the row's extra fields.  The header records
+| ``ll-heap`` | ``ll-dict`` | ``dom-walk`` | ``vectorized`` | ``null``
+for rows that run no join kernel; older committed records also carry
+``auto``), ``n`` (workload size), ``seconds`` (median wall time;
+``null`` + ``dnf: true`` on budget overrun), ``repeats`` and the row's
+extra fields.  The header records
 ``nproc``, the CPUs the process may use.
 
 **Gates.**  A full run labelled ``PR<k>`` (from the ``--out`` stem) is
 diffed against the highest-numbered committed ``BENCH_PR<j>.json``,
 ``j < k`` (``--baseline PATH`` overrides, ``--baseline none``
 disables).  A baseline ``scenario``/``kernel`` key missing from the new
-file fails the run when its family is still in the table (keys of
-retired families are ignored), and so does a key that DNFs in the new
-file but finished in the baseline.  A full run also fails when a
+file fails the run when its family is still in the table and its
+kernel label is one the table still produces (keys of retired families
+or kernels are counted, not failed), and so does a key that DNFs in
+the new file but finished in the baseline.  A full run also fails when a
 required family is absent or all-DNF: by default every family of the
 table (``--require PREFIX`` overrides, ``--require none`` disables).
 ``--compare PATH`` runs nothing and applies both gates to a committed
@@ -53,7 +55,7 @@ for path in (str(_ROOT / "src"), str(_HERE)):
 import numpy as np                                        # noqa: E402
 
 from repro.bench.harness import median_runtime            # noqa: E402
-from scenarios import FAMILIES                            # noqa: E402
+from scenarios import FAMILIES, KERNEL_LABELS             # noqa: E402
 
 SCHEMA = "repro-bench-trajectory/1"
 #: (repeats, DNF budget seconds) of a smoke and of a full run.
@@ -131,8 +133,9 @@ def compare_trajectories(new_payload: dict, baseline_payload: dict
     """Diff two trajectory files on their ``scenario``/``kernel`` keys.
 
     :returns: ``(problems, report)`` — *problems* are hard failures (a
-        baseline key of a table family missing from the new run, or a
-        key that DNFed in the new run but finished in the baseline);
+        baseline key of a table family and kernel label missing from
+        the new run, or a key that DNFed in the new run but finished in
+        the baseline);
         *report* lines summarize per-key speedups/regressions for
         shared keys.
     """
@@ -155,7 +158,7 @@ def compare_trajectories(new_payload: dict, baseline_payload: dict
     retired = 0
     for key in sorted(base.keys() - new.keys(),
                       key=lambda k: (k[0], str(k[1]))):
-        if key[0].partition(".")[0] in table:
+        if key[0].partition(".")[0] in table and key[1] in KERNEL_LABELS:
             problems.append(f"missing scenario: {key[0]} [{key[1]}]")
         else:
             retired += 1
@@ -191,7 +194,7 @@ def compare_trajectories(new_payload: dict, baseline_payload: dict
                   f"keys: {improvements} faster (>=1.05x), "
                   f"{regressions} slower (>=1.25x), "
                   f"{len(new.keys() - base.keys())} new, "
-                  f"{retired} of retired families ignored")
+                  f"{retired} of retired families or kernels ignored")
     return problems, report
 
 

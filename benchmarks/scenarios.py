@@ -31,7 +31,6 @@ from repro.core import (
     RegionTable,
     StandoffOp,
     basic_join,
-    kernel_join,
     ll_join,
     vec_join,
 )
@@ -50,7 +49,10 @@ LL_HEAP = "ll-heap"
 LL_DICT = "ll-dict"        # dict-shaped staircase reference path
 DOM_WALK = "dom-walk"      # per-node DOM walk (the basic-strategy step)
 VECTORIZED = "vectorized"
-AUTO = "auto"
+
+#: Every label the table produces; a committed record with another one
+#: (``auto``, gone with the per-join size rule) belongs to a retired row.
+KERNEL_LABELS = (LL_LIST, LL_HEAP, LL_DICT, DOM_WALK, VECTORIZED, None)
 
 
 class Row(NamedTuple):
@@ -115,8 +117,6 @@ def _join_kernels(op, context, candidates):
         (LL_HEAP, lambda: ll_join(op, context, candidates,
                                   active_structure="heap")),
         (VECTORIZED, lambda: vec_join(op, context, candidates)),
-        (AUTO, lambda: kernel_join(op, context, candidates,
-                                   kernel="auto")),
     ]
 
 

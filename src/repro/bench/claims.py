@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.bench.figure6 import build_database
+from repro.config import KERNEL_LL
 from repro.xmark import query_text
 
 
@@ -67,7 +68,8 @@ def check_claims(scale: float = 0.35, seed: int = 42) -> list[ClaimResult]:
     ok = True
     for qid in ("q1", "q2", "q6", "q7"):
         query = query_text(qid, "xmark.xml", standoff=True)
-        rendered = {s: db_small.query(query, strategy=s).serialize()
+        rendered = {s: db_small.query(query, strategy=s,
+                                      kernel=KERNEL_LL).serialize()
                     for s in ("udf", "basic", "ll")}
         ok = ok and len(set(rendered.values())) == 1
     add("§4.6: udf/basic/ll return identical results", ok, "q1,q2,q6,q7")
@@ -77,10 +79,12 @@ def check_claims(scale: float = 0.35, seed: int = 42) -> list[ClaimResult]:
     # so it eventually DNFs in the full sweep) ---------------------------
     q2 = query_text("q2", "xmark.xml", standoff=True)
     basic = _time(lambda: db.query(q2, strategy="basic"), repeats=2)
-    ll = _time(lambda: db.query(q2, strategy="ll"), repeats=2)
+    ll = _time(lambda: db.query(q2, strategy="ll", kernel=KERNEL_LL),
+               repeats=2)
     basic_small = _time(lambda: db_small.query(q2, strategy="basic"),
                         repeats=2)
-    ll_small_q2 = _time(lambda: db_small.query(q2, strategy="ll"),
+    ll_small_q2 = _time(lambda: db_small.query(q2, strategy="ll",
+                                               kernel=KERNEL_LL),
                         repeats=2)
     ratio = basic / ll if ll else float("inf")
     ratio_small = (basic_small / ll_small_q2 if ll_small_q2
@@ -94,7 +98,8 @@ def check_claims(scale: float = 0.35, seed: int = 42) -> list[ClaimResult]:
     udf_small = _time(lambda: db_small.query(q2, strategy="udf"),
                       repeats=1)
     udf_large = _time(lambda: db.query(q2, strategy="udf"), repeats=1)
-    ll_small = _time(lambda: db_small.query(q2, strategy="ll"), repeats=1)
+    ll_small = _time(lambda: db_small.query(q2, strategy="ll",
+                                            kernel=KERNEL_LL), repeats=1)
     udf_growth = udf_large / udf_small if udf_small else float("inf")
     ll_growth = ll / ll_small if ll_small else float("inf")
     add("§4.6 Q2: UDF growth factor exceeds loop-lifted growth",

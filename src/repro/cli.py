@@ -14,8 +14,8 @@ Interactive::
     standoff> \quit
 
 Backslash commands: ``\load <uri> [path]``, ``\blob <uri> <path>``,
-``\docs``, ``\strategy udf|basic|ll``, ``\kernel [standoff|staircase]
-ll|vectorized|auto``, ``\workers serial|<n>``, ``\executor
+``\docs``, ``\strategy udf|basic|ll``, ``\kernel vectorized|ll``,
+``\workers serial|<n>``, ``\executor
 thread|process``, ``\save-store <path>``, ``\store stats``,
 ``\cache stats|clear`` (the compiled-plan cache), ``\timing on|off``,
 ``\help``, ``\quit``.  The settings commands change the session's one
@@ -53,8 +53,6 @@ from pathlib import Path
 from repro.config import (
     DEFAULT_SERVE_TIMEOUT,
     DEFAULT_STORAGE_BACKEND,
-    FAMILY_STAIRCASE,
-    FAMILY_STANDOFF,
     SUPPORTED_STORAGE_BACKENDS,
     ExecOptions,
 )
@@ -68,9 +66,9 @@ HELP = """\
 \\blob <uri> <path>   register a BLOB file
 \\docs                list stored documents and BLOBs
 \\strategy <name>     set evaluation strategy: udf | basic | ll
-\\kernel [family] <name>
-                     set the join kernel (ll | vectorized | auto) for a
-                     family (standoff | staircase; default standoff)
+\\kernel <name>       set the join kernel of both join families under ll:
+                     vectorized (batched NumPy, the default) | ll (the
+                     paper's row-at-a-time reference joins)
 \\workers <n>         shard joins across <n> worker threads
                      (serial = single-shard deterministic reference)
 \\executor <name>     where sharded joins run: thread | process
@@ -142,15 +140,6 @@ class CliSession:
             self.emit(f"error: {error}")
             return
         self.emit(f"{label} = {value}")
-
-    def set_kernel(self, name: str, family: str = FAMILY_STANDOFF) -> None:
-        if family == FAMILY_STAIRCASE:
-            self.set_option("staircase kernel", "staircase_kernel", name)
-        elif family == FAMILY_STANDOFF:
-            self.set_option("kernel", "kernel", name)
-        else:
-            self.emit(f"error: unknown join family {family!r}; expected "
-                      f"{FAMILY_STANDOFF!r} or {FAMILY_STAIRCASE!r}")
 
     def save_store(self, path: str) -> None:
         from repro import storage
@@ -230,12 +219,9 @@ class CliSession:
                 self.load_blob(args[0], args[1])
             elif command == "docs":
                 self.list_docs()
-            elif command in ("strategy", "workers", "executor") and args:
+            elif command in ("strategy", "kernel", "workers",
+                             "executor") and args:
                 self.set_option(command, command, args[0])
-            elif command == "kernel" and len(args) == 2:
-                self.set_kernel(args[1], family=args[0])
-            elif command == "kernel" and args:
-                self.set_kernel(args[0])
             elif command == "save-store" and args:
                 self.save_store(args[0])
             elif command == "store" and args and args[0] == "stats":
@@ -302,13 +288,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="run one query and exit")
     parser.add_argument("--strategy", metavar="udf|basic|ll",
                         help="evaluation strategy (default basic)")
-    parser.add_argument("--kernel", metavar="ll|vectorized|auto",
-                        help="StandOff join kernel (vectorized = batched "
-                             "NumPy fast path; auto = per-join choice by "
-                             "input size and overlap density)")
-    parser.add_argument("--staircase-kernel", metavar="ll|vectorized|auto",
-                        help="Staircase axis kernel for the tree axes "
-                             "under strategy=ll (default auto)")
+    parser.add_argument("--kernel", metavar="vectorized|ll",
+                        help="join kernel of StandOff steps and tree axes "
+                             "under strategy=ll (default vectorized, the "
+                             "batched NumPy kernels; ll = the paper's "
+                             "row-at-a-time reference joins)")
     parser.add_argument("--workers", metavar="N",
                         help="shard batched joins across N worker "
                              "threads ('serial' = deterministic "

@@ -44,73 +44,56 @@ SUPPORTED_TYPES = ("xs:integer", "xs:long", "xs:double", "xs:decimal")
 
 
 # ----------------------------------------------------------------------
-# Join kernel registry (StandOff joins + Staircase axes)
+# Join kernels (StandOff joins + Staircase axes)
 # ----------------------------------------------------------------------
-
-#: The two loop-lifted join families of the paper (§4.1/§4.6): the
-#: StandOff MergeJoin over annotation regions and the Staircase Join
-#: over the shredded pre/size encoding.  Both families offer the same
-#: kernel choices, resolved through one registry.
-FAMILY_STANDOFF = "standoff"
-FAMILY_STAIRCASE = "staircase"
-
-SUPPORTED_FAMILIES = (FAMILY_STANDOFF, FAMILY_STAIRCASE)
 
 #: The reference kernel: row-at-a-time loop-lifted merge join
 #: (paper Listing 1; ``list`` or ``heap`` active-items structure) for
-#: the StandOff family, the bisect/insort loop-lifted Staircase Join
-#: (``repro.staircase.loop_lifted``) for the staircase family.
+#: StandOff joins, the bisect/insort loop-lifted Staircase Join
+#: (``repro.staircase.loop_lifted``) for the tree axes.  The oracle and
+#: the Figure 6 / ablation series; a trace sink always runs it.
 KERNEL_LL = "ll"
 
 #: The batched NumPy kernels (:mod:`repro.core.kernels_vec` /
 #: :mod:`repro.staircase.kernels_vec`): windowed ``searchsorted``
 #: pruning plus segmented prefix-max tests, building columnar results.
+#: The serving kernel of both join families.
 KERNEL_VECTORIZED = "vectorized"
 
-#: Per-join automatic choice: ``ll`` for small inputs (where NumPy call
-#: overhead dominates the row-at-a-time merge's cost), ``vectorized``
-#: otherwise — the optimizer-style selection resolved per join call by
-#: :meth:`KernelRegistry.select` once the input sizes are known.
-KERNEL_AUTO = "auto"
+SUPPORTED_KERNELS = (KERNEL_LL, KERNEL_VECTORIZED)
 
-SUPPORTED_KERNELS = (KERNEL_LL, KERNEL_VECTORIZED, KERNEL_AUTO)
+DEFAULT_KERNEL = KERNEL_VECTORIZED
 
-#: The tree axes every staircase-family kernel serves on the shredded
-#: pre/size encoding.  Registered on the family's kernel specs so that
-#: axis validation (and its :class:`~repro.errors.UnknownKernelError`
-#: listing) comes from the same registry that resolves kernel names —
-#: the DOM walk remains only as the ``basic``-strategy oracle.
+#: The tree axes both staircase kernels serve on the shredded pre/size
+#: encoding — the DOM walk remains only as the ``basic``-strategy oracle.
 STAIRCASE_AXIS_NAMES = (
     "descendant", "ancestor", "child", "following", "preceding",
     "following-sibling", "preceding-sibling",
 )
 
-DEFAULT_KERNEL = KERNEL_LL
 
-#: Staircase axes default to ``auto``: the vectorized axis kernels are
-#: exact (tree windows never partially overlap, so there is no
-#: pair-expansion blowup and no trace-event concern), which makes the
-#: size-based per-join choice safe as the default.
-DEFAULT_STAIRCASE_KERNEL = KERNEL_AUTO
+def check_kernel(name: str) -> str:
+    """Return *name* if it is a join kernel.
 
-#: ``auto`` threshold: total input rows (context + candidates) below
-#: which the reference merge beats the batched kernel.  The crossover
-#: sits where ~20 NumPy dispatches (~50-100 us of fixed overhead)
-#: outweigh the per-row cost of the interpreted merge (~0.5-2 us/row
-#: depending on active-list churn); measured crossovers fall between
-#: ~100 and ~250 total rows, so the threshold is set at the low end —
-#: misclassifying a small join as vectorized costs tens of
-#: microseconds, misclassifying a large one as ``ll`` costs far more.
-AUTO_KERNEL_MIN_ROWS = 128
+    :raises UnknownKernelError: otherwise; the message lists the kernels.
+    """
+    if name not in SUPPORTED_KERNELS:
+        raise UnknownKernelError(
+            f"unknown join kernel {name!r}; expected one of "
+            f"{list(SUPPORTED_KERNELS)}")
+    return name
 
-#: Density cutoff for ``auto``: when the estimated number of
-#: (iteration, candidate) probe pairs the batched StandOff kernel would
-#: materialize exceeds this bound, ``auto`` picks ``ll`` directly — the
-#: vectorized kernel would hit its identical ``PAIR_BUDGET`` and fall
-#: back to the reference merge anyway, after paying for the window
-#: computation.  Overlap-dense workloads (huge regions, many
-#: iterations) are exactly where the size-only cutoff misclassifies.
-AUTO_KERNEL_MAX_PAIRS = 32_000_000
+
+def check_staircase_axis(axis: str) -> str:
+    """Return *axis* if the staircase kernels serve it.
+
+    :raises UnknownKernelError: otherwise; the message lists the axes.
+    """
+    if axis not in STAIRCASE_AXIS_NAMES:
+        raise UnknownKernelError(
+            f"no staircase kernel for axis {axis!r}; expected one of "
+            f"{sorted(STAIRCASE_AXIS_NAMES)}")
+    return axis
 
 
 # ----------------------------------------------------------------------
@@ -270,167 +253,6 @@ def normalize_workers(workers) -> int:
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """One registered join kernel.
-
-    :param family: :data:`FAMILY_STANDOFF` or :data:`FAMILY_STAIRCASE`.
-    :param name: kernel name (``ll`` | ``vectorized`` | ``auto``).
-    :param batched: True for the NumPy batch kernels that build columnar
-        results natively.
-    :param traceable: True when the kernel can report Listing 1's
-        add/replace/trim/emit events to a trace sink.
-    :param axes: the axis steps the kernel serves (staircase family:
-        :data:`STAIRCASE_AXIS_NAMES`); empty for families whose joins
-        are not axis-shaped (StandOff).
-    """
-
-    family: str
-    name: str
-    batched: bool = False
-    traceable: bool = False
-    axes: tuple[str, ...] = ()
-
-
-class KernelRegistry:
-    """The single kernel-selection mechanism for all join families.
-
-    Every layer (engine, CLI, step layer, bulk evaluator) resolves its
-    kernel choice here: :meth:`validate` checks a configured name,
-    :meth:`resolve` applies tracing constraints, :meth:`select` decides
-    ``auto`` per join call from input sizes and the probe-pair density
-    estimate.
-    """
-
-    def __init__(self) -> None:
-        self._specs: dict[tuple[str, str], KernelSpec] = {}
-        self._axes_cache: dict[str, tuple[str, ...]] = {}
-
-    def register(self, spec: KernelSpec) -> KernelSpec:
-        self._specs[(spec.family, spec.name)] = spec
-        self._axes_cache.clear()
-        return spec
-
-    def families(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(f for f, _n in self._specs))
-
-    def names(self, family: str) -> tuple[str, ...]:
-        found = tuple(n for f, n in self._specs if f == family)
-        if not found:
-            raise UnknownKernelError(
-                f"unknown join family {family!r}; expected one of "
-                f"{list(self.families())}")
-        return found
-
-    def spec(self, family: str, name: str) -> KernelSpec:
-        self.validate(family, name)
-        return self._specs[(family, name)]
-
-    def axes(self, family: str) -> tuple[str, ...]:
-        """The union of axis steps the family's kernels serve (cached —
-        axis validation sits on the kernel dispatch hot path)."""
-        cached = self._axes_cache.get(family)
-        if cached is not None:
-            return cached
-        self.names(family)
-        out: dict[str, None] = {}
-        for (f, _n), spec in self._specs.items():
-            if f == family:
-                out.update(dict.fromkeys(spec.axes))
-        self._axes_cache[family] = tuple(out)
-        return self._axes_cache[family]
-
-    def validate_axis(self, family: str, axis: str) -> str:
-        """Check *axis* against the family's registered axis steps.
-
-        :raises UnknownKernelError: when no kernel of the family serves
-            the axis; the message lists the valid axes.
-        """
-        axes = self.axes(family)
-        if axis not in axes:
-            raise UnknownKernelError(
-                f"no {family} kernel for axis {axis!r}; expected one of "
-                f"{sorted(axes)}")
-        return axis
-
-    def validate(self, family: str, name: str) -> str:
-        """Check *name* against the family's registered kernels.
-
-        :raises UnknownKernelError: for unknown families or kernel
-            names; the message lists the family's valid kernels (or the
-            registered families when the family itself is unknown).
-        """
-        if (family, name) not in self._specs:
-            raise UnknownKernelError(
-                f"unknown join kernel {name!r} for the {family} family; "
-                f"expected one of {list(self.names(family))}")
-        return name
-
-    def resolve(self, family: str, name: str, *,
-                tracing: bool = False) -> str:
-        """Validate *name* and resolve the effective kernel.
-
-        Trace sinks observe the row-at-a-time merge (add/replace/trim/
-        emit events of Listing 1), which the batched kernels do not
-        produce, so tracing falls back to the family's traceable
-        kernel.  ``auto`` stays ``auto`` (it needs input sizes; see
-        :meth:`select`).
-
-        :raises ValueError: when tracing is requested and the family
-            registers no traceable kernel.
-        """
-        self.validate(family, name)
-        if tracing and not self._specs[(family, name)].traceable:
-            for spec in self._specs.values():
-                if spec.family == family and spec.traceable:
-                    return spec.name
-            raise ValueError(
-                f"the {family} family has no traceable kernel")
-        return name
-
-    def select(self, family: str, name: str, *, context_rows: int = 0,
-               candidate_rows: int = 0, probe_pairs: int | None = None,
-               tracing: bool = False) -> str:
-        """Resolve the effective kernel for one join call.
-
-        Like :meth:`resolve`, but with the join's input sizes in hand
-        so ``auto`` can be decided: below :data:`AUTO_KERNEL_MIN_ROWS`
-        total rows the row-at-a-time merge wins (NumPy call overhead
-        dominates).  When the caller supplies *probe_pairs* — the
-        estimated (iteration, candidate) pairs the batched kernel
-        would materialize (see
-        :func:`repro.core.kernels_vec.estimate_probe_pairs`) — a
-        density above :data:`AUTO_KERNEL_MAX_PAIRS` also selects
-        ``ll``: the vectorized kernel would exhaust its pair budget
-        and delegate to the reference merge anyway.
-
-        :returns: :data:`KERNEL_LL` or :data:`KERNEL_VECTORIZED`.
-        """
-        name = self.resolve(family, name, tracing=tracing)
-        if name != KERNEL_AUTO:
-            return name
-        if context_rows + candidate_rows < AUTO_KERNEL_MIN_ROWS:
-            return KERNEL_LL
-        if probe_pairs is not None and probe_pairs > AUTO_KERNEL_MAX_PAIRS:
-            return KERNEL_LL
-        return KERNEL_VECTORIZED
-
-
-#: The process-wide registry; both join families register their three
-#: kernel choices (``ll`` reference, ``vectorized`` batch, ``auto``).
-KERNELS = KernelRegistry()
-
-for _family in SUPPORTED_FAMILIES:
-    _axes = STAIRCASE_AXIS_NAMES if _family == FAMILY_STAIRCASE else ()
-    KERNELS.register(KernelSpec(_family, KERNEL_LL,
-                                traceable=_family == FAMILY_STANDOFF,
-                                axes=_axes))
-    KERNELS.register(KernelSpec(_family, KERNEL_VECTORIZED, batched=True,
-                                axes=_axes))
-    KERNELS.register(KernelSpec(_family, KERNEL_AUTO, axes=_axes))
-del _family, _axes
-
-
-@dataclass(frozen=True)
 class ExecOptions:
     """The execution settings one query runs under.
 
@@ -445,17 +267,14 @@ class ExecOptions:
         run (§4.6): the nested-loop join of the UDF formulation, one
         Basic MergeJoin per iteration, or the whole query loop-lifted
         (see :mod:`repro.xquery.engine`).
-    :param active_structure: ``list`` | ``heap`` — the merge joins'
-        active-items structure (the §5 ablation).
     :param pushdown: name-test pushdown for StandOff steps — ``always``
         (the builtin-function behaviour), ``never`` (post-filter) or
         ``auto`` (skip pushdown for non-selective tests; §3.3 (iii)).
-    :param kernel: StandOff join kernel — ``ll`` (row-at-a-time
-        reference merge), ``vectorized`` (batched NumPy kernels) or
-        ``auto`` (per join: ``ll`` below :data:`AUTO_KERNEL_MIN_ROWS`
-        and above :data:`AUTO_KERNEL_MAX_PAIRS`).
-    :param staircase_kernel: Staircase axis kernel for the tree axes
-        under ``ll`` — the same choices, default ``auto``.
+    :param kernel: the kernel of both join families under ``ll`` —
+        ``vectorized`` (batched NumPy kernels, the default) or ``ll``
+        (the paper's row-at-a-time reference joins: Listing 1 for
+        StandOff steps, the loop-lifted Staircase Join for the tree
+        axes).  ``udf`` and ``basic`` ignore it.
     :param workers: ``"serial"`` (the deterministic single-shard
         reference) or a positive worker count; stored as the count.
         Default from ``REPRO_WORKERS``.
@@ -467,10 +286,8 @@ class ExecOptions:
     """
 
     strategy: str = "basic"
-    active_structure: str = "list"
     pushdown: str = "always"
     kernel: str = DEFAULT_KERNEL
-    staircase_kernel: str = DEFAULT_STAIRCASE_KERNEL
     workers: int | str = DEFAULT_WORKERS
     shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS
     executor: str = DEFAULT_EXECUTOR
@@ -480,16 +297,11 @@ class ExecOptions:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected one of "
                 "['basic', 'll', 'udf']")
-        if self.active_structure not in ("list", "heap"):
-            raise ValueError(
-                f"unknown active structure {self.active_structure!r}; "
-                "expected one of ['heap', 'list']")
         if self.pushdown not in ("always", "never", "auto"):
             raise ValueError(
                 f"unknown pushdown policy {self.pushdown!r}; expected "
                 "'always', 'never' or 'auto'")
-        KERNELS.validate(FAMILY_STANDOFF, self.kernel)
-        KERNELS.validate(FAMILY_STAIRCASE, self.staircase_kernel)
+        check_kernel(self.kernel)
         object.__setattr__(self, "workers", normalize_workers(self.workers))
         if self.shard_min_rows < 1:
             raise ValueError(

@@ -10,12 +10,14 @@ This package is the paper's primary contribution in library form:
   region index clustered on start (§4.3);
 * :mod:`~repro.core.naive` — quadratic reference joins (Figures 2/3);
 * :mod:`~repro.core.mergejoin_basic` / :mod:`~repro.core.mergejoin_ll` —
-  the Basic and Loop-Lifted StandOff MergeJoin families (§4.4, §4.5);
+  the Basic and Loop-Lifted StandOff MergeJoin families (§4.4, §4.5),
+  kept as oracles and as the Figure 6 / ablation reproduction
+  (``kernel="ll"``);
 * :mod:`~repro.core.kernels_vec` — the batched NumPy kernels for the
-  loop-lifted joins (``kernel="vectorized"``), building
-  :class:`~repro.relational.columnar.ColumnarResult` values natively,
-  with :func:`~repro.core.kernels_vec.kernel_join` as the kernel
-  dispatcher (``kernel="auto"`` picks per join by input size);
+  loop-lifted joins (``kernel="vectorized"``, the serving kernel),
+  building :class:`~repro.relational.columnar.ColumnarResult` values
+  natively, with :func:`~repro.core.kernels_vec.kernel_join` as the
+  kernel dispatcher;
 * :func:`~repro.core.steps.standoff_step` — step-level execution with
   fragment partitioning, selection pushdown and strategy choice (§3.3).
 """

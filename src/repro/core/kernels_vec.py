@@ -36,13 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import (
-    AUTO_KERNEL_MIN_ROWS,
-    FAMILY_STANDOFF,
-    KERNEL_AUTO,
-    KERNEL_VECTORIZED,
-    KERNELS,
-)
+from repro.config import DEFAULT_KERNEL, KERNEL_VECTORIZED, check_kernel
 from repro.core.mergejoin_ll import (
     IterContext,
     JoinResult,
@@ -161,7 +155,7 @@ def _expand_windows(j0: np.ndarray, j1: np.ndarray
     """Materialize per-segment candidate windows ``[j0, j1)`` as flat
     (segment-of-pair, candidate-row-of-pair) arrays plus pair bounds —
     unless that would exceed :data:`PAIR_BUDGET`."""
-    if int((j1 - j0).sum()) > PAIR_BUDGET:
+    if saturating_pair_count(j1 - j0) > PAIR_BUDGET:
         raise _PairBudgetExceeded
     return expand_ranges(np.arange(len(j0), dtype=np.int64), j0, j1)
 
@@ -192,16 +186,15 @@ def _candidate_windows(seg: _Segments, candidates: RegionTable, *,
 def estimate_probe_pairs(context: IterContext, candidates: RegionTable,
                          *, wide: bool = False) -> int:
     """The (iteration, candidate) probe pairs the batched semi-join
-    would materialize — the overlap-density signal ``kernel="auto"``
-    feeds into :meth:`repro.config.KernelRegistry.select`.
+    would materialize — the overlap density that decides whether it
+    stays under :data:`PAIR_BUDGET` or falls back to ``ll_join``.
 
     Two ``searchsorted`` probes per iteration over structures that are
     cached anyway (the context segmentation, the start-clustered
     candidate table), so the estimate costs a negligible fraction of
     either kernel.  The window sum saturates instead of wrapping: on
     pathological region counts an int64 overflow would turn the
-    estimate negative and silently defeat the
-    :data:`~repro.config.AUTO_KERNEL_MAX_PAIRS` guard.
+    estimate negative and pass any budget compare.
     """
     if len(context) == 0 or len(candidates) == 0:
         return 0
@@ -405,31 +398,17 @@ def vec_join(op: StandoffOp, context: IterContext,
 
 def kernel_join(op: StandoffOp, context: IterContext,
                 candidates: RegionTable, *,
-                kernel: str = "ll",
-                active_structure: str = "list",
+                kernel: str = DEFAULT_KERNEL,
                 trace: TraceSink | None = None
                 ) -> ColumnarResult | JoinResult:
-    """Run a loop-lifted StandOff join under the selected kernel.
+    """Run a loop-lifted StandOff join under the named kernel.
 
-    ``kernel`` is ``"ll"`` (reference merge), ``"vectorized"``, or
-    ``"auto"`` (pick ``ll`` below the input-size threshold where NumPy
-    call overhead dominates, or when the probe-pair density estimate
-    says the batched kernel would exhaust its pair budget and delegate
-    back anyway); tracing auto-falls back to ``ll``.  Selection goes
-    through the unified registry —
-    :meth:`repro.config.KernelRegistry.select`.
+    ``kernel`` is ``"vectorized"`` (the batched kernel, which falls back
+    to the reference merge itself past :data:`PAIR_BUDGET`) or ``"ll"``
+    (Listing 1; the §5 ablation calls :func:`ll_join` directly for its
+    ``active_structure``).  A trace sink observes Listing 1's events, so
+    it always runs ``ll``.
     """
-    probe_pairs = None
-    if kernel == KERNEL_AUTO and trace is None \
-            and len(context) + len(candidates) >= AUTO_KERNEL_MIN_ROWS:
-        wide = op in (StandoffOp.SELECT_WIDE, StandoffOp.REJECT_WIDE)
-        probe_pairs = estimate_probe_pairs(context, candidates, wide=wide)
-    kernel = KERNELS.select(FAMILY_STANDOFF, kernel,
-                            context_rows=len(context),
-                            candidate_rows=len(candidates),
-                            probe_pairs=probe_pairs,
-                            tracing=trace is not None)
-    if kernel == KERNEL_VECTORIZED:
+    if check_kernel(kernel) == KERNEL_VECTORIZED and trace is None:
         return vec_join(op, context, candidates)
-    return ll_join(op, context, candidates,
-                   active_structure=active_structure, trace=trace)
+    return ll_join(op, context, candidates, trace=trace)

@@ -36,9 +36,7 @@ from repro.config import (
     DEFAULT_SHARD_MIN_ROWS,
     DEFAULT_WORKERS,
     EXECUTOR_PROCESS,
-    FAMILY_STANDOFF,
-    KERNEL_LL,
-    KERNELS,
+    check_kernel,
     normalize_executor,
     normalize_workers,
 )
@@ -81,7 +79,6 @@ def standoff_step(op: StandoffOp,
                   candidate_ids: Mapping[int, Sequence[int]] | None = None,
                   *,
                   strategy: Strategy = Strategy.LOOP_LIFTED,
-                  active_structure: str = "list",
                   kernel: str = DEFAULT_KERNEL,
                   fragment_rank: Mapping[int, int] | None = None,
                   workers=DEFAULT_WORKERS,
@@ -100,17 +97,11 @@ def standoff_step(op: StandoffOp,
         (the entire index is the candidate sequence).  A fragment missing
         from the mapping gets no candidates.
     :param strategy: evaluation strategy (see module docstring).
-    :param active_structure: ``"list"`` or ``"heap"`` active-items
-        structure for the merge joins.
-    :param kernel: join kernel for the merge strategies — ``"ll"``
-        (row-at-a-time reference merge), ``"vectorized"`` (batched
-        NumPy kernels, :mod:`repro.core.kernels_vec`) or ``"auto"``
-        (per-join choice by input size and probe-pair density, resolved
-        through the unified registry).  A non-``ll`` kernel routes the
-        ``basic`` strategy through one batched invocation with a
-        synthesized iter column (basic results are the per-iteration
-        slices of the loop-lifted join).  The ``udf`` strategy ignores
-        the kernel (it *is* the quadratic baseline).
+    :param kernel: join kernel of the ``ll`` strategy —
+        ``"vectorized"`` (batched NumPy kernels,
+        :mod:`repro.core.kernels_vec`) or ``"ll"`` (Listing 1's
+        row-at-a-time merge).  ``udf`` and ``basic`` are the paper's
+        reference strategies and ignore it.
     :param fragment_rank: optional explicit fragment ordering (fragment
         id -> rank); fragments are joined and concatenated in ascending
         rank so callers whose document order differs from fragment-id
@@ -144,7 +135,7 @@ def standoff_step(op: StandoffOp,
         = pre-order).  The columnar arrays stay available for consumers
         that avoid decoding.
     """
-    KERNELS.validate(FAMILY_STANDOFF, kernel)
+    check_kernel(kernel)
     per_fragment: dict[int, list[tuple[int, int]]] = {}
     for iteration, fragment, node_id in context:
         per_fragment.setdefault(fragment, []).append((iteration, node_id))
@@ -180,8 +171,7 @@ def standoff_step(op: StandoffOp,
         from repro.exec.procpool import run_standoff
 
         results = run_standoff(
-            [(index.store_ref, op, chunk, wanted, strategy,
-              active_structure, kernel)
+            [(index.store_ref, op, chunk, wanted, strategy, kernel)
              for _f, index, wanted, chunks in frag_infos
              for chunk in chunks],
             normalize_workers(workers))
@@ -193,7 +183,7 @@ def standoff_step(op: StandoffOp,
                 jobs.append(lambda chunk=chunk, index=index,
                             candidates=candidates: _run_fragment(
                                 op, chunk, index, candidates, strategy,
-                                active_structure, kernel))
+                                kernel))
         results = run_shards(jobs, workers)
     # One part per fragment: a fragment's iteration-range chunks merge
     # by block concatenation first.  Per-fragment results are
@@ -246,8 +236,7 @@ def _iteration_chunks(pairs: list[tuple[int, int]], workers,
 
 def _run_fragment(op: StandoffOp, pairs: list[tuple[int, int]],
                   index: RegionIndex, candidates,
-                  strategy: Strategy, active_structure: str,
-                  kernel: str):
+                  strategy: Strategy, kernel: str):
     """Run one fragment's join under the chosen strategy.
 
     Returns a ``JoinResult`` dict (reference paths) or a
@@ -264,10 +253,9 @@ def _run_fragment(op: StandoffOp, pairs: list[tuple[int, int]],
                      for nid in _unique_ids(candidates)]
         return naive_join_loop(op, context_rows, cand_rows)
 
-    if strategy is Strategy.BASIC and \
-            KERNELS.resolve(FAMILY_STANDOFF, kernel) == KERNEL_LL:
-        # The reference basic path: the merge restarts once per
-        # iteration — the §4.6 cost model being measured.
+    if strategy is Strategy.BASIC:
+        # The merge restarts once per iteration — the §4.6 cost model
+        # being measured.
         by_iter: dict[int, list[int]] = {}
         for iteration, node_id in pairs:
             by_iter.setdefault(iteration, []).append(node_id)
@@ -276,16 +264,9 @@ def _run_fragment(op: StandoffOp, pairs: list[tuple[int, int]],
             fetched = index.fetch(ids)
             if len(fetched) == 0:
                 continue
-            out[iteration] = basic_join(
-                op, fetched, candidates,
-                active_structure=active_structure)
+            out[iteration] = basic_join(op, fetched, candidates)
         return out
 
-    # The loop-lifted build — also the basic strategy's batched route:
-    # basic results are the per-iteration slices of the loop-lifted
-    # join, so a vectorized/auto kernel synthesizes the iter column
-    # once and amortizes the whole per-iteration dispatch overhead in
-    # a single kernel invocation.
     distinct = sorted({node_id for _iteration, node_id in pairs})
     fetched = index.fetch(distinct)
     regions_by_id: dict[int, list[tuple]] = {}
@@ -298,8 +279,7 @@ def _run_fragment(op: StandoffOp, pairs: list[tuple[int, int]],
         for start, end in regions_by_id.get(node_id, ()):
             rows.append((iteration, node_id, start, end))
     context = IterContext.from_rows(rows)
-    return kernel_join(op, context, candidates, kernel=kernel,
-                       active_structure=active_structure)
+    return kernel_join(op, context, candidates, kernel=kernel)
 
 
 def _unique_ids(candidates) -> list[int]:

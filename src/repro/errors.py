@@ -44,12 +44,12 @@ class StorageFormatError(ReproError):
 
 
 class UnknownKernelError(ReproError, ValueError):
-    """An unregistered join family or kernel name was requested.
+    """An unknown join kernel or staircase axis was requested.
 
-    Raised by :class:`repro.config.KernelRegistry` lookups; the message
-    lists the valid choices (families, or kernels of the named family).
-    Subclasses :class:`ValueError` so callers that predate the dedicated
-    type keep working.
+    Raised by :func:`repro.config.check_kernel` and
+    :func:`repro.config.check_staircase_axis`; the message lists the
+    valid choices.  Subclasses :class:`ValueError` so callers that
+    predate the dedicated type keep working.
     """
 
 

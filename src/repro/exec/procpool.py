@@ -339,14 +339,13 @@ def _staircase_shard(store_ref: StoreRef, axis: str,
 
 
 def _standoff_shard(store_ref: StoreRef, op, chunk, wanted,
-                    strategy, active_structure: str, kernel: str):
+                    strategy, kernel: str):
     """One StandOff fragment/iteration-range job in a worker process."""
     from repro.core.steps import _run_fragment
 
     index = _worker_stored(store_ref).region_index()
     candidates = index.candidates(wanted)
-    result = _run_fragment(op, chunk, index, candidates, strategy,
-                           active_structure, kernel)
+    result = _run_fragment(op, chunk, index, candidates, strategy, kernel)
     if isinstance(result, ColumnarResult):
         return _pack_columnar(result)
     return "raw", result

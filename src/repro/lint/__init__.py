@@ -5,9 +5,9 @@ bug for (see ``docs/lint.md`` for the catalog and the motivating PRs):
 dtype pinning and frozen shared columns (PR 8), identity-verified
 ``id()`` cache keys (PR 7), double-checked lazy builds and shm-segment
 lifecycle (PR 9), cancellation-safe exception handling and poll points
-(PR 9).  The pass is AST-based (no imports of the linted code except
-for the kernel-axis vocabulary), runs as ``python -m repro.lint
-<paths...>`` and gates CI together with the tier-1 suites.
+(PR 9).  The pass is AST-based (no imports of the linted code), runs
+as ``python -m repro.lint <paths...>`` and gates CI together with the
+tier-1 suites.
 
 Suppressions are per-line comments and *must* carry a reason::
 
@@ -42,7 +42,7 @@ class Finding:
     path: str           # display path (relative to the lint root)
     line: int
     col: int
-    rule: str           # "RL001".."RL008", or "RL000" (framework)
+    rule: str           # "RL001".."RL007", or "RL000" (framework)
     message: str
 
     def render(self) -> str:
@@ -123,16 +123,6 @@ _DEFAULT_LAZY_DICTS = ("_region_indexes", "_stored", "_attr_columns")
 _DEFAULT_BUILD_LOCKS = ("_build_lock", "_stored_lock",
                         "_columns_lock")
 
-#: Canonical staircase axis vocabulary for RL008.  Kept in sync with
-#: ``repro.config.STAIRCASE_AXIS_NAMES`` by a tier-1 test rather than an
-#: import: the linter must not import (and thereby execute) the code it
-#: is checking.
-STAIRCASE_AXIS_NAMES = (
-    "descendant", "ancestor", "child", "following", "preceding",
-    "following-sibling", "preceding-sibling",
-)
-
-
 @dataclass
 class LintConfig:
     """Config for the pass (``[tool.repro-lint]`` in ``pyproject.toml``).
@@ -152,7 +142,6 @@ class LintConfig:
     lazy_attrs: tuple[str, ...] = _DEFAULT_LAZY_ATTRS
     lazy_dicts: tuple[str, ...] = _DEFAULT_LAZY_DICTS
     build_locks: tuple[str, ...] = _DEFAULT_BUILD_LOCKS
-    axis_names: tuple[str, ...] = STAIRCASE_AXIS_NAMES
 
 
 def load_config(root: Path) -> LintConfig:

@@ -1,4 +1,4 @@
-"""The rule set: one checker per project invariant (RL001–RL008).
+"""The rule set: one checker per project invariant (RL001–RL007).
 
 Each checker receives a :class:`repro.lint.FileContext` and returns raw
 findings; suppression filtering happens in the framework.  Rules are
@@ -495,40 +495,4 @@ def rl007(ctx: FileContext) -> list[Finding]:
                         node, "RL007",
                         f"{node.name} is a configured must-poll function "
                         f"but contains no cancel poll"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# RL008 — kernel registrations use the canonical axis vocabulary
-
-
-def _literal_axes(node: ast.AST):
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            yield sub
-
-
-@rule("RL008", "kernel registrations must declare axes from "
-               "config.STAIRCASE_AXIS_NAMES")
-def rl008(ctx: FileContext) -> list[Finding]:
-    allowed = set(ctx.config.axis_names)
-    findings = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _call_name(node)
-        checks: list[ast.AST] = []
-        if name == "KernelSpec":
-            checks.extend(kw.value for kw in node.keywords
-                          if kw.arg == "axes")
-        elif name == "validate_axis" and len(node.args) >= 2:
-            checks.append(node.args[1])
-        for check in checks:
-            for literal in _literal_axes(check):
-                if literal.value not in allowed:
-                    findings.append(ctx.finding(
-                        literal, "RL008",
-                        f"axis {literal.value!r} is not in "
-                        f"STAIRCASE_AXIS_NAMES — kernel axis declarations "
-                        f"must use the canonical vocabulary"))
     return findings

@@ -41,12 +41,12 @@ ascending, so the matched pairs leave the expansion already in
 ``(iter, pre)``-lexicographic order and duplicate-free — canonicalizing
 into CSR form costs one boundary cut, no sort.
 
-Kernel selection goes through the unified registry
-(:data:`repro.config.KERNELS`, family
-:data:`~repro.config.FAMILY_STAIRCASE`): :func:`staircase_join`
-dispatches between these batched kernels and the dict-shaped reference
-path (:func:`repro.staircase.loop_lifted.ll_axis_join`) exactly like
-:func:`repro.core.kernels_vec.kernel_join` does for StandOff joins.
+:func:`staircase_join` dispatches on the kernel name between these
+batched kernels (``vectorized``, the serving kernel) and the
+dict-shaped reference path
+(:func:`repro.staircase.loop_lifted.ll_axis_join`, ``ll``) exactly
+like :func:`repro.core.kernels_vec.kernel_join` does for StandOff
+joins.
 The differential suite (``tests/test_staircase_vec.py``) asserts
 ``vectorized == ll == iterated`` on all axes.
 """
@@ -58,13 +58,13 @@ from typing import Iterable
 import numpy as np
 
 from repro.config import (
+    DEFAULT_KERNEL,
     DEFAULT_SHARD_MIN_ROWS,
-    DEFAULT_STAIRCASE_KERNEL,
     DEFAULT_WORKERS,
     EXECUTOR_PROCESS,
-    FAMILY_STAIRCASE,
-    KERNEL_VECTORIZED,
-    KERNELS,
+    KERNEL_LL,
+    check_kernel,
+    check_staircase_axis,
     normalize_executor,
     normalize_workers,
 )
@@ -438,9 +438,8 @@ def vec_staircase_join(axis: str, doc: ShreddedDocument,
                        context: ContextPairs,
                        candidates: np.ndarray | None = None, *,
                        or_self: bool = False) -> ColumnarResult:
-    """Dispatch a batched staircase axis step by axis name (validated
-    against the registry's staircase axis listing)."""
-    KERNELS.validate_axis(FAMILY_STAIRCASE, axis)
+    """Dispatch a batched staircase axis step by axis name."""
+    check_staircase_axis(axis)
     return VEC_STAIRCASE_AXES[axis](doc, context, candidates,
                                     or_self=or_self)
 
@@ -471,23 +470,21 @@ def staircase_join(axis: str, doc: ShreddedDocument,
                    context: ContextPairs,
                    candidates: np.ndarray | None = None, *,
                    or_self: bool = False,
-                   kernel: str = DEFAULT_STAIRCASE_KERNEL,
+                   kernel: str = DEFAULT_KERNEL,
                    workers=DEFAULT_WORKERS,
                    shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS,
                    executor: str | None = None,
                    candidate_desc: tuple | None = None
                    ) -> ColumnarResult | dict[int, list[int]]:
-    """Run a loop-lifted staircase axis step under the selected kernel.
+    """Run a loop-lifted staircase axis step under the named kernel.
 
     The staircase counterpart of
-    :func:`repro.core.kernels_vec.kernel_join`: ``kernel`` is resolved
-    through the unified registry (family
-    :data:`~repro.config.FAMILY_STAIRCASE`) — ``"ll"`` runs the
+    :func:`repro.core.kernels_vec.kernel_join`: ``"vectorized"`` (the
+    default) runs the batched columnar kernels, ``"ll"`` the
     dict-shaped reference path
-    (:func:`repro.staircase.loop_lifted.ll_axis_join`), ``"vectorized"``
-    the batched columnar kernels, ``"auto"`` picks per call by input
-    size.  The ``ll`` reference path never shards (it exists to be the
-    deterministic oracle).  *context* is ``(iter, pre)`` pairs, or the
+    (:func:`repro.staircase.loop_lifted.ll_axis_join`).  The ``ll``
+    reference path never shards (it exists to be the deterministic
+    oracle).  *context* is ``(iter, pre)`` pairs, or the
     canonical ``(its, pres)`` column pair (:func:`_context_arrays`) a
     column-backed node sequence hands over, on every route.
 
@@ -514,18 +511,10 @@ def staircase_join(axis: str, doc: ShreddedDocument,
     )
     from repro.staircase.loop_lifted import ll_axis_join
 
-    columns = isinstance(context, tuple)
-    if not columns:
-        context = list(context)
-    n_cand = len(candidates) if candidates is not None else len(doc)
-    effective = KERNELS.select(FAMILY_STAIRCASE, kernel,
-                               context_rows=len(context[0]) if columns
-                               else len(context),
-                               candidate_rows=n_cand)
-    if effective != KERNEL_VECTORIZED:
-        if columns:
-            context = list(zip(context[0].tolist(), context[1].tolist()))
-        return ll_axis_join(doc, axis, context, candidates,
+    if check_kernel(kernel) == KERNEL_LL:
+        if isinstance(context, tuple):
+            context = zip(context[0].tolist(), context[1].tolist())
+        return ll_axis_join(doc, axis, list(context), candidates,
                             or_self=or_self)
     if normalize_workers(workers) <= 1:     # skip the counting pass
         return vec_staircase_join(axis, doc, context, candidates,

@@ -131,7 +131,7 @@ def ll_axis_join(doc: ShreddedDocument, axis: str,
     the single-pass :func:`ll_descendant_join`, the other axes — the
     sibling axes included — call the per-set joins of
     :mod:`repro.staircase.staircase` once per iteration; axis names are
-    validated against the registry's staircase axis listing.
+    checked by :func:`repro.config.check_staircase_axis`.
     ``or_self`` includes a context pre when it is in the candidate
     pool.  Semantically identical to
     :func:`repro.staircase.kernels_vec.vec_staircase_join`.
@@ -145,9 +145,9 @@ def ll_axis_join(doc: ShreddedDocument, axis: str,
     if axis == "descendant":
         out = ll_descendant_join(doc, context, candidates)
     else:
-        from repro.config import FAMILY_STAIRCASE, KERNELS
+        from repro.config import check_staircase_axis
 
-        KERNELS.validate_axis(FAMILY_STAIRCASE, axis)
+        check_staircase_axis(axis)
         fn = {"ancestor": sj.ancestor_join,
               "child": sj.child_join,
               "following": sj.following_join,

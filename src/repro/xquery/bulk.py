@@ -675,7 +675,7 @@ def _staircase_join(env: BulkEnv, axis: str, or_self: bool, desc: tuple,
     options = env.ctx.options
     result = staircase_join(
         axis, shredded, rows, candidates, or_self=or_self,
-        kernel=options.staircase_kernel, workers=options.workers,
+        kernel=options.kernel, workers=options.workers,
         shard_min_rows=options.shard_min_rows, executor=options.executor,
         candidate_desc=desc)
     if isinstance(result, ColumnarResult):
@@ -708,10 +708,8 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
     ``(iter, pre)`` input as it stands.  Otherwise context nodes are
     grouped per fragment — stored documents use the store's shred,
     constructed fragments shred on demand through the context's
-    transient cache — and each group runs one batched axis join; the
-    kernel (reference dict path vs batched columnar) is resolved per
-    call through the unified registry from
-    ``ctx.options.staircase_kernel``.
+    transient cache — and each group runs one batched axis join under
+    ``ctx.options.kernel``.
     A single-fragment result stays columns (:class:`NodeColumns`);
     mixed stored + constructed contexts merge per iteration in document
     order, exactly like the DOM walk would (iterations touching two or

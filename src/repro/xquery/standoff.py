@@ -22,7 +22,6 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.config import KERNEL_LL
 from repro.core.naive import StandoffOp
 from repro.core.steps import Strategy, standoff_step
 from repro.errors import XQueryTypeError
@@ -132,14 +131,6 @@ def _run(ctx: DynamicContext, op: StandoffOp,
                   else indexes[key].annotated_ids())
             for key, cand in candidates_by_fragment.items()}
     options = ctx.options
-    strategy = Strategy(options.strategy)
-    if strategy is Strategy.LOOP_LIFTED and options.kernel == KERNEL_LL and \
-            len({it for it, _f, _n in iter_rows}) <= 1:
-        # A single iteration: basic and loop-lifted coincide; use the
-        # basic code path (the tree-walking evaluator's situation).
-        # The vectorized kernel keeps the loop-lifted path so single
-        # iterations also hit the batched join.
-        strategy = Strategy.BASIC
     ctx.count_standoff_join()
     # Document order (stored documents before orphan fragments) is pushed
     # into the join as the fragment ranking, so the columnar result comes
@@ -151,8 +142,7 @@ def _run(ctx: DynamicContext, op: StandoffOp,
                      for rank, key in enumerate(ordered_fragments)}
     raw = standoff_step(op, iter_rows, indexes,
                         candidate_map,
-                        strategy=strategy,
-                        active_structure=options.active_structure,
+                        strategy=Strategy(options.strategy),
                         kernel=options.kernel,
                         fragment_rank=fragment_rank,
                         workers=options.workers,

@@ -43,7 +43,23 @@ def test_key_of_a_retired_family_is_ignored():
     problems, report = run_all.compare_trajectories(
         _payload(PUSHED), _payload(PUSHED, retired))
     assert problems == []
-    assert report[-1].endswith("1 of retired families ignored")
+    assert report[-1].endswith("1 of retired families or kernels ignored")
+
+
+def test_key_of_a_retired_kernel_is_ignored():
+    auto = _record("active_structure.deep", "auto")
+    problems, report = run_all.compare_trajectories(
+        _payload(PUSHED), _payload(PUSHED, auto))
+    assert problems == []
+    assert report[-1].endswith("1 of retired families or kernels ignored")
+
+
+def test_missing_vectorized_key_still_fails():
+    vectorized = _record("active_structure.deep")
+    problems, _report = run_all.compare_trajectories(
+        _payload(PUSHED), _payload(PUSHED, vectorized))
+    assert problems == [
+        "missing scenario: active_structure.deep [vectorized]"]
 
 
 def test_new_dnf_fails():
@@ -96,8 +112,8 @@ def table_keys():
 def test_table_keys_are_unique(table_keys):
     for keys in table_keys.values():
         assert len(keys) == len(set(keys))
-    assert len(table_keys[True]) == 73
-    assert len(table_keys[False]) == 115
+    assert len(table_keys[True]) == 68
+    assert len(table_keys[False]) == 108
 
 
 def test_every_full_key_exists_in_bench_pr14(table_keys):

@@ -5,8 +5,8 @@ unsorted input, duplicates — property-based), the ``Mapping``
 compatibility adapter, the shared anti-join ``complement`` helper, the
 per-fragment columnar concatenation of the step layer, the column
 form of node sequences (``NodeColumns``: column operations that decode
-nothing, decoding per accessed iteration), and the ``auto`` kernel
-selection heuristic.
+nothing, decoding per accessed iteration), and the choice between the
+two join kernels.
 """
 
 import random
@@ -16,16 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import (
-    AUTO_KERNEL_MAX_PAIRS,
-    AUTO_KERNEL_MIN_ROWS,
-    FAMILY_STAIRCASE,
-    FAMILY_STANDOFF,
-    KERNEL_AUTO,
-    KERNEL_LL,
-    KERNEL_VECTORIZED,
-    KERNELS,
-)
+from repro.config import KERNEL_LL, SUPPORTED_KERNELS, check_kernel
+from repro.errors import UnknownKernelError
 from repro.core import IterContext, RegionTable, StandoffOp, standoff_step
 from repro.core.kernels_vec import kernel_join, vec_join
 from repro.core.mergejoin_ll import ll_join
@@ -365,53 +357,23 @@ class TestNodeColumns:
 
 
 # ----------------------------------------------------------------------
-# auto kernel selection
+# kernel choice
 # ----------------------------------------------------------------------
 
-class TestAutoKernel:
-    def test_select_kernel_threshold(self):
-        def select(name, **kwargs):
-            return KERNELS.select(FAMILY_STANDOFF, name, **kwargs)
-
-        assert select(KERNEL_AUTO, context_rows=1,
-                      candidate_rows=1) == KERNEL_LL
-        big = AUTO_KERNEL_MIN_ROWS
-        assert select(KERNEL_AUTO, context_rows=big,
-                      candidate_rows=0) == KERNEL_VECTORIZED
-        assert select(KERNEL_AUTO, context_rows=big,
-                      tracing=True) == KERNEL_LL
-        assert select(KERNEL_LL, context_rows=10**9) == KERNEL_LL
-        assert select(KERNEL_VECTORIZED) == KERNEL_VECTORIZED
-        with pytest.raises(ValueError, match="unknown join kernel"):
-            select("simd")
-
-    def test_select_kernel_density(self):
-        """The density-aware component: a probe-pair estimate past the
-        pair budget sends auto back to the reference merge (for every
-        family that registers a vectorized kernel)."""
-        big = AUTO_KERNEL_MIN_ROWS
-        for family in (FAMILY_STANDOFF, FAMILY_STAIRCASE):
-            assert KERNELS.select(family, KERNEL_AUTO, context_rows=big,
-                                  probe_pairs=AUTO_KERNEL_MAX_PAIRS + 1
-                                  ) == KERNEL_LL
-            assert KERNELS.select(family, KERNEL_AUTO, context_rows=big,
-                                  probe_pairs=AUTO_KERNEL_MAX_PAIRS
-                                  ) == KERNEL_VECTORIZED
-
-    def test_registry_families(self):
-        assert set(KERNELS.families()) == {FAMILY_STANDOFF,
-                                           FAMILY_STAIRCASE}
-        for family in KERNELS.families():
-            assert set(KERNELS.names(family)) == {KERNEL_LL,
-                                                  KERNEL_VECTORIZED,
-                                                  KERNEL_AUTO}
-        with pytest.raises(ValueError, match="unknown join family"):
-            KERNELS.validate("quantum", KERNEL_LL)
+class TestKernelChoice:
+    def test_two_kernels_and_no_auto(self):
+        assert SUPPORTED_KERNELS == ("ll", "vectorized")
+        for name in SUPPORTED_KERNELS:
+            assert check_kernel(name) == name
+        with pytest.raises(UnknownKernelError,
+                           match=r"unknown join kernel 'auto'; expected "
+                                 r"one of \['ll', 'vectorized'\]"):
+            check_kernel("auto")
 
     @pytest.mark.parametrize("op", list(StandoffOp))
-    def test_kernel_join_auto_matches_reference(self, op):
+    def test_kernel_join_default_matches_reference(self, op):
         rng = random.Random(11)
-        for n_cand in (8, 600):                   # below / above threshold
+        for n_cand in (8, 600):
             rows = [(it, it * 100 + k, s, s + rng.randrange(40))
                     for it in range(6) for k in range(4)
                     for s in (rng.randrange(2_000),)]
@@ -420,19 +382,15 @@ class TestAutoKernel:
                     for s in (rng.randrange(2_000),)]
             ctx = IterContext.from_rows(rows)
             table = RegionTable.from_rows(cand)
-            auto = kernel_join(op, ctx, table, kernel=KERNEL_AUTO)
-            assert auto == ll_join(op, ctx, table)
+            got = kernel_join(op, ctx, table)
+            assert isinstance(got, ColumnarResult)
+            assert got == ll_join(op, ctx, table)
+            assert kernel_join(op, ctx, table, kernel=KERNEL_LL) == got
 
-    def test_engine_and_cli_accept_auto(self, tmp_path):
+    def test_engine_and_cli_refuse_auto(self):
         db = Database()
-        db.add_document("d.xml", '<d><a start="0" end="9"/>'
-                                 '<b start="2" end="3"/></d>')
-        for strategy in ("basic", "ll"):
-            got = db.query('doc("d.xml")//a/select-narrow::b',
-                           strategy=strategy, kernel="auto").serialize()
-            ref = db.query('doc("d.xml")//a/select-narrow::b',
-                           strategy=strategy, kernel="ll").serialize()
-            assert got == ref
+        with pytest.raises(UnknownKernelError):
+            db.query("1", kernel="auto")
 
         import io
         from repro.cli import CliSession
@@ -440,8 +398,8 @@ class TestAutoKernel:
         out = io.StringIO()
         session = CliSession(out=out)
         session.handle("\\kernel auto")
-        assert session.options.kernel == "auto"
-        assert "kernel = auto" in out.getvalue()
+        assert session.options.kernel == "vectorized"
+        assert "error: unknown join kernel 'auto'" in out.getvalue()
 
 
 class TestSegmentPositionColumns:

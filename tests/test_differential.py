@@ -4,7 +4,9 @@ Hypothesis generates random stand-off annotation documents (nested and
 overlapping regions, several element names); a battery of query shapes
 covering all four axes, predicates, nesting and aggregation runs under
 ``udf``, ``basic`` and ``ll``.  Any divergence is a bug in one of the
-join algorithms or evaluators.
+join algorithms or evaluators.  The two active-items structures of the
+merge joins (``list``, ``heap``) are compared at the kernel level, in
+``test_kernels_differential.py::test_vectorized_equals_list_heap_naive``.
 """
 
 import pytest
@@ -61,17 +63,6 @@ def test_strategies_agree(query, xml):
         results[strategy] = db.query(query, strategy=strategy).serialize()
     assert results["udf"] == results["basic"], xml
     assert results["udf"] == results["ll"], xml
-
-
-@given(xml=annotation_documents())
-@settings(max_examples=25, deadline=None)
-def test_active_structures_agree(xml):
-    db = Database()
-    db.add_document("d.xml", xml)
-    query = 'doc("d.xml")//alpha/select-narrow::beta'
-    a = db.query(query, active_structure="list").serialize()
-    b = db.query(query, active_structure="heap").serialize()
-    assert a == b
 
 
 @given(xml=annotation_documents())

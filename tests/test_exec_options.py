@@ -9,7 +9,7 @@ the code reading it.
 
 import asyncio
 import io
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -23,22 +23,19 @@ INVALID = [
     ("workers", "x"),
     ("executor", "proc"),
     ("kernel", "simd"),
-    ("staircase_kernel", "simd"),
+    ("kernel", "auto"),
     ("shard_min_rows", 0),
     ("strategy", "fast"),
-    ("active_structure", "bogus"),
     ("pushdown", "sometimes"),
 ]
 
 #: The command-line flag and the REPL command of each setting the CLI
 #: exposes.
 FLAGS = {"workers": "--workers", "executor": "--executor",
-         "kernel": "--kernel", "staircase_kernel": "--staircase-kernel",
-         "shard_min_rows": "--shard-min-rows", "strategy": "--strategy"}
+         "kernel": "--kernel", "shard_min_rows": "--shard-min-rows",
+         "strategy": "--strategy"}
 COMMANDS = {"workers": "\\workers {}", "executor": "\\executor {}",
-            "kernel": "\\kernel {}",
-            "staircase_kernel": "\\kernel staircase {}",
-            "strategy": "\\strategy {}"}
+            "kernel": "\\kernel {}", "strategy": "\\strategy {}"}
 
 
 def expected_message(field, value) -> str:
@@ -91,6 +88,38 @@ SURFACES = [(refused_by_query, None), (refused_by_server, None),
     if exposes is None or field in exposes])
 def test_invalid_setting_refused_up_front(surface, field, value, capsys):
     assert surface(field, value, capsys) == expected_message(field, value)
+
+
+class TestRemovedSettings:
+    """One kernel name for both join families; the active-items
+    structure is a parameter of ``ll_join`` only."""
+
+    def test_six_fields(self):
+        assert [f.name for f in fields(ExecOptions)] == [
+            "strategy", "pushdown", "kernel", "workers", "shard_min_rows",
+            "executor"]
+
+    def test_active_structure_is_not_a_query_knob(self):
+        with pytest.raises(TypeError):
+            ExecOptions(active_structure="heap")
+        with pytest.raises(TypeError):
+            Database().query("1", active_structure="heap")
+
+    def test_separate_staircase_flag_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--query", "1", "--staircase-kernel", "ll"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --staircase-kernel" in \
+            capsys.readouterr().err
+
+    def test_kernel_family_form_refused(self):
+        out = io.StringIO()
+        session = CliSession(out=out)
+        before = session.options
+        session.handle("\\kernel staircase ll")
+        assert session.options is before
+        assert out.getvalue().startswith(
+            "error: unknown join kernel 'staircase'")
 
 
 class TestExecOptions:

@@ -35,7 +35,6 @@ import random
 import pytest
 
 from repro.config import (
-    KERNEL_AUTO,
     KERNEL_LL,
     KERNEL_VECTORIZED,
     WORKERS_SERIAL,
@@ -51,7 +50,7 @@ AXES = (
     "following-sibling", "preceding-sibling",
 )
 
-KERNELS_UNDER_TEST = (KERNEL_LL, KERNEL_VECTORIZED, KERNEL_AUTO)
+KERNELS_UNDER_TEST = (KERNEL_LL, KERNEL_VECTORIZED)
 WORKERS_UNDER_TEST = (WORKERS_SERIAL, 4)
 
 
@@ -183,8 +182,7 @@ def assert_engine_matches_oracle(seed: int, n_queries: int) -> None:
         for kernel in KERNELS_UNDER_TEST:
             for workers in WORKERS_UNDER_TEST:
                 got = outcome(db, query, strategy="ll", kernel=kernel,
-                              staircase_kernel=kernel, workers=workers,
-                              shard_min_rows=1)
+                              workers=workers, shard_min_rows=1)
                 assert got == oracle, (seed, query, kernel, workers)
 
 
@@ -236,8 +234,7 @@ def test_fuzz_attribute_predicates():
             for kernel in KERNELS_UNDER_TEST:
                 for workers in WORKERS_UNDER_TEST:
                     got = outcome(db, query, strategy="ll", kernel=kernel,
-                                  staircase_kernel=kernel, workers=workers,
-                                  shard_min_rows=1)
+                                  workers=workers, shard_min_rows=1)
                     assert got == oracle, (seed, query, kernel, workers)
     assert raised and answered, (raised, answered)
 
@@ -372,8 +369,7 @@ def test_fuzz_flwor_over_paths():
             for kernel in KERNELS_UNDER_TEST:
                 for workers in WORKERS_UNDER_TEST:
                     got = outcome(db, query, strategy="ll", kernel=kernel,
-                                  staircase_kernel=kernel, workers=workers,
-                                  shard_min_rows=1)
+                                  workers=workers, shard_min_rows=1)
                     assert got == oracle, (seed, query, kernel, workers)
     assert answered >= queries // 3, (answered, queries)
 
@@ -419,7 +415,6 @@ def test_fuzz_sibling_axes(seed=8200):
             for kernel in KERNELS_UNDER_TEST:
                 for workers in WORKERS_UNDER_TEST:
                     got = db.query(query, strategy="ll", kernel=kernel,
-                                   staircase_kernel=kernel,
                                    workers=workers,
                                    shard_min_rows=1).serialize()
                     assert got == oracle, (seed, query, kernel, workers)
@@ -443,7 +438,6 @@ def test_fuzz_constructed_fragment_contexts(seed=9300):
             for kernel in KERNELS_UNDER_TEST:
                 for workers in WORKERS_UNDER_TEST:
                     got = db.query(query, strategy="ll", kernel=kernel,
-                                   staircase_kernel=kernel,
                                    workers=workers,
                                    shard_min_rows=1).serialize()
                     assert got == oracle, (seed, query, kernel, workers)
@@ -505,8 +499,7 @@ def test_fuzz_positional_predicates(seed):
         for kernel in KERNELS_UNDER_TEST:
             for workers in WORKERS_UNDER_TEST:
                 got = db.query(query, strategy="ll", kernel=kernel,
-                               staircase_kernel=kernel, workers=workers,
-                               shard_min_rows=1).serialize()
+                               workers=workers, shard_min_rows=1).serialize()
                 assert got == oracle, (seed, query, kernel, workers)
 
 
@@ -529,7 +522,6 @@ def test_fuzz_positional_constructed_fragments(seed=6500):
             for kernel in KERNELS_UNDER_TEST:
                 for workers in WORKERS_UNDER_TEST:
                     got = db.query(query, strategy="ll", kernel=kernel,
-                                   staircase_kernel=kernel,
                                    workers=workers,
                                    shard_min_rows=1).serialize()
                     assert got == oracle, (seed, query, kernel, workers)
@@ -555,7 +547,7 @@ def test_positional_division_by_zero_matches_oracle():
                '[position() > 1 and position() mod (position() - 1) = 0]')
     oracle = db.query(guarded, strategy="basic").serialize()
     for kernel in KERNELS_UNDER_TEST:
-        got = db.query(guarded, strategy="ll", staircase_kernel=kernel,
+        got = db.query(guarded, strategy="ll", kernel=kernel,
                        workers=4, shard_min_rows=1).serialize()
         assert got == oracle, kernel
 
@@ -598,7 +590,7 @@ def test_cross_fragment_tie_break_matches_oracle():
         for kernel in KERNELS_UNDER_TEST:
             for workers in WORKERS_UNDER_TEST:
                 got = db.query(query, strategy="ll",
-                               staircase_kernel=kernel, workers=workers,
+                               kernel=kernel, workers=workers,
                                shard_min_rows=1).serialize()
                 assert got == oracle, (query, kernel, workers)
 
@@ -620,8 +612,7 @@ def test_merged_text_node_siblings():
     for query in queries:
         oracle = db.query(query, strategy="basic").serialize()
         for kernel in KERNELS_UNDER_TEST:
-            got = db.query(query, strategy="ll", kernel=kernel,
-                           staircase_kernel=kernel, workers=4,
+            got = db.query(query, strategy="ll", kernel=kernel, workers=4,
                            shard_min_rows=1).serialize()
             assert got == oracle, (query, kernel)
 
@@ -658,8 +649,8 @@ def test_fuzz_executor_backend_matrix(seed=10400):
                     for executor in EXECUTORS_UNDER_TEST:
                         got = outcome(
                             db, query, strategy="ll", kernel=kernel,
-                            staircase_kernel=kernel, workers=workers,
-                            shard_min_rows=1, executor=executor)
+                            workers=workers, shard_min_rows=1,
+                            executor=executor)
                         assert got == oracle, (seed, query, backend,
                                                kernel, workers,
                                                executor)
@@ -726,8 +717,8 @@ def test_fuzz_reopened_store(tmp_path, seed):
         for kernel in KERNELS_UNDER_TEST:
             for workers in WORKERS_UNDER_TEST:
                 got = outcome(reopened, query, strategy="ll",
-                              kernel=kernel, staircase_kernel=kernel,
-                              workers=workers, shard_min_rows=1)
+                              kernel=kernel, workers=workers,
+                              shard_min_rows=1)
                 assert got == oracle, (seed, query, kernel, workers)
 
 

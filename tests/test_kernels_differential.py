@@ -13,8 +13,8 @@ StandOff operator:
 * ``naive`` — the quadratic transcription of the paper's definitions
   (``core/naive.py``), the semantic oracle.
 
-The ``auto`` kernel must coincide with whichever of ``ll``/``vectorized``
-it resolves to.  Any divergence is a bug in one of the join kernels.
+``kernel_join`` must give the same answer under either kernel name.
+Any divergence is a bug in one of the join kernels.
 """
 
 import random
@@ -22,13 +22,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.config import (
-    FAMILY_STANDOFF,
-    KERNEL_AUTO,
-    KERNEL_LL,
-    KERNEL_VECTORIZED,
-    KERNELS,
-)
+from repro.config import KERNEL_LL, KERNEL_VECTORIZED
 from repro.core import Area, IterContext, Region, RegionTable, StandoffOp
 from repro.core.kernels_vec import kernel_join, vec_join
 from repro.core.mergejoin_ll import ll_join
@@ -129,8 +123,9 @@ def test_vectorized_equals_list_heap_naive(op, shape):
     assert vec == as_list, (op, shape)
     assert vec == as_heap, (op, shape)
     assert vec == naive, (op, shape)
-    auto = kernel_join(op, context, candidates, kernel=KERNEL_AUTO)
-    assert auto == ll_join(op, context, candidates), (op, shape)
+    for kernel in (KERNEL_LL, KERNEL_VECTORIZED):
+        assert kernel_join(op, context, candidates, kernel=kernel) == \
+            ll_join(op, context, candidates), (op, shape, kernel)
 
 
 @pytest.mark.parametrize("op", list(StandoffOp))
@@ -141,9 +136,7 @@ def test_larger_workload_vec_equals_ll(op):
         max_len=200, multi_frac=0.2)
     reference = ll_join(op, context, candidates)
     assert vec_join(op, context, candidates).to_dict() == reference
-    # This shape sits above the auto threshold: must hit the same path.
-    assert kernel_join(op, context, candidates,
-                       kernel=KERNEL_AUTO) == reference
+    assert kernel_join(op, context, candidates) == reference
 
 
 @pytest.mark.parametrize("op", list(StandoffOp))
@@ -178,18 +171,13 @@ def test_empty_inputs():
 
 
 # ----------------------------------------------------------------------
-# kernel selection plumbing
+# kernel dispatch
 # ----------------------------------------------------------------------
 
-def test_resolve_kernel_tracing_falls_back_to_ll():
-    def resolve(name, **kwargs):
-        return KERNELS.resolve(FAMILY_STANDOFF, name, **kwargs)
-
-    assert resolve(KERNEL_VECTORIZED, tracing=True) == KERNEL_LL
-    assert resolve(KERNEL_VECTORIZED) == KERNEL_VECTORIZED
-    assert resolve(KERNEL_LL, tracing=True) == KERNEL_LL
+def test_unknown_kernel_refused():
     with pytest.raises(ValueError, match="unknown join kernel"):
-        KERNELS.validate(FAMILY_STANDOFF, "simd")
+        kernel_join(StandoffOp.SELECT_NARROW, IterContext.from_rows([]),
+                    RegionTable.from_rows([]), kernel="simd")
 
 
 def test_kernel_join_trace_uses_reference_path():
@@ -235,8 +223,59 @@ def test_engine_kernels_agree(strategy, query):
     vectorized = db.query(query, strategy=strategy,
                           kernel=KERNEL_VECTORIZED).serialize()
     assert vectorized == reference
-    assert db.query(query, strategy=strategy,
-                    kernel=KERNEL_AUTO).serialize() == reference
+
+
+def _spy(monkeypatch, module, name: str, calls: list) -> None:
+    """Record every call of ``module.name`` in *calls*, then run it."""
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_default_ll_query_runs_only_the_serving_kernels(monkeypatch):
+    """Under the default kernel, a tree step and a StandOff step of an
+    ``ll`` query run the batched kernels; none of the reference joins
+    (Listing 1, Basic MergeJoin, the loop-lifted Staircase Join) is
+    called — not even for a one-iteration step."""
+    import repro.core.kernels_vec as core_vec
+    import repro.core.steps as steps
+    import repro.staircase.kernels_vec as stair_vec
+    import repro.staircase.loop_lifted as loop_lifted
+
+    db = Database()
+    db.add_document("d.xml", ANNOTATED)
+    query = 'doc("d.xml")//a/select-narrow::b'
+    reference = db.query(query, strategy="basic").serialize()
+    served, oracles = [], []
+    _spy(monkeypatch, core_vec, "vec_join", served)
+    _spy(monkeypatch, stair_vec, "vec_staircase_join", served)
+    _spy(monkeypatch, core_vec, "ll_join", oracles)
+    _spy(monkeypatch, steps, "basic_join", oracles)
+    _spy(monkeypatch, loop_lifted, "ll_axis_join", oracles)
+    assert db.query(query, strategy="ll").serialize() == reference
+    assert sorted(served) == ["vec_join", "vec_staircase_join"]
+    assert oracles == []
+
+
+def test_basic_strategy_never_runs_the_batched_kernel(monkeypatch):
+    """``basic`` is the per-iteration Basic MergeJoin whatever the
+    kernel setting: the oracle never runs the kernel it checks."""
+    import repro.core.kernels_vec as core_vec
+    import repro.core.steps as steps
+
+    db = Database()
+    db.add_document("d.xml", ANNOTATED)
+    batched, basic = [], []
+    _spy(monkeypatch, core_vec, "vec_join", batched)
+    _spy(monkeypatch, steps, "basic_join", basic)
+    for query in QUERIES:
+        db.query(query, strategy="basic",
+                 kernel=KERNEL_VECTORIZED).serialize()
+    assert basic and batched == []
 
 
 def test_engine_rejects_unknown_kernel():
@@ -289,12 +328,12 @@ def test_vectorized_matches_ll_on_random_documents():
 
 
 def test_probe_pair_estimate_saturates_instead_of_wrapping():
-    """The auto-kernel density guard compares the probe-pair estimate
-    against AUTO_KERNEL_MAX_PAIRS; a wrapped int64 sum would go
-    negative and silently pass the guard.  The window sum must saturate
-    at the cap instead."""
-    from repro.config import AUTO_KERNEL_MAX_PAIRS, KERNELS
+    """The vectorized kernel's dense-overlap guard compares the window
+    sum against PAIR_BUDGET; a wrapped int64 sum would go negative and
+    silently pass the guard.  The window sum must saturate at the cap
+    instead."""
     from repro.core.kernels_vec import (
+        PAIR_BUDGET,
         estimate_probe_pairs,
         saturating_pair_count,
     )
@@ -305,11 +344,7 @@ def test_probe_pair_estimate_saturates_instead_of_wrapping():
     counts = np.full(4096, 2 ** 52, dtype=np.int64)
     assert int(counts.sum()) == 0, "fixture must actually wrap"
     assert saturating_pair_count(counts) == INT64_BUDGET
-    assert saturating_pair_count(counts) > AUTO_KERNEL_MAX_PAIRS
-    assert KERNELS.select("standoff", "auto", context_rows=10_000,
-                          candidate_rows=10_000,
-                          probe_pairs=saturating_pair_count(counts)) \
-        == "ll"
+    assert saturating_pair_count(counts) > PAIR_BUDGET
     # Just below the cap the sum stays exact.
     small = np.asarray([3, 0, 41], dtype=np.int64)
     assert saturating_pair_count(small) == 44

@@ -101,7 +101,7 @@ SCRIPT = """
 import sys
 from repro import storage
 db = storage.open_store(sys.argv[1])
-result = db.query({query!r}, strategy="ll", staircase_kernel="vectorized",
+result = db.query({query!r}, strategy="ll", kernel="vectorized",
                   workers=2, shard_min_rows=1, executor="process")
 assert len(result) == 60, len(result)
 """

@@ -97,7 +97,7 @@ def test_process_dispatch_actually_engages(monkeypatch):
     monkeypatch.setattr(procpool, "run_staircase", spy)
     db = build("mmap")
     db.query("for $s in doc('d.xml')//s return count($s/following::w)",
-             strategy="ll", staircase_kernel="vectorized",
+             strategy="ll", kernel="vectorized",
              workers=WORKERS, shard_min_rows=1, executor="process")
     assert "following" in calls
 

@@ -2,11 +2,11 @@
 
 Covers the one shard planner (iteration ranges), the thread-pool
 dispatcher, the one merge (block concatenation, checked against the
-serial kernel on adversarial shard boundaries), the kernel-registry
+serial kernel on adversarial shard boundaries), the unknown-kernel
 error contract, and the sharded execution paths of both join families
 — including the two known fallback corners
 (``following-sibling``/``preceding-sibling`` DOM walks and constructed
-fragments) under ``kernel="auto"`` + sharding.
+fragments) under the default kernel + sharding.
 """
 
 import numpy as np
@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 from repro import errors
 from repro.config import (
-    FAMILY_STAIRCASE,
-    FAMILY_STANDOFF,
-    KERNEL_AUTO,
-    KERNELS,
+    SUPPORTED_KERNELS,
     WORKERS_SERIAL,
+    check_kernel,
+    check_staircase_axis,
     normalize_workers,
 )
 from repro.core.naive import StandoffOp
@@ -281,46 +280,31 @@ class TestConcatIterationBlocks:
 
 
 # ----------------------------------------------------------------------
-# registry error contract
+# unknown kernel / axis error contract
 # ----------------------------------------------------------------------
 
-class TestRegistryErrors:
-    def test_unknown_family_raises_dedicated_type(self):
-        with pytest.raises(errors.UnknownKernelError,
-                           match="unknown join family"):
-            KERNELS.validate("sideways", "ll")
+class TestKernelErrors:
+    def test_unknown_kernel_lists_the_kernels(self):
         with pytest.raises(errors.UnknownKernelError) as info:
-            KERNELS.select("sideways", "ll")
-        assert FAMILY_STANDOFF in str(info.value)
-        assert FAMILY_STAIRCASE in str(info.value)
+            check_kernel("warp9")
+        message = str(info.value)
+        assert "unknown join kernel 'warp9'" in message
+        for name in SUPPORTED_KERNELS:
+            assert name in message
 
-    def test_unknown_kernel_lists_family_kernels(self):
-        for family in (FAMILY_STANDOFF, FAMILY_STAIRCASE):
-            with pytest.raises(errors.UnknownKernelError) as info:
-                KERNELS.select(family, "warp9")
-            message = str(info.value)
-            assert family in message
-            for name in KERNELS.names(family):
-                assert name in message
-
-    def test_not_a_keyerror(self):
-        try:
-            KERNELS.validate("sideways", "ll")
-        except KeyError:                      # pragma: no cover
-            pytest.fail("registry lookups must not leak KeyError")
-        except errors.UnknownKernelError:
-            pass
+    def test_unknown_axis_lists_the_axes(self):
+        with pytest.raises(errors.UnknownKernelError,
+                           match="no staircase kernel for axis "
+                                 "'sideways'") as info:
+            check_staircase_axis("sideways")
+        assert "following-sibling" in str(info.value)
 
     def test_backwards_compatible_with_valueerror(self):
         # Callers that predate the dedicated type catch ValueError.
         assert issubclass(errors.UnknownKernelError, ValueError)
         assert issubclass(errors.UnknownKernelError, errors.ReproError)
         with pytest.raises(ValueError):
-            KERNELS.spec(FAMILY_STANDOFF, "warp9")
-
-    def test_names_rejects_unknown_family(self):
-        with pytest.raises(errors.UnknownKernelError):
-            KERNELS.names("sideways")
+            check_kernel("warp9")
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +386,7 @@ class TestShardedStandoff:
             assert serial == sharded, op
 
     @pytest.mark.parametrize("strategy", ["udf", "basic", "ll"])
-    @pytest.mark.parametrize("kernel", ["ll", "vectorized", "auto"])
+    @pytest.mark.parametrize("kernel", SUPPORTED_KERNELS)
     def test_engine_level_sharded_equals_serial(self, strategy, kernel):
         db = _standoff_db()
         query = ('for $m in doc("v.xml")//music '
@@ -468,7 +452,7 @@ class TestFormerFallbackCorners:
     """PR 3/4 left two gaps that dropped to the per-node DOM walk:
     sibling axes and constructed fragments.  Both now run through the
     staircase kernel path — these tests additionally *forbid* the DOM
-    walk while asserting oracle agreement under auto + sharding."""
+    walk while asserting oracle agreement under sharding."""
 
     @pytest.mark.parametrize("axis", ["following-sibling",
                                       "preceding-sibling"])
@@ -481,17 +465,16 @@ class TestFormerFallbackCorners:
                       f'for $a in doc("d.xml")//a '
                       f'return count($a/{axis}::*)'):
             reference = db.query(query, strategy="basic").serialize()
-            for kernel in ("ll", "vectorized", "auto"):
+            for kernel in SUPPORTED_KERNELS:
                 got = db.query(query, strategy="ll", kernel=kernel,
-                               staircase_kernel=kernel, workers=4,
-                               shard_min_rows=1).serialize()
+                               workers=4, shard_min_rows=1).serialize()
                 assert got == reference, (axis, query, kernel)
 
     def test_constructed_fragments_on_kernel_path_sharded(
             self, forbid_dom_walk):
         """Constructed fragments shred on demand; the staircase path
         must serve them without the DOM walk — correct and crash-free
-        under kernel='auto' + workers."""
+        under the default kernel + workers."""
         db = Database()
         db.add_document("d.xml", SIBLING_XML)
         queries = [
@@ -505,8 +488,7 @@ class TestFormerFallbackCorners:
         ]
         for query in queries:
             reference = db.query(query, strategy="basic").serialize()
-            got = db.query(query, strategy="ll", kernel="auto",
-                           staircase_kernel="auto", workers=4,
+            got = db.query(query, strategy="ll", workers=4,
                            shard_min_rows=1).serialize()
             assert got == reference, query
 
@@ -523,6 +505,6 @@ class TestFormerFallbackCorners:
         ]
         for query in queries:
             reference = db.query(query, strategy="basic").serialize()
-            got = db.query(query, strategy="ll", staircase_kernel="auto",
-                           workers=4, shard_min_rows=1).serialize()
+            got = db.query(query, strategy="ll", workers=4,
+                           shard_min_rows=1).serialize()
             assert got == reference, query

@@ -27,11 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import (
-    FAMILY_STAIRCASE,
-    KERNEL_AUTO,
     KERNEL_LL,
     KERNEL_VECTORIZED,
-    KERNELS,
     WORKERS_SERIAL,
 )
 from repro.relational import ColumnarResult
@@ -311,10 +308,10 @@ class TestEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# registry dispatch
+# kernel dispatch
 # ----------------------------------------------------------------------
 
-class TestRegistryDispatch:
+class TestKernelDispatch:
     def test_staircase_join_kernels_agree(self):
         doc = parse_document(random_tree_xml(list(range(1, 30))))
         sh = shred(doc)
@@ -328,11 +325,9 @@ class TestRegistryDispatch:
             assert isinstance(vec, ColumnarResult)
             assert isinstance(ref, dict)
             assert vec.to_dict() == ref
-            auto = staircase_join(axis, sh, context, kernel=KERNEL_AUTO)
-            assert dict(auto) == ref
+            assert staircase_join(axis, sh, context).to_dict() == ref
 
-    @pytest.mark.parametrize("kernel", (KERNEL_VECTORIZED, KERNEL_LL,
-                                        KERNEL_AUTO))
+    @pytest.mark.parametrize("kernel", (KERNEL_VECTORIZED, KERNEL_LL))
     @pytest.mark.parametrize("workers", (WORKERS_SERIAL, 2))
     def test_canonical_column_context(self, kernel, workers):
         """A ``(its, pres)`` column pair is a context of two rows
@@ -347,15 +342,7 @@ class TestRegistryDispatch:
                              workers=workers, shard_min_rows=1)
         assert dict(got) == {0: [3], 1: [5, 6]}
 
-    def test_auto_resolves_by_size(self):
-        small = KERNELS.select(FAMILY_STAIRCASE, KERNEL_AUTO,
-                               context_rows=1, candidate_rows=1)
-        assert small == KERNEL_LL
-        big = KERNELS.select(FAMILY_STAIRCASE, KERNEL_AUTO,
-                             context_rows=10_000, candidate_rows=10_000)
-        assert big == KERNEL_VECTORIZED
-
-    def test_unknown_staircase_kernel_rejected(self):
+    def test_unknown_kernel_rejected(self):
         sh = shred(parse_document("<r/>"))
         with pytest.raises(ValueError, match="unknown join kernel"):
             staircase_join("descendant", sh, [(0, 0)], kernel="warp9")
@@ -395,8 +382,7 @@ ENGINE_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("kernel", [KERNEL_LL, KERNEL_VECTORIZED,
-                                    KERNEL_AUTO])
+@pytest.mark.parametrize("kernel", [KERNEL_LL, KERNEL_VECTORIZED])
 @pytest.mark.parametrize("query", ENGINE_QUERIES)
 def test_bulk_staircase_matches_dom_walk(kernel, query):
     """The loop-lifted staircase fast path must agree with the basic
@@ -406,7 +392,7 @@ def test_bulk_staircase_matches_dom_walk(kernel, query):
     db.add_document("d.xml", ENGINE_XML)
     reference = db.query(query, strategy="basic").serialize()
     got = db.query(query, strategy="ll",
-                   staircase_kernel=kernel).serialize()
+                   kernel=kernel).serialize()
     assert got == reference, (kernel, query)
 
 
@@ -424,7 +410,7 @@ def test_bulk_staircase_prefixed_name_tests(kernel):
                   'doc("d.xml")/root/descendant::n:foo'):
         reference = db.query(query, strategy="basic").serialize()
         got = db.query(query, strategy="ll",
-                       staircase_kernel=kernel).serialize()
+                       kernel=kernel).serialize()
         assert got == reference, (kernel, query)
 
 
@@ -442,5 +428,5 @@ def test_bulk_staircase_random_documents():
             reference = db.query(query, strategy="basic").serialize()
             for kernel in (KERNEL_LL, KERNEL_VECTORIZED):
                 got = db.query(query, strategy="ll",
-                               staircase_kernel=kernel).serialize()
+                               kernel=kernel).serialize()
                 assert got == reference, (trial, axis, kernel)
