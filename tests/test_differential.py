@@ -3,16 +3,19 @@
 Hypothesis generates random stand-off annotation documents (nested and
 overlapping regions, several element names); a battery of query shapes
 covering all four axes, predicates, nesting and aggregation runs under
-``udf``, ``basic`` and ``ll``.  Any divergence is a bug in one of the
-join algorithms or evaluators.  The two active-items structures of the
-merge joins (``list``, ``heap``) are compared at the kernel level, in
-``test_kernels_differential.py::test_vectorized_equals_list_heap_naive``.
+``udf``, ``basic`` and ``ll`` — the last under the serving kernel and
+under Listing 1 (``kernel="ll"``).  Any divergence is a bug in one of
+the join algorithms or evaluators.  The two active-items structures of
+Listing 1 (``list``, ``heap``) are compared at the kernel level.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import KERNEL_LL
+from repro.core import IterContext, RegionTable, StandoffOp
+from repro.core.mergejoin_ll import ll_join
 from repro.xquery import Database
 
 NAMES = ("alpha", "beta", "gamma")
@@ -63,6 +66,46 @@ def test_strategies_agree(query, xml):
         results[strategy] = db.query(query, strategy=strategy).serialize()
     assert results["udf"] == results["basic"], xml
     assert results["udf"] == results["ll"], xml
+
+
+@pytest.mark.parametrize("query", QUERY_BATTERY)
+@given(xml=annotation_documents())
+@settings(max_examples=25, deadline=None)
+def test_reference_kernel_agrees(query, xml):
+    """``ll`` with Listing 1 as its kernel answers as ``basic`` does."""
+    db = Database()
+    db.add_document("d.xml", xml)
+    reference = db.query(query, strategy="basic").serialize()
+    got = db.query(query, strategy="ll", kernel=KERNEL_LL).serialize()
+    assert got == reference, xml
+
+
+@st.composite
+def region_rows(draw):
+    """``(name, nr, start, end)`` of a random flat annotation, drawn as
+    :func:`annotation_documents` draws its elements."""
+    return [(draw(st.sampled_from(NAMES)), nr, start,
+             start + draw(st.integers(0, 40)))
+            for nr in range(draw(st.integers(1, 18)))
+            for start in (draw(st.integers(0, 80)),)]
+
+
+@given(rows=region_rows())
+@settings(max_examples=25, deadline=None)
+def test_active_structures_agree(rows):
+    """Listing 1 over a list or a heap of active items: same answer.
+    Each ``alpha`` is a context row of iteration ``nr % 3``; the
+    ``beta`` regions are the candidates."""
+    context = IterContext.from_rows(
+        [(nr % 3, nr, start, end)
+         for name, nr, start, end in rows if name == "alpha"])
+    candidates = RegionTable.from_rows(
+        [(start, end, nr) for name, nr, start, end in rows
+         if name == "beta"])
+    for op in StandoffOp:
+        as_list = ll_join(op, context, candidates, active_structure="list")
+        as_heap = ll_join(op, context, candidates, active_structure="heap")
+        assert as_list == as_heap, (op, rows)
 
 
 @given(xml=annotation_documents())

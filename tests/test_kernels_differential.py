@@ -261,6 +261,29 @@ def test_default_ll_query_runs_only_the_serving_kernels(monkeypatch):
     assert oracles == []
 
 
+def test_ll_kernel_runs_the_reference_joins_of_both_families(monkeypatch):
+    """``kernel="ll"`` is the one name of both reference joins: the tree
+    step runs the loop-lifted Staircase Join, the StandOff step
+    Listing 1, and neither batched kernel is called."""
+    import repro.core.kernels_vec as core_vec
+    import repro.staircase.kernels_vec as stair_vec
+    import repro.staircase.loop_lifted as loop_lifted
+
+    db = Database()
+    db.add_document("d.xml", ANNOTATED)
+    query = 'doc("d.xml")//a/select-narrow::b'
+    reference = db.query(query, strategy="basic").serialize()
+    batched, oracles = [], []
+    _spy(monkeypatch, core_vec, "vec_join", batched)
+    _spy(monkeypatch, stair_vec, "vec_staircase_join", batched)
+    _spy(monkeypatch, core_vec, "ll_join", oracles)
+    _spy(monkeypatch, loop_lifted, "ll_axis_join", oracles)
+    assert db.query(query, strategy="ll",
+                    kernel=KERNEL_LL).serialize() == reference
+    assert sorted(oracles) == ["ll_axis_join", "ll_join"]
+    assert batched == []
+
+
 def test_basic_strategy_never_runs_the_batched_kernel(monkeypatch):
     """``basic`` is the per-iteration Basic MergeJoin whatever the
     kernel setting: the oracle never runs the kernel it checks."""

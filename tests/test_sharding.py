@@ -299,6 +299,13 @@ class TestKernelErrors:
             check_staircase_axis("sideways")
         assert "following-sibling" in str(info.value)
 
+    def test_not_a_keyerror(self):
+        for check, name in ((check_kernel, "warp9"),
+                            (check_staircase_axis, "sideways")):
+            with pytest.raises(errors.UnknownKernelError) as info:
+                check(name)
+            assert not isinstance(info.value, KeyError), check
+
     def test_backwards_compatible_with_valueerror(self):
         # Callers that predate the dedicated type catch ValueError.
         assert issubclass(errors.UnknownKernelError, ValueError)

@@ -396,6 +396,31 @@ def test_bulk_staircase_matches_dom_walk(kernel, query):
     assert got == reference, (kernel, query)
 
 
+@pytest.mark.parametrize("query", ENGINE_QUERIES)
+def test_sharded_bulk_staircase_matches_dom_walk(query, monkeypatch):
+    """The serving kernel fanned out over two workers agrees with the
+    DOM walk on every query of the battery.  Three outer iterations and
+    shards of one row make each step really shard."""
+    import repro.exec.sharding as sharding
+
+    shard_counts = []
+    real = sharding.run_shards
+
+    def spy(jobs, workers):
+        shard_counts.append(len(jobs))
+        return real(jobs, workers)
+
+    monkeypatch.setattr(sharding, "run_shards", spy)
+    db = Database()
+    db.add_document("d.xml", ENGINE_XML)
+    lifted = f"for $v in (1, 2, 3) return {query}"
+    reference = db.query(lifted, strategy="basic").serialize()
+    got = db.query(lifted, strategy="ll", workers=2,
+                   shard_min_rows=1).serialize()
+    assert got == reference, query
+    assert shard_counts and min(shard_counts) >= 2, shard_counts
+
+
 @pytest.mark.parametrize("kernel", [KERNEL_LL, KERNEL_VECTORIZED])
 def test_bulk_staircase_prefixed_name_tests(kernel):
     """A name test matches by local name in the DOM walk; the staircase
