@@ -18,8 +18,10 @@ This package is the paper's primary contribution in library form:
   building :class:`~repro.relational.columnar.ColumnarResult` values
   natively, with :func:`~repro.core.kernels_vec.kernel_join` as the
   kernel dispatcher;
-* :func:`~repro.core.steps.standoff_step` — step-level execution with
-  fragment partitioning, selection pushdown and strategy choice (§3.3).
+* :func:`~repro.core.steps.standoff_step` — one fragment's step
+  (§3.3): its ``(iter, pre)`` context columns and pushed-down candidate
+  ids in, a :class:`~repro.relational.columnar.ColumnarResult` out,
+  under the chosen strategy and fan-out.
 """
 
 from repro.core.mergejoin_basic import (
@@ -49,7 +51,7 @@ from repro.core.mergejoin_ll import (
 from repro.core.naive import StandoffOp, naive_join, naive_join_loop
 from repro.core.region import Area, Region
 from repro.core.region_index import RegionIndex, RegionTable
-from repro.relational.columnar import ColumnarResult, ColumnarStepResult
+from repro.relational.columnar import ColumnarResult
 from repro.core.relations import (
     AllenRelation,
     CONTAINMENT_RELATIONS,
@@ -80,7 +82,6 @@ __all__ = [
     "reject_narrow",
     "reject_wide",
     "ColumnarResult",
-    "ColumnarStepResult",
     "IterContext",
     "JoinResult",
     "ll_join",

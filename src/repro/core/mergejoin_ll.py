@@ -71,28 +71,37 @@ class IterContext:
 
     @classmethod
     def from_rows(cls, rows) -> "IterContext":
-        """Build from ``(iter, id, start, end)`` tuples; sorts on start.
-
-        Exact duplicate rows are dropped: a repeated (iter, node, region)
-        is semantically idempotent but would double-count in the
-        ∀-quantified multi-region containment pass.  Sort, validation
-        and dedup are all columnar (``np.lexsort`` + adjacency masks).
-        """
+        """Build from ``(iter, id, start, end)`` tuples; sorts on start
+        (see :meth:`from_columns`) after rejecting any region with
+        ``start > end``."""
         rows = list(rows)
         if not rows:
-            empty = np.empty(0, np.int64)
-            return cls(empty, empty.copy(), empty.copy(), empty.copy())
+            return cls.from_columns(*(np.empty(0, np.int64),) * 4)
         it, ids, st, en = zip(*rows)
-        it = np.asarray(it, np.int64)
-        ids = np.asarray(ids, np.int64)
         st = _position_column(st)
         en = _position_column(en)
         if np.any(st > en):
             raise RegionError("context contains a region with start > end")
-        order = np.lexsort((ids, it, en, st))
-        it, ids, st, en = it[order], ids[order], st[order], en[order]
-        if len(rows) > 1:
-            keep = np.empty(len(rows), bool)
+        return cls.from_columns(np.asarray(it, np.int64),
+                                np.asarray(ids, np.int64), st, en)
+
+    @classmethod
+    def from_columns(cls, iters: np.ndarray, ids: np.ndarray,
+                     starts: np.ndarray, ends: np.ndarray
+                     ) -> "IterContext":
+        """Build from parallel ``iter|id|start|end`` columns; sorts on
+        start.
+
+        Exact duplicate rows are dropped: a repeated (iter, node, region)
+        is semantically idempotent but would double-count in the
+        ∀-quantified multi-region containment pass.  Sort and dedup are
+        columnar (``np.lexsort`` + adjacency masks).
+        """
+        order = np.lexsort((ids, iters, ends, starts))
+        it, ids, st, en = iters[order], ids[order], starts[order], \
+            ends[order]
+        if len(it) > 1:
+            keep = np.empty(len(it), bool)
             keep[0] = True
             np.logical_or.reduce(
                 [it[1:] != it[:-1], ids[1:] != ids[:-1],

@@ -14,7 +14,7 @@ property-tested.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.core.region import Area
 
@@ -100,9 +100,3 @@ def naive_join_loop(op: StandoffOp,
     return {it: naive_join(op, ctx, candidates)
             for it, ctx in per_iter.items()}
 
-
-def naive_join_map(op: StandoffOp,
-                   context: Mapping[int, Area],
-                   candidates: Mapping[int, Area]) -> list[int]:
-    """Convenience wrapper taking ``{node_id: Area}`` mappings."""
-    return naive_join(op, list(context.items()), list(candidates.items()))

@@ -183,7 +183,6 @@ class RegionIndex:
 
     def __init__(self, table: RegionTable):
         self._table = table
-        self._multiplicity: dict[int, int] | None = None
 
     @classmethod
     def build(cls, entries: Iterable[tuple[int, int | float, int | float]]
@@ -220,12 +219,6 @@ class RegionIndex:
         (they are not area-annotations and cannot participate in joins).
         """
         return self._table.restrict_to_ids(node_ids)
-
-    def region_count(self, node_id: int) -> int:
-        """Number of regions attached to *node_id* (0 if none)."""
-        if self._multiplicity is None:
-            self._multiplicity = self._table.multiplicity()
-        return self._multiplicity.get(node_id, 0)
 
     def area_of(self, node_id: int) -> Area | None:
         """Materialise the :class:`Area` of a node, or None."""

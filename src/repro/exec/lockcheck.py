@@ -221,7 +221,3 @@ def audit_lazy_stores(attrs: Iterator[str], lock_attr: str = "_build_lock"):
 
     return decorate
 
-
-def graph_edges() -> dict[str, set[str]]:
-    """Snapshot of the recorded lock-order graph (for tests/debugging)."""
-    return _GRAPH.edges()

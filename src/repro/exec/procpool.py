@@ -24,8 +24,10 @@ store, not from pickles:
   descriptor** (``("name", tag)``, ``("kind", k)``, …) through
   :func:`repro.staircase.kernels_vec.resolve_staircase_pool`, the
   function the parent resolved it with;
-* a StandOff job re-derives ``index.candidates(wanted)`` against the
-  worker's mapped region index.
+* a StandOff job re-derives ``index.candidates(wanted)`` from the
+  pushed-down candidate ids against the worker's mapped region index.
+
+Both families share the parent side, :func:`run_process_shards`.
 
 Pools use the ``spawn`` start method (fork would duplicate the parent's
 arbitrarily large heap and is unsafe with threads) and are cached per
@@ -317,9 +319,8 @@ def _touch_store(path: str, uris: tuple[str, ...]) -> int:
     return os.getpid()
 
 
-def _staircase_shard(store_ref: StoreRef, axis: str,
-                     its: np.ndarray, pres: np.ndarray,
-                     desc: tuple, or_self: bool):
+def staircase_shard(store_ref: StoreRef, axis: str, desc: tuple,
+                     or_self: bool, its: np.ndarray, pres: np.ndarray):
     """One staircase iteration-range shard, run inside a worker process.
 
     *its*/*pres* are this shard's slice of the canonical context (whole
@@ -333,45 +334,40 @@ def _staircase_shard(store_ref: StoreRef, axis: str,
 
     shredded = _worker_stored(store_ref).shredded
     pool = resolve_staircase_pool(shredded, desc)
-    result = vec_staircase_join(axis, shredded, (its, pres), pool,
-                                or_self=or_self)
-    return _pack_columnar(result)
+    return _pack_columnar(vec_staircase_join(
+        axis, shredded, (its, pres), pool, or_self=or_self))
 
 
-def _standoff_shard(store_ref: StoreRef, op, chunk, wanted,
-                    strategy, kernel: str):
-    """One StandOff fragment/iteration-range job in a worker process."""
+def standoff_shard(store_ref: StoreRef, op, wanted, strategy,
+                    kernel: str, its: np.ndarray, pres: np.ndarray):
+    """One StandOff iteration-range shard, run inside a worker process:
+    the candidate sequence is re-derived from the pushed-down ids
+    against the worker's mapped region index."""
     from repro.core.steps import _run_fragment
 
     index = _worker_stored(store_ref).region_index()
-    candidates = index.candidates(wanted)
-    result = _run_fragment(op, chunk, index, candidates, strategy, kernel)
-    if isinstance(result, ColumnarResult):
-        return _pack_columnar(result)
-    return "raw", result
+    return _pack_columnar(_run_fragment(
+        op, its, pres, index, index.candidates(wanted), strategy, kernel))
 
 
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
 
-def run_staircase(axis: str, store_ref: StoreRef,
-                  shards: list[tuple[np.ndarray, np.ndarray]],
-                  desc: tuple, workers: int, *,
-                  or_self: bool) -> ColumnarResult:
-    """Run the iteration-range shards of a staircase join on the pool.
+def run_process_shards(worker, jobs: list[tuple],
+                       workers: int) -> ColumnarResult:
+    """Run the iteration-range shards of one join on the pool.
 
-    *shards* are the ``(its, pres)`` slices of the canonical context a
-    sharded plan cut; each job ships only its own slice (the small side
-    — the pool stays behind in the mapped file).  The shard results
-    merge by block concatenation: array-identical to the serial kernel.
+    Each job is the argument tuple of *worker* (:func:`staircase_shard`
+    or :func:`standoff_shard`), ending in the shard's ``(its, pres)``
+    slice of the context — the small side; the candidates stay behind
+    in the mapped file.  The shard results merge by block
+    concatenation: array-identical to the serial kernel.
     """
 
     def attempt(pool: ProcessPoolExecutor) -> ColumnarResult:
         token = current_token()
-        futures = [pool.submit(_staircase_shard, store_ref, axis,
-                               its, pres, desc, or_self)
-                   for its, pres in shards]
+        futures = [pool.submit(worker, *job) for job in jobs]
         handles: list = []
         consumed = 0
         try:
@@ -390,50 +386,5 @@ def run_staircase(axis: str, store_ref: StoreRef,
             raise
         finally:
             _release_segments(handles)
-
-    return _run_with_retry(workers, attempt)
-
-
-def run_standoff(jobs: list[tuple], workers: int) -> list:
-    """Run StandOff fragment jobs on the process pool, in job order.
-
-    Each job is the :func:`_standoff_shard` argument tuple.  Results
-    are rehydrated to what the thread path's ``_run_fragment`` returns
-    — a :class:`ColumnarResult` or a reference-path dict — so
-    ``ColumnarStepResult.from_fragments`` consumes them unchanged.
-    """
-    def attempt(pool: ProcessPoolExecutor) -> list:
-        token = current_token()
-        futures = [pool.submit(_standoff_shard, *job) for job in jobs]
-        out = []
-        consumed = 0
-        try:
-            for future in futures:
-                payload = wait_cancellable(future, token)
-                if payload[0] == "raw":
-                    out.append(payload[1])
-                    consumed += 1
-                    continue
-                handles: list = []
-                try:
-                    result = _unpack_columnar(payload, handles)
-                    if handles:
-                        # These results outlive this call (the step
-                        # layer merges them later) — copy out of the
-                        # segment so it can be unlinked now.
-                        result = ColumnarResult(result.iters.copy(),
-                                                result.offsets.copy(),
-                                                result.values.copy())
-                    out.append(result)
-                finally:
-                    _release_segments(handles)
-                consumed += 1
-            return out
-        except BaseException:
-            # See run_staircase: completed-but-unconsumed shard
-            # results own shm segments that must be unlinked on the
-            # way out.
-            _drain_futures(futures[consumed:])
-            raise
 
     return _run_with_retry(workers, attempt)

@@ -20,9 +20,12 @@ partitioning rule is therefore exact for both join families:
 shared thread pool (the NumPy kernels release the GIL on their large
 array operations; :mod:`repro.exec.procpool` runs the same plan on
 worker processes), and :func:`concat_iteration_blocks` is the merge.
+:func:`run_by_iteration` strings them together for a join whose
+context is one fragment's iteration-sorted ``(iter, pre)`` columns —
+the one fan-out of the Staircase and the StandOff step alike.
 ``workers="serial"`` (the default), a single-iteration context, and a
-context under ``2 * shard_min_rows`` rows plan one shard, which callers
-run inline under either executor — byte-identical to the unsharded
+context under ``2 * shard_min_rows`` rows plan one shard, which runs
+inline under either executor — byte-identical to the unsharded
 pipeline, and the deterministic reference the differential suites
 compare against.
 """
@@ -42,7 +45,7 @@ from repro.config import (
 from repro.exec import lockcheck
 from repro.exec.cancel import check_cancelled, current_token, \
     wait_cancellable
-from repro.relational.columnar import ColumnarResult
+from repro.relational.columnar import ColumnarResult, run_starts
 
 T = TypeVar("T")
 
@@ -212,3 +215,47 @@ def concat_iteration_blocks(blocks: Sequence[ColumnarResult]
         row += k
         shift += len(b.values)
     return ColumnarResult(iters, offsets, values)
+
+
+# ----------------------------------------------------------------------
+# the fan-out of one join
+# ----------------------------------------------------------------------
+
+def run_by_iteration(run: Callable[[np.ndarray, np.ndarray],
+                                   ColumnarResult],
+                     its: np.ndarray, pres: np.ndarray, workers, *,
+                     shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS,
+                     remote: tuple | None = None) -> ColumnarResult:
+    """Run ``run(its, pres)`` over iteration-sorted context columns,
+    fanned out by iteration.
+
+    The rows of each iteration are counted (:func:`run_starts`), the
+    iterations cut into a plan (:func:`partition_by_iteration`), and
+    every shard gets its slice of the columns.  A one-shard plan runs
+    inline.  Otherwise the shards run on the thread pool
+    (:func:`run_shards`) — or, when *remote* is ``(worker function,
+    leading arguments)``, on worker processes, each job calling
+    ``worker(*arguments, its, pres)``
+    (:func:`repro.exec.procpool.run_process_shards`) — and the shard
+    results concatenate block by block.
+    """
+    count = normalize_workers(workers)
+    if count <= 1 or shard_min_rows < 1 or len(its) < 2 * shard_min_rows:
+        return run(its, pres)
+    bounds = np.append(run_starts(its), len(its))
+    plan = partition_by_iteration(np.diff(bounds), count,
+                                  shard_min_rows=shard_min_rows)
+    if not plan.is_sharded:
+        return run(its, pres)
+    cuts = [(int(bounds[shard.lo]), int(bounds[shard.hi]))
+            for shard in plan.shards]
+    if remote is not None:
+        from repro.exec.procpool import run_process_shards
+
+        worker, arguments = remote
+        return run_process_shards(
+            worker, [(*arguments, its[a:b], pres[a:b]) for a, b in cuts],
+            plan.workers)
+    return concat_iteration_blocks(run_shards(
+        [lambda a=a, b=b: run(its[a:b], pres[a:b]) for a, b in cuts],
+        plan.workers))

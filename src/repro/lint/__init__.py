@@ -95,7 +95,8 @@ _DEFAULT_CANCEL_SAFE_MODULES = (
     "src/repro/xquery/lexer.py", "src/repro/xquery/evaluator.py",
     "src/repro/xquery/bulk.py", "src/repro/bench/harness.py",
     "src/repro/exec/cancel.py", "src/repro/exec/sharding.py",
-    "src/repro/exec/procpool.py",
+    "src/repro/exec/procpool.py", "src/repro/xquery/standoff.py",
+    "src/repro/core/steps.py",
 )
 
 _DEFAULT_POLL_MODULES = (

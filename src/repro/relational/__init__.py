@@ -3,7 +3,6 @@
 
 from repro.relational.columnar import (
     ColumnarResult,
-    ColumnarStepResult,
     complement,
 )
 from repro.relational.sequence import (
@@ -17,7 +16,6 @@ from repro.relational.sequence import (
 
 __all__ = [
     "ColumnarResult",
-    "ColumnarStepResult",
     "complement",
     "IterSeq",
     "Loop",

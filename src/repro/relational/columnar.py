@@ -12,10 +12,10 @@ lists.  :class:`ColumnarResult` is that table in CSR form —
 * ``values``  — candidate node ids, unique and ascending (= document
   order) within each iteration's slice.
 
-It is the *native currency* of the vectorized join kernels
-(:mod:`repro.core.kernels_vec`) and of the step layer
-(:func:`repro.core.steps.standoff_step` returns the two-column variant
-:class:`ColumnarStepResult`).  Both types also implement the read-only
+It is the *native currency* of both join families: the vectorized
+StandOff kernels (:mod:`repro.core.kernels_vec`), the StandOff step
+(:func:`repro.core.steps.standoff_step`, one call per fragment) and the
+vectorized Staircase kernels all return it.  It also implements the read-only
 ``Mapping`` protocol with **lazy per-iteration decoding**, so code
 written against the historical ``dict[int, list[int]]`` ``JoinResult``
 (the ``ll``/``basic``/``udf`` reference paths, trace sinks, tests)
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -143,105 +143,23 @@ def _as_int64(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-class _ColumnarMapping(Mapping):
-    """Shared CSR bookkeeping and the lazy read-only ``Mapping`` adapter.
-
-    Subclasses carry the value column(s); this base owns ``iters`` +
-    ``offsets``, the binary-search key lookup, and the per-iteration
-    decode cache.  Hooks: :meth:`_decode_slice` materializes one
-    iteration's Python view, :meth:`_columns` lists every array for the
-    same-type equality check.
-    """
-
-    __slots__ = ("iters", "offsets", "_decoded")
-
-    def __init__(self, iters: np.ndarray, offsets: np.ndarray):
-        self.iters = iters
-        self.offsets = offsets
-        self._decoded: dict[int, list] = {}
-
-    def _decode_slice(self, a: int, b: int) -> list:
-        raise NotImplementedError
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        raise NotImplementedError
-
-    # -- columnar accessors ------------------------------------------------
-
-    def _find(self, iteration: int) -> int:
-        i = int(np.searchsorted(self.iters, iteration))
-        if i == len(self.iters) or self.iters[i] != iteration:
-            raise KeyError(iteration)
-        return i
-
-    def slice_of(self, iteration: int) -> tuple[int, int]:
-        """The ``[a, b)`` bounds of an iteration's slice of the value
-        column(s)."""
-        i = self._find(iteration)
-        return int(self.offsets[i]), int(self.offsets[i + 1])
-
-    def keep_rows(self, keep: np.ndarray):
-        """The value rows where the boolean *keep* holds, under the same
-        iterations (one may be left with an empty slice)."""
-        kept = np.concatenate((np.zeros(1, dtype=np.int64),
-                               np.cumsum(keep, dtype=np.int64)))
-        iters, offsets, *columns = self._columns()
-        return type(self)(iters, kept[offsets],
-                          *(column[keep] for column in columns))
-
-    # -- lazy dict view (the compatibility adapter) ------------------------
-
-    def __getitem__(self, iteration: int) -> list:
-        cached = self._decoded.get(iteration)
-        if cached is None:
-            cached = self._decode_slice(*self.slice_of(iteration))
-            self._decoded[iteration] = cached
-        return cached
-
-    def __iter__(self):
-        return iter(self.iters.tolist())
-
-    def __len__(self) -> int:
-        return len(self.iters)
-
-    def __contains__(self, iteration) -> bool:
-        try:
-            self._find(iteration)
-        except (KeyError, TypeError):
-            return False
-        return True
-
-    def to_dict(self) -> dict[int, list]:
-        """Fully decode to the classical dict representation."""
-        return {it: self[it] for it in self.iters.tolist()}
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _ColumnarMapping):
-            return type(other) is type(self) and all(
-                np.array_equal(mine, theirs)
-                for mine, theirs in zip(self._columns(), other._columns()))
-        if isinstance(other, Mapping):
-            return self.to_dict() == dict(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(iters={len(self.iters)}, "
-                f"values={int(self.offsets[-1])})")
-
-
-class ColumnarResult(_ColumnarMapping):
+class ColumnarResult(Mapping):
     """A loop-lifted join result as ``iters`` + CSR ``offsets|values``.
 
     Iteration -> unique candidate node ids in ascending (= document)
     order, stored columnar.  See the module docstring for invariants.
+    As a read-only ``Mapping`` it decodes lazily: one iteration's list
+    on first access, cached.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("iters", "offsets", "values", "_decoded")
 
     def __init__(self, iters: np.ndarray, offsets: np.ndarray,
                  values: np.ndarray):
-        super().__init__(iters, offsets)
+        self.iters = iters
+        self.offsets = offsets
         self.values = values
+        self._decoded: dict[int, list[int]] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -301,14 +219,6 @@ class ColumnarResult(_ColumnarMapping):
                              count=int(offsets[-1]))
         return cls(_as_int64(its), offsets, values)
 
-    # -- hooks -------------------------------------------------------------
-
-    def _decode_slice(self, a: int, b: int) -> list[int]:
-        return self.values[a:b].tolist()
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.iters, self.offsets, self.values)
-
     # -- columnar accessors ------------------------------------------------
 
     @property
@@ -316,7 +226,50 @@ class ColumnarResult(_ColumnarMapping):
         """Total number of ``(iter, id)`` result rows."""
         return len(self.values)
 
+    def _find(self, iteration: int) -> int:
+        i = int(np.searchsorted(self.iters, iteration))
+        if i == len(self.iters) or self.iters[i] != iteration:
+            raise KeyError(iteration)
+        return i
+
+    def slice_of(self, iteration: int) -> tuple[int, int]:
+        """The ``[a, b)`` bounds of an iteration's slice of ``values``."""
+        i = self._find(iteration)
+        return int(self.offsets[i]), int(self.offsets[i + 1])
+
+    def keep_rows(self, keep: np.ndarray) -> "ColumnarResult":
+        """The value rows where the boolean *keep* holds, under the same
+        iterations (one may be left with an empty slice)."""
+        kept = np.concatenate((np.zeros(1, dtype=np.int64),
+                               np.cumsum(keep, dtype=np.int64)))
+        return ColumnarResult(self.iters, kept[self.offsets],
+                              self.values[keep])
+
+    # -- lazy dict view (the compatibility adapter) ------------------------
+
+    def __getitem__(self, iteration: int) -> list[int]:
+        cached = self._decoded.get(iteration)
+        if cached is None:
+            a, b = self.slice_of(iteration)
+            cached = self.values[a:b].tolist()
+            self._decoded[iteration] = cached
+        return cached
+
+    def __iter__(self):
+        return iter(self.iters.tolist())
+
+    def __len__(self) -> int:
+        return len(self.iters)
+
+    def __contains__(self, iteration) -> bool:
+        try:
+            self._find(iteration)
+        except (KeyError, TypeError):
+            return False
+        return True
+
     def to_dict(self) -> dict[int, list[int]]:
+        """Fully decode to the classical dict representation."""
         # One batched tolist() instead of a per-iteration decode — this
         # is the reference paths' bulk decolumnarization (ll rejects).
         bounds = self.offsets.tolist()
@@ -324,100 +277,18 @@ class ColumnarResult(_ColumnarMapping):
         return {it: vals[a:b] for it, a, b in zip(self.iters.tolist(),
                                                   bounds[:-1], bounds[1:])}
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ColumnarResult):
+            return (np.array_equal(self.iters, other.iters)
+                    and np.array_equal(self.offsets, other.offsets)
+                    and np.array_equal(self.values, other.values))
+        if isinstance(other, Mapping):
+            return self.to_dict() == dict(other)
+        return NotImplemented
 
-class ColumnarStepResult(_ColumnarMapping):
-    """A step-level result: ``iter -> [(fragment, node id), ...]``.
-
-    Same CSR layout as :class:`ColumnarResult` with a parallel ``frags``
-    column; within an iteration's slice rows are ordered by fragment
-    rank then node id (= document order when ranks follow document
-    order).  Built by :meth:`from_fragments` without ever decolumnarizing
-    per-fragment join results.
-    """
-
-    __slots__ = ("frags", "values")
-
-    def __init__(self, iters: np.ndarray, offsets: np.ndarray,
-                 frags: np.ndarray, values: np.ndarray):
-        super().__init__(iters, offsets)
-        self.frags = frags
-        self.values = values
-
-    @classmethod
-    def empty(cls) -> "ColumnarStepResult":
-        return cls(np.empty(0, np.int64), np.zeros(1, np.int64),
-                   np.empty(0, np.int64), np.empty(0, np.int64))
-
-    @classmethod
-    def from_fragments(cls, parts: Iterable[tuple[int, Mapping]]
-                       ) -> "ColumnarStepResult":
-        """Concatenate per-fragment join results, columnar.
-
-        ``parts`` is ``(fragment id, join result)`` in the desired
-        fragment order; each join result is a :class:`ColumnarResult`
-        or a ``dict[int, list[int]]`` (the reference paths).  Iterations
-        with empty sequences survive (anti-join semantics); within an
-        iteration the given fragment order is preserved and ids stay
-        ascending per fragment — one stable sort on ``iter`` suffices.
-        """
-        iter_cols: list[np.ndarray] = []
-        frag_cols: list[np.ndarray] = []
-        val_cols: list[np.ndarray] = []
-        key_cols: list[np.ndarray] = []     # all iteration keys, incl. empty
-        for fragment, result in parts:
-            if isinstance(result, ColumnarResult):
-                keys = result.iters
-                rep = np.repeat(result.iters, np.diff(result.offsets))
-                vals = result.values
-            else:
-                keys = _as_int64(sorted(result))
-                rep_list: list[int] = []
-                val_list: list[int] = []
-                for it in keys.tolist():
-                    ids = result[it]
-                    rep_list.extend([it] * len(ids))
-                    val_list.extend(ids)
-                rep = _as_int64(rep_list)
-                vals = _as_int64(val_list)
-            if len(keys) == 0:
-                continue
-            key_cols.append(keys)
-            if len(vals):
-                iter_cols.append(rep)
-                frag_cols.append(np.full(len(vals), fragment, np.int64))
-                val_cols.append(vals)
-        if not key_cols:
-            return cls.empty()
-        uniq_iters = np.unique(np.concatenate(key_cols))
-        if iter_cols:
-            rep_all = np.concatenate(iter_cols)
-            order = np.argsort(rep_all, kind="stable")
-            rep_all = rep_all[order]
-            frags = np.concatenate(frag_cols)[order]
-            values = np.concatenate(val_cols)[order]
-        else:
-            rep_all = np.empty(0, np.int64)
-            frags = np.empty(0, np.int64)
-            values = np.empty(0, np.int64)
-        offsets = np.append(
-            np.searchsorted(rep_all, uniq_iters, side="left"),
-            len(rep_all))
-        return cls(uniq_iters, offsets, frags, values)
-
-    # -- hooks -------------------------------------------------------------
-
-    def _decode_slice(self, a: int, b: int) -> list[tuple[int, int]]:
-        return list(zip(self.frags[a:b].tolist(),
-                        self.values[a:b].tolist()))
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.iters, self.offsets, self.frags, self.values)
-
-    # -- columnar accessors ------------------------------------------------
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.values)
+    def __repr__(self) -> str:
+        return (f"ColumnarResult(iters={len(self.iters)}, "
+                f"values={int(self.offsets[-1])})")
 
 
 # ----------------------------------------------------------------------

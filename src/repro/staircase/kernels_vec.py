@@ -504,11 +504,7 @@ def staircase_join(axis: str, doc: ShreddedDocument,
     other jobs run on the thread pool, so the executor never changes
     answers, only where the shards run.
     """
-    from repro.exec.sharding import (
-        concat_iteration_blocks,
-        partition_by_iteration,
-        run_shards,
-    )
+    from repro.exec.sharding import run_by_iteration
     from repro.staircase.loop_lifted import ll_axis_join
 
     if check_kernel(kernel) == KERNEL_LL:
@@ -516,29 +512,20 @@ def staircase_join(axis: str, doc: ShreddedDocument,
             context = zip(context[0].tolist(), context[1].tolist())
         return ll_axis_join(doc, axis, list(context), candidates,
                             or_self=or_self)
-    if normalize_workers(workers) <= 1:     # skip the counting pass
+    if normalize_workers(workers) <= 1:     # skip the canonicalization
         return vec_staircase_join(axis, doc, context, candidates,
                                   or_self=or_self)
-    # Canonicalize the context (sort + dedup) once; the plan counts its
-    # rows per iteration and every shard takes a slice of the columns.
-    its, pres = _context_arrays(context)
-    bounds = np.append(run_starts(its), len(its))
-    plan = partition_by_iteration(np.diff(bounds), workers,
-                                  shard_min_rows=shard_min_rows)
-    if not plan.is_sharded:
-        return vec_staircase_join(axis, doc, (its, pres), candidates,
-                                  or_self=or_self)
-    shards = [(its[bounds[s.lo]:bounds[s.hi]], pres[bounds[s.lo]:bounds[s.hi]])
-              for s in plan.shards]
-
+    remote = None
     if normalize_executor(executor) == EXECUTOR_PROCESS \
             and doc.store_ref is not None and candidate_desc is not None:
-        from repro.exec.procpool import run_staircase
+        from repro.exec.procpool import staircase_shard
 
-        return run_staircase(axis, doc.store_ref, shards, candidate_desc,
-                             plan.workers, or_self=or_self)
-
-    jobs = [lambda shard=shard: vec_staircase_join(
-        axis, doc, shard, candidates, or_self=or_self)
-        for shard in shards]
-    return concat_iteration_blocks(run_shards(jobs, plan.workers))
+        remote = (staircase_shard,
+                  (doc.store_ref, axis, candidate_desc, or_self))
+    # Canonicalize the context (sort + dedup) once; every shard takes a
+    # slice of the columns.
+    its, pres = _context_arrays(context)
+    return run_by_iteration(
+        lambda its, pres: vec_staircase_join(axis, doc, (its, pres),
+                                             candidates, or_self=or_self),
+        its, pres, workers, shard_min_rows=shard_min_rows, remote=remote)

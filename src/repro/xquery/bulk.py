@@ -7,8 +7,8 @@ loop (one inner iteration per binding item), relifts the visible
 variables, and unlifts the body's result back — so an axis step in the
 body sees the context nodes of **all** iterations at once:
 
-* StandOff steps issue a **single** Loop-Lifted StandOff MergeJoin call
-  (:func:`repro.xquery.standoff.standoff_axis_step_lifted`);
+* StandOff steps issue one Loop-Lifted StandOff MergeJoin call per
+  fragment (:func:`repro.xquery.standoff.standoff_axis_step_lifted`);
 * tree-axis steps (descendant, ancestor, child, following, preceding,
   the sibling axes) issue one loop-lifted Staircase Join per fragment
   (:func:`step_route` picks how the predicates run):

@@ -54,10 +54,6 @@ def lookup_builtin(name: str, arity: int) -> Callable | None:
     return fn
 
 
-def known_builtin_names() -> set[str]:
-    return {name for name, _ in _REGISTRY} | set(_VARARG)
-
-
 # ----------------------------------------------------------------------
 # documents and nodes
 # ----------------------------------------------------------------------

@@ -3,8 +3,7 @@
 Covers the ``ColumnarResult`` <-> dict round-trip (empty iterations,
 unsorted input, duplicates — property-based), the ``Mapping``
 compatibility adapter, the shared anti-join ``complement`` helper, the
-per-fragment columnar concatenation of the step layer, the column
-form of node sequences (``NodeColumns``: column operations that decode
+column form of node sequences (``NodeColumns``: column operations that decode
 nothing, decoding per accessed iteration), and the choice between the
 two join kernels.
 """
@@ -18,13 +17,11 @@ from hypothesis import strategies as st
 
 from repro.config import KERNEL_LL, SUPPORTED_KERNELS, check_kernel
 from repro.errors import UnknownKernelError
-from repro.core import IterContext, RegionTable, StandoffOp, standoff_step
+from repro.core import IterContext, RegionTable, StandoffOp
 from repro.core.kernels_vec import kernel_join, vec_join
 from repro.core.mergejoin_ll import ll_join
-from repro.core.region_index import RegionIndex
 from repro.relational import (
     ColumnarResult,
-    ColumnarStepResult,
     IterSeq,
     NodeColumns,
     complement,
@@ -195,39 +192,6 @@ class TestComplement:
         ll = ll_join(StandoffOp.REJECT_NARROW, ctx, cand)
         assert isinstance(vec, ColumnarResult)
         assert vec.to_dict() == ll == {0: [8, 9], 1: [7, 9]}
-
-
-# ----------------------------------------------------------------------
-# per-fragment columnar concatenation
-# ----------------------------------------------------------------------
-
-class TestStepConcatenation:
-    def test_mixed_dict_and_columnar_parts(self):
-        parts = [(7, ColumnarResult.from_dict({0: [2, 4], 1: []})),
-                 (3, {0: [1], 2: [9]})]
-        merged = ColumnarStepResult.from_fragments(parts)
-        # fragment order is the given order (7 before 3), ids ascending
-        # within each fragment; empty iteration 1 survives.
-        assert merged == {0: [(7, 2), (7, 4), (3, 1)], 1: [], 2: [(3, 9)]}
-        assert merged.n_pairs == 4
-        assert merged.iters.tolist() == [0, 1, 2]
-        assert merged.frags[:3].tolist() == [7, 7, 3]
-        assert merged.values[:3].tolist() == [2, 4, 1]
-
-    def test_empty(self):
-        assert ColumnarStepResult.from_fragments([]) == {}
-        assert ColumnarStepResult.from_fragments([(1, {})]) == {}
-
-    def test_standoff_step_fragment_rank(self):
-        index = RegionIndex.build([(1, 0, 100), (2, 10, 20)])
-        indexes = {101: index, 102: index}
-        context = [(0, 101, 1), (0, 102, 1)]
-        default = standoff_step(StandoffOp.SELECT_NARROW, context, indexes)
-        assert isinstance(default, ColumnarStepResult)
-        assert default[0] == [(101, 1), (101, 2), (102, 1), (102, 2)]
-        ranked = standoff_step(StandoffOp.SELECT_NARROW, context, indexes,
-                               fragment_rank={101: 1, 102: 0})
-        assert ranked[0] == [(102, 1), (102, 2), (101, 1), (101, 2)]
 
 
 # ----------------------------------------------------------------------

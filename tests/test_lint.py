@@ -123,6 +123,14 @@ class TestSelfLint:
             ROOT, config)
         assert findings == [], "\n".join(f.render() for f in findings)
 
+    def test_pyproject_matches_in_code_defaults(self):
+        # The linter also runs without pyproject.toml; both configs must
+        # name the same scopes (RL006's cancel-safe modules included).
+        config = load_config(ROOT)
+        assert config == LintConfig()
+        assert "src/repro/xquery/standoff.py" in config.cancel_safe_modules
+        assert "src/repro/core/steps.py" in config.cancel_safe_modules
+
     def test_fixture_corpus_excluded_from_directory_walks(self):
         config = load_config(ROOT)
         walked = iter_lint_files([ROOT / "tests"], ROOT, config)

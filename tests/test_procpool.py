@@ -88,18 +88,18 @@ def test_process_dispatch_actually_engages(monkeypatch):
     """Under the mmap backend the staircase fan-out must really route
     through the process pool (not silently fall back to threads)."""
     calls = []
-    real = procpool.run_staircase
+    real = procpool.run_process_shards
 
-    def spy(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def spy(worker, jobs, workers):
+        calls.append((worker, jobs[0][1]))
+        return real(worker, jobs, workers)
 
-    monkeypatch.setattr(procpool, "run_staircase", spy)
+    monkeypatch.setattr(procpool, "run_process_shards", spy)
     db = build("mmap")
     db.query("for $s in doc('d.xml')//s return count($s/following::w)",
              strategy="ll", kernel="vectorized",
              workers=WORKERS, shard_min_rows=1, executor="process")
-    assert "following" in calls
+    assert (procpool.staircase_shard, "following") in calls
 
 
 def test_one_iteration_context_never_touches_a_pool(tmp_path, monkeypatch):
@@ -110,7 +110,7 @@ def test_one_iteration_context_never_touches_a_pool(tmp_path, monkeypatch):
     def boom(*_args, **_kwargs):  # pragma: no cover - must not run
         raise AssertionError("one-shard plan reached a pool")
 
-    monkeypatch.setattr(procpool, "run_staircase", boom)
+    monkeypatch.setattr(procpool, "run_process_shards", boom)
     monkeypatch.setattr(procpool, "_proc_pool", boom)
     monkeypatch.setattr(sharding, "_pool", boom)
     path = str(tmp_path / "d.repro")
@@ -139,8 +139,7 @@ def test_memory_backend_falls_back_to_threads(monkeypatch):
     def boom(*_args, **_kwargs):  # pragma: no cover - must not run
         raise AssertionError("process dispatch without a store")
 
-    monkeypatch.setattr(procpool, "run_staircase", boom)
-    monkeypatch.setattr(procpool, "run_standoff", boom)
+    monkeypatch.setattr(procpool, "run_process_shards", boom)
     db = build("memory")
     for query in QUERIES:
         want = db.query(query, strategy="ll",

@@ -374,23 +374,48 @@ def _standoff_db(n: int = 60) -> Database:
 
 
 class TestShardedStandoff:
-    def test_step_level_sharded_equals_serial(self):
-        db = _standoff_db()
-        stored = db.store.get("v.xml")
-        index = stored.region_index()
-        ids = index.annotated_ids().tolist()
-        context = [(it % 7, 0, nid) for it, nid in enumerate(ids)]
-        indexes = {0: index}
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_step_level_sharded_equals_serial(self, tmp_path, monkeypatch,
+                                              executor):
+        from repro import storage
+        from repro.exec import procpool, sharding
+
+        path = str(tmp_path / "v.repro")
+        storage.save_store(path, _standoff_db())
+        index = storage.open_store(path).store.get("v.xml").region_index()
+        assert index.store_ref is not None
+        ids = index.annotated_ids()
+        its = np.arange(len(ids), dtype=np.int64) // 3
+        fanned = []
+        if executor == "thread":
+            real_threads = sharding.run_shards
+
+            def spy_threads(jobs, workers):
+                fanned.append(len(jobs))
+                return real_threads(jobs, workers)
+
+            monkeypatch.setattr(sharding, "run_shards", spy_threads)
+        else:
+            real_procs = procpool.run_process_shards
+
+            def spy_procs(worker, jobs, workers):
+                assert worker is procpool.standoff_shard
+                fanned.append(len(jobs))
+                return real_procs(worker, jobs, workers)
+
+            monkeypatch.setattr(procpool, "run_process_shards", spy_procs)
         for op in StandoffOp:
-            serial = standoff_step(op, context, indexes,
+            serial = standoff_step(op, index, (its, ids),
                                    strategy=Strategy.LOOP_LIFTED,
                                    kernel="vectorized",
                                    workers=WORKERS_SERIAL)
-            sharded = standoff_step(op, context, indexes,
+            sharded = standoff_step(op, index, (its, ids),
                                     strategy=Strategy.LOOP_LIFTED,
                                     kernel="vectorized", workers=4,
-                                    shard_min_rows=1)
+                                    shard_min_rows=1, executor=executor)
             assert serial == sharded, op
+        assert len(fanned) == len(StandoffOp)
+        assert all(jobs == 4 for jobs in fanned), fanned
 
     @pytest.mark.parametrize("strategy", ["udf", "basic", "ll"])
     @pytest.mark.parametrize("kernel", SUPPORTED_KERNELS)

@@ -1,36 +1,44 @@
-"""The id()-keyed fragment partitions in repro.xquery.standoff.
+"""Fragment grouping in repro.xquery.standoff under address reuse.
 
-``_prepare`` keys fragment partitions on ``id(root)`` — the key must
-stay an int because it travels through the kernel's fragment-id column.
-Soundness rests on two properties (the PR 7 strong-ref scheme): every
-entry pins its root object, and every lookup verifies ``entry[0] is
-root`` before trusting the key.  CPython recycles addresses as soon as
-an object dies, so these tests force the collision directly: ``id`` is
-shadowed inside the module so two live roots report one address, which
-is exactly what a stale entry at a recycled address looks like.
+A StandOff step groups its context per fragment root and resolves each
+fragment's shred and region index through the query's caches, which
+key constructed fragments on ``id(root)``.  Soundness rests on two
+properties: every cache entry pins its root object and every lookup
+verifies identity, and the step's own groups are keyed on the root
+objects themselves.  CPython recycles addresses as soon as an object
+dies, so these tests force the collision directly: ``id`` is shadowed
+inside the modules so two live roots report one address, which is
+exactly what a stale entry at a recycled address looks like.
 """
 
 import gc
 
+import repro.xquery.context as context_module
 import repro.xquery.standoff as standoff
 from repro.config import ExecOptions
 from repro.xquery import Database
 from repro.xquery.context import DynamicContext
+
+FRAGMENT = ("let $f := <w start='0' end='10'><c start='1' end='2'/>"
+            "<c start='3' end='4'/></w> ")
 
 
 def make_context(db: Database) -> DynamicContext:
     return DynamicContext(db.store, options=ExecOptions(strategy="ll"))
 
 
+def shadow_id(monkeypatch, fake_id) -> None:
+    # A module-level binding shadows the builtin for code in the module.
+    for module in (standoff, context_module):
+        monkeypatch.setattr(module, "id", fake_id, raising=False)
+
+
 def test_stale_candidate_at_recycled_address_is_dropped(monkeypatch):
     db = Database()
     ctx = make_context(db)
-    context_nodes = list(db.query(
-        "let $f := <w><c/></w> return $f/child::c"))
-    candidate_nodes = list(db.query(
-        "let $f := <w><c/><c/></w> return $f/child::c"))
-    root_a = standoff._fragment_root(context_nodes[0])
-    root_b = standoff._fragment_root(candidate_nodes[0])
+    (root_a,) = list(db.query(FRAGMENT + "return $f"))
+    candidate_nodes = list(db.query(FRAGMENT + "return $f/child::c"))
+    root_b = candidate_nodes[0].root
     assert root_a is not root_b
 
     def fake_id(obj, _real=id):
@@ -39,18 +47,15 @@ def test_stale_candidate_at_recycled_address_is_dropped(monkeypatch):
             return 0xDEAD
         return _real(obj)
 
-    # A module-level binding shadows the builtin for code in the module.
-    monkeypatch.setattr(standoff, "id", fake_id, raising=False)
-    context_by_fragment, candidates_by_fragment, iter_rows = \
-        standoff._prepare(ctx, {0: context_nodes}, None, candidate_nodes)
-    assert set(context_by_fragment) == {0xDEAD}
-    info, pres = context_by_fragment[0xDEAD]
-    assert info.root is root_a
-    assert pres == [context_nodes[0].pre]
-    assert iter_rows == [(0, 0xDEAD, context_nodes[0].pre)]
+    shadow_id(monkeypatch, fake_id)
     # The candidates live in a different fragment whose root merely
-    # shares the address — the identity check must reject every one.
-    assert list(candidates_by_fragment[0xDEAD]) == []
+    # shares the address — every one must be rejected, though root_a
+    # has content-equal nodes at the same pre ranks.
+    assert standoff.standoff_function(ctx, "select-narrow", [root_a],
+                                      candidate_nodes) == []
+    own = list(root_a.children)
+    assert standoff.standoff_function(ctx, "select-narrow", [root_a],
+                                      own) == own
 
 
 def test_candidates_from_the_pinned_root_still_group(monkeypatch):
@@ -58,36 +63,31 @@ def test_candidates_from_the_pinned_root_still_group(monkeypatch):
     candidates keep flowing through the explicit-candidate path."""
     db = Database()
     ctx = make_context(db)
-    nodes = list(db.query(
-        "let $f := <w><c/><c/></w> return $f/child::c"))
-    root = standoff._fragment_root(nodes[0])
+    nodes = list(db.query(FRAGMENT + "return $f/child::c"))
+    root = nodes[0].root
 
     def fake_id(obj, _real=id):
         return 0xBEEF if obj is root else _real(obj)
 
-    monkeypatch.setattr(standoff, "id", fake_id, raising=False)
-    _context, candidates_by_fragment, _rows = standoff._prepare(
-        ctx, {0: [nodes[0]]}, None, nodes)
-    assert list(candidates_by_fragment[0xBEEF]) == \
-        sorted(node.pre for node in nodes)
+    shadow_id(monkeypatch, fake_id)
+    assert standoff.standoff_function(ctx, "select-narrow", [root],
+                                      nodes) == nodes
 
 
 def test_partition_entries_pin_fragment_roots():
     db = Database()
     ctx = make_context(db)
     nodes = list(db.query("let $f := <w><c/></w> return $f/child::c"))
-    root = standoff._fragment_root(nodes[0])
-    key = id(root)
-    context_by_fragment, _candidates, _rows = standoff._prepare(
-        ctx, {0: nodes}, None, None)
-    info, _pres = context_by_fragment[key]
-    del root, nodes
+    ((shredded, its, pres),) = standoff._node_groups(ctx, [(0, nodes)])
+    assert its.tolist() == [0] and pres.tolist() == [nodes[0].pre]
+    del nodes
     gc.collect()
-    # The partition holds a strong reference, so the keyed address
-    # cannot be recycled while the partition is alive — and the root
-    # is still resolvable through it.
-    assert info.root.tag == "w"
-    assert info.node_by_pre(info.root.pre) is info.root
+    # The group holds the fragment's shred, which holds its root, so
+    # the root cannot die (and its address be recycled) while the
+    # group is alive — and it is still resolvable through it.
+    root = shredded.root
+    assert root.tag == "w"
+    assert shredded.node_by_pre(root.pre) is root
 
 
 def test_repeated_constructed_fragments_resolve_to_live_nodes():
