@@ -114,8 +114,7 @@ class CliSession:
         source = Path(path if path is not None else uri)
         self.db.add_document(uri, source.read_text(encoding="utf-8"))
         stored = self.db.document(uri)
-        self.emit(f"loaded {uri} "
-                  f"({stored.document.node_count} nodes)")
+        self.emit(f"loaded {uri} ({len(stored.shredded)} nodes)")
 
     def load_blob(self, uri: str, path: str) -> None:
         self.db.add_blob(uri, Path(path).read_bytes())
@@ -128,7 +127,7 @@ class CliSession:
             return
         for uri in uris:
             stored = self.db.document(uri)
-            self.emit(f"doc  {uri}  ({stored.document.node_count} nodes)")
+            self.emit(f"doc  {uri}  ({len(stored.shredded)} nodes)")
         for uri in self.db.blobs.uris():
             blob = self.db.blobs.get(uri)
             self.emit(f"blob {uri}  ({len(blob)} bytes)")

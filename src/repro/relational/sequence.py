@@ -7,7 +7,9 @@ item sequence (ordered by ``pos``).  :class:`IterSeq` is that table.  It
 has two physical forms:
 
 * a node sequence from one fragment is a :class:`NodeColumns` — the
-  table itself, ``item`` a pre rank of the fragment's shredded columns:
+  table itself, ``item`` a pre rank of the fragment's shredded columns
+  (a stored document's document node is its pre 0, so ``fn:doc``
+  yields one too):
   ascending ``iters``, each naming its segment of a shared join result
   (a kernel's CSR :class:`~repro.relational.columnar.ColumnarResult`,
   ``pre`` values in document order), so ``pos`` is the row's rank in
@@ -71,7 +73,9 @@ class NodeColumns(Mapping):
 
     *result* is a canonical :class:`ColumnarResult` whose values are pre
     ranks of *shredded* (unique and ascending per iteration, which is
-    document order).  A view of it is ``iters`` (ascending) and, per
+    document order).  A join makes one; so does ``fn:doc`` (and an
+    absolute ``/``), whose result is the fragment's root row
+    (:meth:`root`).  A view of it is ``iters`` (ascending) and, per
     iteration, the index of its segment of *result* — ``None`` for the
     whole result in order.  Views share *result*: :meth:`restrict` and
     :meth:`relift` gather segment indices, never rows, so they cost the
@@ -100,6 +104,18 @@ class NodeColumns(Mapping):
         self.iters = result.iters if iters is None else iters
         self._segments = segments
         self._decoded: dict[int, list] | None = None
+
+    @classmethod
+    def root(cls, shredded, iters) -> "NodeColumns":
+        """The fragment's root — row 0 of *shredded*, a stored
+        document's document node — in every iteration of *iters*
+        (ascending): one one-row segment they all share, nothing
+        decoded."""
+        iters = np.asarray(iters, dtype=np.int64)
+        zero = np.zeros(1, dtype=np.int64)
+        result = ColumnarResult(zero, np.arange(2, dtype=np.int64), zero)
+        return cls(shredded, result, iters,
+                   np.zeros(len(iters), dtype=np.int64))
 
     @property
     def segments(self) -> np.ndarray:

@@ -9,11 +9,16 @@ it back with ``np.memmap``:
 
 * **O(1) cold start** — only the header is read; columns are zero-copy
   mapped views, so no shred, no region extraction, no DOM build happens
-  at open.  The DOM is built from the columns
-  (:func:`repro.xmldb.shred.unshred`) lazily, the first time a caller
-  actually asks for nodes (query results decode through
-  ``node_by_pre``); the join kernels themselves run entirely off the
-  mapped columns.
+  at open.  A query reads the columns: under ``ll``, ``doc()`` (and
+  ``context_uri=``) is the document's root row, pre 0 of its shred;
+  the Staircase and StandOff joins run off the mapped columns, a
+  StandOff step finding the persisted region table by asking the store
+  about the shred; ``count``/``empty``/``exists`` read segment lengths.
+  The DOM is built from the columns (:func:`repro.xmldb.shred.unshred`)
+  only when a node is decoded — a query result, a per-item predicate,
+  the ``basic``/``udf`` walk, an update.  Re-saving an opened store
+  (:func:`save_store`) writes the columns and the persisted region
+  table back without building it either.
 * **page sharing** — any number of processes mapping the same file
   share its pages read-only, which is what makes the process-pool
   executor (:mod:`repro.exec.procpool`) ship `(path, slice)` job
@@ -38,7 +43,7 @@ import numpy as np
 
 from repro.config import DEFAULT_CONFIG, STORAGE_MMAP
 from repro.core.region_index import RegionIndex, RegionTable
-from repro.errors import StorageFormatError
+from repro.errors import RegionError, StorageFormatError
 from repro.exec import lockcheck
 from repro.storage.format import (
     ALIGNMENT,
@@ -63,25 +68,29 @@ __all__ = [
 # Saving
 # ----------------------------------------------------------------------
 
-def _default_region_table(document: Document) -> RegionTable | None:
+def _default_region_table(source: Document | StoredDocument
+                          ) -> RegionTable | None:
     """The default-config region table, or ``None`` when the document
     cannot be extracted under the default config (e.g. it declares
     ``xs:double`` positions).  A ``None`` table is simply not persisted;
     region lookups then fall back to DOM extraction, which reproduces
-    the exact in-memory error semantics at query time."""
-    from repro.errors import RegionError
-
+    the exact in-memory error semantics at query time.  A stored
+    document answers with its region index, so a table its store file
+    persists is reused without a DOM; a bare document is extracted."""
     try:
+        if isinstance(source, StoredDocument):
+            return source.region_index(DEFAULT_CONFIG).table
         return RegionIndex.build(
-            extract_regions(document, DEFAULT_CONFIG)).table
+            extract_regions(source, DEFAULT_CONFIG)).table
     except RegionError:
         return None
 
 
-def _document_entry(document: Document, shredded: ShreddedDocument
-                    ) -> dict:
-    """One document's ``write_store`` entry (columns + metadata)."""
-    region_table = _default_region_table(document)
+def _document_entry(source: Document | StoredDocument,
+                    shredded: ShreddedDocument) -> dict:
+    """One document's ``write_store`` entry (columns + metadata);
+    *source* gives the uri, the doc id and the region table."""
+    region_table = _default_region_table(source)
     values = shredded.values
     heap = (values if isinstance(values, StringHeap)
             else StringHeap.from_dict(values))
@@ -113,8 +122,8 @@ def _document_entry(document: Document, shredded: ShreddedDocument
         columns["reg_ends"] = region_table.ends
         columns["reg_ids"] = region_table.ids
     return {
-        "uri": document.uri,
-        "doc_id": document.doc_id,
+        "uri": source.uri,
+        "doc_id": source.doc_id,
         "n_nodes": len(shredded),
         "names": list(shredded.names),
         "has_regions": region_table is not None,
@@ -130,11 +139,13 @@ def save_store(path: str, source) -> str:
     :class:`~repro.xmldb.store.StoredDocument`.  Region tables are
     persisted for the default standoff configuration (queries with a
     custom ``declare option`` preamble fall back to DOM extraction).
+    Everything is read from the stored document's columns and its region
+    index, so re-saving an opened store builds no DOM: a table the
+    store file already persists is written back as it is.
     """
     store = getattr(source, "store", source)
-    write_store(str(path), [
-        _document_entry(stored.document, stored.shredded)
-        for stored in store])
+    write_store(str(path), [_document_entry(stored, stored.shredded)
+                            for stored in store])
     return str(path)
 
 

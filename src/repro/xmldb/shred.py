@@ -224,6 +224,7 @@ class ShreddedDocument:
             nodes = document.all_nodes()
         n = len(nodes)
         self._document = document
+        self._doc_id = document.doc_id if document is not None else 0
         #: The fragment root: the document itself, or the orphan
         #: subtree's top node for constructed fragments.
         self._root = root if root is not None else document
@@ -365,6 +366,12 @@ class ShreddedDocument:
     def store_ref(self) -> tuple[str, str] | None:
         """``(store path, uri)`` when the columns are mmap-backed."""
         return self._store_ref
+
+    @property
+    def doc_id(self) -> int:
+        """The id of the document these columns encode (0 for an
+        orphan fragment); read without building the DOM."""
+        return self._doc_id
 
     def __len__(self) -> int:
         return len(self.pre)

@@ -306,6 +306,17 @@ class DocumentStore:
             return stored
         return None
 
+    def by_shred(self, shredded: ShreddedDocument
+                 ) -> StoredDocument | None:
+        """The stored document whose current shred *shredded* is, or
+        ``None`` (a constructed fragment's shred).  Reads the shred's
+        doc id, never its DOM, so a store-backed document is found from
+        its columns alone."""
+        stored = self._by_id.get(shredded.doc_id)
+        if stored is not None and stored._shredded is shredded:
+            return stored
+        return None
+
     def __contains__(self, uri: str) -> bool:
         return uri in self._by_uri
 

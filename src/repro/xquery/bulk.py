@@ -37,7 +37,11 @@ body sees the context nodes of **all** iterations at once:
 A node sequence in one fragment stays the join's CSR output — a
 :class:`~repro.relational.sequence.NodeColumns`, ``iter|pos|item`` with
 ``item`` a pre rank — from one step to the next and across ``for``
-boundaries:
+boundaries.  It starts as columns too: ``fn:doc`` over one stored
+document (the same one in every live iteration), the ``context_uri=``
+focus and an absolute ``/`` over a column focus are the fragment's root
+row, pre 0 of its shred, so a query over a store-backed document reads
+its columns until it decodes a node:
 
 * the next Staircase or StandOff join takes its ``(iter, pre)`` rows as
   its context, as they stand;
@@ -111,14 +115,16 @@ from repro.xquery.axes import (
     STAIRCASE_AXES,
     matches_test,
 )
-from repro.xquery.context import DynamicContext, Focus
+from repro.xquery.context import DocumentFocus, DynamicContext
 from repro.xquery.evaluator import (
     _copy_node,
     _filter_by_predicate,
     _renumber_fragment,
 )
 from repro.xquery.functions import (
+    doc_argument,
     fn_count,
+    fn_doc,
     fn_empty,
     fn_exists,
     lookup_builtin,
@@ -166,7 +172,10 @@ def evaluate_module_bulk(module: ast.Module, ctx: DynamicContext) -> list:
     variables = {name: IterSeq.lifted(list(value), loop)
                  for name, value in ctx.variables.items()}
     focus_seq = None
-    if ctx.focus is not None:
+    if isinstance(ctx.focus, DocumentFocus):
+        focus_seq = IterSeq(NodeColumns.root(ctx.focus.stored.shredded,
+                                             loop))
+    elif ctx.focus is not None:
         focus_seq = IterSeq.lifted([ctx.focus.item], loop)
     env = BulkEnv(ctx, loop, variables, focus_seq)
     for decl in module.prolog.variables:
@@ -470,6 +479,8 @@ def _bulk_call(expr: ast.FunctionCall, env: BulkEnv) -> IterSeq:
             f"unknown function {expr.name}#{len(expr.args)}",
             code="err:XPST0017")
     arg_seqs = [eval_bulk(arg, env) for arg in expr.args]
+    if builtin is fn_doc:
+        return _bulk_doc(arg_seqs[0], env)
     from_length = _FROM_LENGTH.get(builtin)
     if from_length is not None and isinstance(arg_seqs[0].data, NodeColumns):
         lengths = arg_seqs[0].data.lengths(env.loop).tolist()
@@ -477,6 +488,25 @@ def _bulk_call(expr: ast.FunctionCall, env: BulkEnv) -> IterSeq:
                         for it, n in zip(env.loop, lengths)})
     return _per_iter(env, arg_seqs,
                      lambda *args: builtin(env.ctx, list(args)))
+
+
+def _bulk_doc(uris: IterSeq, env: BulkEnv) -> IterSeq:
+    """``fn:doc`` over the loop.  When every live iteration names the
+    same stored document (or none), the result is that document's root
+    row, pre 0 of its shred, as columns (:meth:`NodeColumns.root`): the
+    first step joins from it and nothing builds the DOM.  Several
+    documents in one loop give each iteration its document node."""
+    documents = {}
+    for it in env.loop:
+        stored = doc_argument(env.ctx, uris.items_for(it))
+        if stored is not None:
+            documents[it] = stored
+    distinct = {id(stored): stored for stored in documents.values()}
+    if len(distinct) == 1:
+        (stored,) = distinct.values()
+        return IterSeq(NodeColumns.root(stored.shredded, list(documents)))
+    return IterSeq({it: [stored.document]
+                    for it, stored in documents.items()})
 
 
 #: Builtins that read only the length of their one argument: over a
@@ -500,14 +530,26 @@ def _bulk_path(expr: ast.PathExpr, env: BulkEnv) -> IterSeq:
 
             raise XQueryDynamicError("'/' requires a context item",
                                      code="err:XPDY0002")
-        current = env.focus_seq.map_items(lambda n: n.root)
+        current = _roots(env)
     else:
         current = None
     for step in expr.steps:
         current = _bulk_step(step, env, current)
     if current is None:
-        return env.focus_seq.map_items(lambda n: n.root)
+        return _roots(env)
     return current
+
+
+def _roots(env: BulkEnv) -> IterSeq:
+    """``/``: the root of each focus node.  A one-fragment column focus
+    is that fragment's pre-0 row in every iteration it is not empty
+    in, nothing decoded."""
+    focus = env.focus_seq.data
+    if isinstance(focus, NodeColumns):
+        live = focus.restrict(env.loop)
+        iters = live.iters[live.lengths(live.iters) > 0]
+        return IterSeq(NodeColumns.root(focus.shredded, iters))
+    return env.focus_seq.map_items(lambda n: n.root)
 
 
 def _bulk_step(step, env: BulkEnv, context: IterSeq | None) -> IterSeq:
@@ -776,10 +818,8 @@ def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
     # so row-ordered collection reproduces the oracle exactly.  The
     # check runs only in the already-rare multi-fragment case.
     if len(shreds) > 1:
-        transient = {
-            key for key, sh in shreds.items()
-            if sh.document is None
-            or env.ctx.store.by_document(sh.document) is None}
+        transient = {key for key, sh in shreds.items()
+                     if env.ctx.store.by_shred(sh) is None}
         if len(transient) > 1 and _tie_prone(env, context, transient):
             out: dict[int, list] = {}
             for it in env.loop:

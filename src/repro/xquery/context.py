@@ -85,6 +85,25 @@ class Focus:
         self.size = size
 
 
+class DocumentFocus(Focus):
+    """The focus on a stored document's root (``Database.query(...,
+    context_uri=)``).  The loop-lifted evaluator starts from the root's
+    columns (:meth:`NodeColumns.root
+    <repro.relational.sequence.NodeColumns.root>`); the document node
+    itself is built only when something reads :attr:`item`."""
+
+    __slots__ = ("stored",)
+
+    def __init__(self, stored):
+        self.stored = stored
+        self.position = 1
+        self.size = 1
+
+    @property
+    def item(self):
+        return self.stored.document
+
+
 class DynamicContext:
     """Mutable evaluation state threaded through the evaluators."""
 
@@ -169,18 +188,19 @@ class DynamicContext:
     def standoff_config(self) -> StandoffConfig:
         return self.static.standoff
 
-    def region_index_for(self, root: Node) -> RegionIndex:
-        """The region index of the fragment rooted at *root*.
+    def region_index_for(self, shredded) -> RegionIndex:
+        """The region index of the fragment *shredded* encodes.
 
-        Stored documents use the store's cached index; constructed
-        fragments get a transient index built (and cached) on demand.
+        The store is asked about the shred, never its DOM: when the
+        shred is a stored document's current one, that document's
+        cached index is used (a store file's persisted table needs no
+        DOM).  Constructed fragments get a transient index, built from
+        their nodes on demand and cached per query.
         """
-        from repro.xmldb.dom import Document
-
-        if isinstance(root, Document):
-            stored = self.store.by_document(root)
-            if stored is not None:
-                return stored.region_index(self.standoff_config)
+        stored = self.store.by_shred(shredded)
+        if stored is not None:
+            return stored.region_index(self.standoff_config)
+        root = shredded.root
         key = id(root)
         entry = self._transient_indexes.get(key)
         if entry is None or entry[0] is not root:

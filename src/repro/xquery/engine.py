@@ -33,7 +33,8 @@ from repro.errors import UnsupportedFeatureError, XQueryTypeError
 from repro.xmldb.dom import Attr, Document, Element, Node
 from repro.xmldb.store import DocumentStore, StoredDocument
 from repro.xquery import ast
-from repro.xquery.context import DynamicContext, Focus, StaticContext
+from repro.xquery.context import DocumentFocus, DynamicContext, \
+    StaticContext
 from repro.xquery.parser import parse
 from repro.xquery.rewrite import rewrite
 from repro.xquery.values import atomic_to_string
@@ -287,8 +288,7 @@ class Database:
                                        else [value])
                 ctx.globals[name] = ctx.variables[name]
         if context_uri is not None:
-            root = self.store.get(context_uri).document
-            ctx.focus = Focus(root, 1, 1)
+            ctx.focus = DocumentFocus(self.store.get(context_uri))
 
         if options.strategy == "ll":
             from repro.xquery.bulk import evaluate_module_bulk

@@ -16,6 +16,7 @@ from typing import Callable
 
 from repro.errors import XQueryDynamicError, XQueryStaticError, XQueryTypeError
 from repro.xmldb.dom import Attr, Document, Element, Node, document_order
+from repro.xmldb.store import StoredDocument
 from repro.xquery.context import DynamicContext, Sequence
 from repro.xquery.values import (
     atomic_to_string,
@@ -58,10 +59,23 @@ def lookup_builtin(name: str, arity: int) -> Callable | None:
 # documents and nodes
 # ----------------------------------------------------------------------
 
+def doc_argument(ctx: DynamicContext, arg: Sequence
+                 ) -> StoredDocument | None:
+    """The stored document ``fn:doc`` names with *arg*, or ``None`` for
+    the empty sequence; an unstored URI raises ``err:FODC0002``."""
+    if not arg:
+        return None
+    uri = string_value(arg)
+    if uri not in ctx.store:
+        raise XQueryDynamicError(f"document {uri!r} not stored",
+                                 code="err:FODC0002")
+    return ctx.store.get(uri)
+
+
 @builtin("doc", 1)
 def fn_doc(ctx: DynamicContext, args) -> Sequence:
-    uri = string_value(args[0])
-    return [ctx.store.get(uri).document]
+    stored = doc_argument(ctx, args[0])
+    return [] if stored is None else [stored.document]
 
 
 @builtin("root", 0)

@@ -7,7 +7,9 @@ context is grouped per fragment: a one-fragment node sequence held as
 is one group as it stands; a node list is grouped by the fragment's
 shredded columns (:meth:`DynamicContext.shredded_for`).  Each group
 makes one :func:`~repro.core.steps.standoff_step` call against the
-fragment's region index, with the candidate sequence derived from the
+fragment's region index (:meth:`DynamicContext.region_index_for` asks
+the store about the shred, so a stored document's persisted table is
+used without its DOM), with the candidate sequence derived from the
 step's name test via the element index (selection pushdown, §4.3).
 
 Each fragment's :class:`~repro.relational.columnar.ColumnarResult` is
@@ -122,7 +124,7 @@ def _step(ctx: DynamicContext, op_name: str, groups: list[tuple],
     ctx.count_standoff_join()
     results = []
     for shredded, its, pres in groups:
-        index = ctx.region_index_for(shredded.root)
+        index = ctx.region_index_for(shredded)
         if explicit is not None:
             wanted = np.unique(np.asarray(explicit[shredded.root],
                                           dtype=np.int64))

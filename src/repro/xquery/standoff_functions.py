@@ -37,7 +37,7 @@ from repro.xquery.values import atomize_single, string_value, to_number
 
 
 def _area_of(ctx: DynamicContext, node: Node, what: str) -> Area:
-    index = ctx.region_index_for(node.root)
+    index = ctx.region_index_for(ctx.shredded_for(node.root))
     area = index.area_of(node.pre)
     if area is None:
         name = getattr(node, "tag", node.kind_name)

@@ -1,9 +1,11 @@
 """Tests for the command-line shell."""
 
 import io
+import sys
 
 import pytest
 
+from repro import storage
 from repro.cli import CliSession, main
 
 VIDEO = """
@@ -41,6 +43,31 @@ class TestSession:
         session.handle(f"\\load video.xml {video_file}")
         session.handle("\\docs")
         assert "doc  video.xml" in out.getvalue()
+
+    def test_docs_of_an_opened_store_builds_no_dom(self, tmp_path,
+                                                   video_file,
+                                                   monkeypatch):
+        """``\\docs`` prints the node count from the columns: the same
+        count for a store-backed document, and no DOM built for it."""
+        session, out = make_session()
+        session.handle(f"\\load video.xml {video_file}")
+        session.handle("\\docs")
+        path = storage.save_store(str(tmp_path / "v.repro"), session.db)
+        shred_module = sys.modules["repro.xmldb.shred"]
+        real, calls = shred_module.unshred, []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("uri"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shred_module, "unshred", spy)
+        stored_out = io.StringIO()
+        CliSession(out=stored_out, store_path=path).handle("\\docs")
+        assert calls == []
+        listing = stored_out.getvalue()
+        assert listing == out.getvalue().splitlines(keepends=True)[-1]
+        nodes = session.db.document("video.xml").document.node_count
+        assert listing == f"doc  video.xml  ({nodes} nodes)\n"
 
     def test_strategy_switch(self, video_file):
         session, out = make_session()

@@ -257,6 +257,33 @@ def test_engine_errors_surface():
     asyncio.run(run())
 
 
+def test_missing_document_reply_names_its_code():
+    db = build("memory")
+
+    async def run():
+        server = QueryServer(db=db, default_timeout=0)
+        tcp = await serve(server, port=0)
+        try:
+            port = tcp.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer.write(json.dumps({
+                "op": "query", "id": 1,
+                "query": "doc('missing.xml')"}).encode() + b"\n")
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            tcp.close()
+            await tcp.wait_closed()
+            await server.stop()
+        assert not reply["ok"] and reply["code"] == "error", reply
+        assert "err:FODC0002" in reply["error"]
+
+    asyncio.run(run())
+
+
 # ----------------------------------------------------------------------
 # per-session static contexts over one shared plan cache
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ Three concerns share this module:
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +143,39 @@ class TestRoundTrip:
         for meta in file.header["documents"]:
             assert "keep_whitespace_text" not in meta
             assert "xml" not in meta["columns"]
+
+    def test_resave_of_an_opened_store_builds_no_dom(self, store_path,
+                                                     tmp_path, monkeypatch):
+        """Re-saving reads the columns and the persisted region table:
+        no document is rebuilt from its columns, and the new file holds
+        the same documents and region tables."""
+        shred_module = sys.modules["repro.xmldb.shred"]
+        real, calls = shred_module.unshred, []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("uri"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shred_module, "unshred", spy)
+        again = str(tmp_path / "again.repro")
+        storage.save_store(again, storage.open_store(store_path))
+        assert calls == []
+        monkeypatch.setattr(shred_module, "unshred", real)
+        first = storage.StoreReader(store_path)
+        second = storage.StoreReader(again)
+        assert second.uris() == first.uris()
+        for uri in first.uris():
+            assert fragment_fingerprint(
+                second.document(uri).all_nodes()) == \
+                fragment_fingerprint(first.document(uri).all_nodes())
+            assert second.meta(uri)["doc_id"] == first.meta(uri)["doc_id"]
+            assert second.has_regions(uri) == first.has_regions(uri)
+            if first.has_regions(uri):
+                mine = first.region_index(uri).table
+                theirs = second.region_index(uri).table
+                for column in ("starts", "ends", "ids"):
+                    assert np.array_equal(getattr(mine, column),
+                                          getattr(theirs, column))
 
     @pytest.mark.parametrize("update", sorted(ADJACENT_TEXT))
     def test_updated_document_is_storable(self, tmp_path, update):
