@@ -1,4 +1,5 @@
-"""Sharded fan-out execution over the unified kernel registry."""
+"""Sharded fan-out execution: one iteration-range scheme for both join
+families."""
 
 from repro.exec.sharding import (
     Shard,

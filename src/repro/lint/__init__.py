@@ -106,8 +106,8 @@ _DEFAULT_POLL_MODULES = (
 )
 
 _DEFAULT_MUST_POLL = (
-    "_eval_flwor", "_filter_by_predicate", "_bulk_standard_axis",
-    "run_shards",
+    "_eval_flwor", "_filter_by_predicate", "_dom_step",
+    "fragment_groups", "run_shards",
 )
 
 _DEFAULT_POLL_CALLS = (

@@ -134,9 +134,9 @@ REVERSE_AXES = frozenset({
 
 #: XPath axes the Staircase Join family evaluates on the shredded
 #: pre/size encoding, mapped to ``(staircase axis, or_self)`` — the
-#: bulk evaluator routes predicate-free steps over these axes through
-#: :func:`repro.staircase.kernels_vec.staircase_join` (kernel resolved
-#: by the unified registry) instead of the per-node DOM walk.
+#: bulk evaluator routes steps over these axes through
+#: :func:`repro.staircase.kernels_vec.staircase_join` (under the
+#: query's ``kernel`` option) instead of the per-node DOM walk.
 STAIRCASE_AXES: dict[str, tuple[str, bool]] = {
     "descendant": ("descendant", False),
     "descendant-or-self": ("descendant", True),

@@ -5,34 +5,45 @@ values (the ``iter|pos|item`` representation of §4.1) under a *loop
 relation* listing the live iterations.  A ``for`` clause expands the
 loop (one inner iteration per binding item), relifts the visible
 variables, and unlifts the body's result back — so an axis step in the
-body sees the context nodes of **all** iterations at once:
+body sees the context nodes of **all** iterations at once.
 
-* StandOff steps issue one Loop-Lifted StandOff MergeJoin call per
-  fragment (:func:`repro.xquery.standoff.standoff_axis_step_lifted`);
-* tree-axis steps (descendant, ancestor, child, following, preceding,
-  the sibling axes) issue one loop-lifted Staircase Join per fragment
-  (:func:`step_route` picks how the predicates run):
+Every axis step, tree or StandOff, takes the route :func:`step_route`
+reads off its shape, and every join route runs through one driver,
+:func:`fragment_step`, the way §4.4 runs a step — one join per XML
+fragment of the context, the results concatenated:
 
-  - steps whose predicates are all *column terms*
-    (:func:`repro.xquery.rewrite.column_predicate`: ``[@a op "lit"]``,
-    ``[@a op 42]``, ``[@a]`` under ``not``/``and``/``or``) filter the
-    join's CSR output with one keep-mask computed on the shred's
-    dictionary-encoded attribute columns
-    (:meth:`~repro.xmldb.shred.ShreddedDocument.attribute_column`) —
-    no node is decoded before it survives, no interpreter runs; a
-    step where some candidate's compare would raise (a failed cast, a
-    value comparison over two attributes) takes the next route, so the
-    error surfaces exactly as the oracle raises it;
-  - steps whose other predicates are all position-free
-    (:func:`repro.xquery.rewrite.position_free`) join first and filter
-    the decoded result per item;
-  - steps whose predicates compile to position masks filter the
-    join's CSR output columnar;
-  - only what is left (the attribute, self and parent axes, predicates
-    mixing positions with values) walks the DOM per node.
+* **group** — :func:`fragment_groups` cuts the context into
+  per-fragment ``(shredded, its, pres, rows)`` columns;
+* **join** — one call of the family's join per fragment: a
+  Loop-Lifted StandOff MergeJoin
+  (:func:`repro.xquery.standoff.standoff_join`) or a loop-lifted
+  Staircase Join (:func:`_staircase_join`), keyed by iteration, or by
+  context row where the tree oracle collects per row (positional
+  predicates, and an iteration that mixes two transient fragments);
+* **merge** — :func:`_merge_fragments`: one fragment stays columns,
+  several concatenate per iteration in context-row order and sort into
+  document order.
 
-  StandOff steps whose predicates are column terms filter the merge
-  join's columnar result the same way before decoding.
+The routes:
+
+* ``columns`` — every predicate is a *column term*
+  (:func:`repro.xquery.rewrite.column_predicate`: ``[@a op "lit"]``,
+  ``[@a op 42]``, ``[@a]`` under ``not``/``and``/``or``): the join's
+  CSR output is filtered with one keep-mask computed on the shred's
+  dictionary-encoded attribute columns
+  (:meth:`~repro.xmldb.shred.ShreddedDocument.attribute_column`) — no
+  node is decoded before it survives, no interpreter runs; a step where
+  some candidate's compare would raise (a failed cast, a value
+  comparison over two attributes) takes the next route, so the error
+  surfaces exactly as the oracle raises it;
+* ``kernel`` — join, then filter each iteration's decoded result per
+  item: a tree step whose predicates are position-free
+  (:func:`repro.xquery.rewrite.position_free`), a StandOff step
+  whatever its predicates (its positions count per iteration);
+* ``positional`` — tree steps whose predicates compile to position
+  masks filter the join's CSR output columnar;
+* ``dom`` — only what is left (the attribute, self and parent axes,
+  predicates mixing positions with values) walks the DOM per node.
 
 A node sequence in one fragment stays the join's CSR output — a
 :class:`~repro.relational.sequence.NodeColumns`, ``iter|pos|item`` with
@@ -57,9 +68,8 @@ Python nodes are decoded only at the edges — a per-item predicate, an
 atomizing or constructing consumer, the query's result — once per
 sequence, in one batched pass.  A variable read in a loop narrowed by
 ``where`` or ``if`` is restricted to it first, so the pass covers the
-live iterations only.  Contexts spanning several fragments,
-tie-prone ones and or-self steps over attributes take the per-node
-path, which groups decoded nodes per fragment.
+live iterations only.  A step over several fragments decodes its
+result once, in the merge.
 
 The evaluator is handed the *rewritten* module
 (:func:`repro.xquery.rewrite.rewrite`), in which ``//t`` is the single
@@ -130,7 +140,7 @@ from repro.xquery.functions import (
     lookup_builtin,
 )
 from repro.xquery.rewrite import column_predicates, position_free
-from repro.xquery.standoff import standoff_axis_step_lifted
+from repro.xquery.standoff import standoff_join
 from repro.xquery.values import (
     arithmetic,
     atomic_to_string,
@@ -563,43 +573,40 @@ def _bulk_step(step, env: BulkEnv, context: IterSeq | None) -> IterSeq:
     assert isinstance(step, ast.AxisStep)
     if context is None:
         context = _bulk_context_item(None, env)
-    if step.is_standoff:
-        terms = column_predicates(step.predicates)
-        if terms is not None:
-            try:
-                return IterSeq(standoff_axis_step_lifted(
-                    env.ctx, step.axis, context, env.loop, step.test,
-                    keep=_column_keep(terms)))
-            except _Undecided:
-                pass     # rejoin, then filter per item
-        result = IterSeq(standoff_axis_step_lifted(
-            env.ctx, step.axis, context, env.loop, step.test))
-        return _bulk_predicates_whole(result, step.predicates, env)
-    return _bulk_standard_axis(step, env, context)
+    route, plan = step_route(step)
+    if route != "dom":
+        result = _join_step(step, env, context, route, plan)
+        if result is not None:
+            return result
+    return _dom_step(step, env, context)
 
 
 def step_route(step: ast.AxisStep) -> tuple[str, list | None]:
-    """Which path a tree-axis step takes, decided from its shape alone
+    """Which route an axis step takes, decided from its shape alone
     (``Database.explain`` prints the same verdict the evaluator acts on):
 
     ``("columns", terms)``
-        every predicate is a column term — one predicate-less Staircase
-        Join, then a keep-mask on its CSR output from the attribute
-        columns (the ``kernel`` route when some compare would raise);
+        every predicate is a column term — one predicate-less join, then
+        a keep-mask on its CSR output from the attribute columns (the
+        ``kernel`` route when some compare would raise);
     ``("kernel", None)``
-        no predicate, or only position-free ones — one predicate-less
-        Staircase Join, then a per-item filter;
+        one predicate-less join, then a per-item filter over each
+        iteration's result — for a StandOff step whatever its
+        predicates (its positions count per iteration), for a tree step
+        when they are position-free;
     ``("positional", maskers)``
-        the predicate chain compiles to columnar position masks;
+        a tree step whose predicate chain compiles to columnar position
+        masks;
     ``("dom", None)``
-        the per-node DOM walk (a non-Staircase axis, or a predicate
+        the per-node DOM walk (a non-Staircase tree axis, or a predicate
         that is none of these).
     """
-    if step.axis in STAIRCASE_AXES:
+    if step.axis in STAIRCASE_AXES or step.is_standoff:
         terms = column_predicates(step.predicates)
         if terms is not None:
             return "columns", terms
-        if all(position_free(p) for p in step.predicates):
+        if all(position_free(p) for p in step.predicates) \
+                or step.is_standoff:
             return "kernel", None
         maskers = compile_positional_predicates(step.predicates)
         if maskers is not None:
@@ -607,36 +614,44 @@ def step_route(step: ast.AxisStep) -> tuple[str, list | None]:
     return "dom", None
 
 
-def _bulk_standard_axis(step: ast.AxisStep, env: BulkEnv,
-                        context: IterSeq) -> IterSeq:
-    route, plan = step_route(step)
-    if route != "dom":
-        axis, or_self = STAIRCASE_AXES[step.axis]
-        if route == "columns":
-            try:
-                lifted = _staircase_axis_step(step, env, context, axis,
-                                              or_self,
-                                              keep=_column_keep(plan))
-            except _Undecided:
-                route = "kernel"
-            else:
-                if lifted is not None:
-                    return lifted
-        if route == "kernel":
-            # A position-free predicate is a per-item test, so it does
-            # not matter that the join groups candidates per iteration
-            # where the DOM walk groups them per context node.
-            lifted = _staircase_axis_step(step, env, context, axis,
-                                          or_self)
-            if lifted is not None:
-                return _bulk_predicates_whole(lifted, step.predicates,
-                                              env)
-        elif route == "positional":
-            lifted = _staircase_positional_step(
-                step, env, context, axis, or_self, plan)
-            if lifted is not None:
-                return lifted
+def _join_step(step: ast.AxisStep, env: BulkEnv, context: IterSeq,
+               route: str, plan) -> IterSeq | None:
+    """*step* on a join route of :func:`step_route`: its family's join,
+    run by :func:`fragment_step`.  None sends the step to the DOM walk
+    (a node test with no candidate pool, or position arithmetic past
+    the exact float range)."""
+    ctx = env.ctx
+    if step.is_standoff:
+        def run(keep=None) -> IterSeq:
+            return fragment_step(ctx, context, env.loop, standoff_join(
+                ctx, step.axis, step.test, keep=keep))
+    else:
+        desc = _staircase_candidate_desc(step.test)
+        if desc is None:
+            return None
 
+        def run(keep=None, maskers=None) -> IterSeq:
+            return fragment_step(
+                ctx, context, env.loop,
+                _staircase_join(env, step, desc, keep, maskers),
+                by_row=maskers is not None, ties_by_row=True)
+    if route == "columns":
+        try:
+            return run(keep=_column_keep(plan))
+        except _Undecided:
+            pass     # rejoin, then filter per item
+    elif route == "positional":
+        try:
+            return run(maskers=plan)
+        except _PositionalOverflow:
+            return None
+    return _bulk_predicates_whole(run(), step.predicates, env)
+
+
+def _dom_step(step: ast.AxisStep, env: BulkEnv,
+              context: IterSeq) -> IterSeq:
+    """The per-node DOM walk, one iteration at a time, exactly as the
+    iterative evaluator steps."""
     axis_fn = AXIS_FUNCTIONS[step.axis]
     reverse = step.axis in REVERSE_AXES
     scopes = _PredicateScopes(env, step.predicates)
@@ -648,11 +663,11 @@ def _bulk_standard_axis(step: ast.AxisStep, env: BulkEnv,
         nodes = context.items_for(it)
         if not nodes:
             continue
+        if not all(isinstance(node, Node) for node in nodes):
+            raise XQueryTypeError("path steps require node context items")
         scope = scopes.at(it)
         collected: list[Node] = []
         for node in nodes:
-            if not isinstance(node, Node):
-                raise XQueryTypeError("path steps require node items")
             matched = [cand for cand in axis_fn(node)
                        if matches_test(cand, step.test, step.axis)]
             if reverse:
@@ -664,6 +679,145 @@ def _bulk_standard_axis(step: ast.AxisStep, env: BulkEnv,
         if ordered:
             out[it] = ordered
     return IterSeq(out)
+
+
+# ----------------------------------------------------------------------
+# the step driver: group per fragment, join, merge
+# ----------------------------------------------------------------------
+
+def fragment_groups(ctx: DynamicContext, context: IterSeq,
+                    loop: Loop) -> list[tuple]:
+    """The context rows of *loop*, one group per XML fragment in order
+    of first appearance: ``(shredded, its, pres, rows)`` columns,
+    ``rows`` each row's ordinal in context order.
+
+    A one-fragment node sequence held as columns (:class:`NodeColumns`)
+    is one group as it stands, canonical (sorted by ``(iter, pre)``,
+    duplicate-free).  A node list is grouped by the fragment's shredded
+    columns (:meth:`DynamicContext.shredded_for`: a stored document's
+    shred, or a constructed fragment's, made on demand) with its rows
+    in context order, duplicates kept.  Groups are keyed on the root
+    objects themselves, never on an address.
+    """
+    columns = context.data
+    if isinstance(columns, NodeColumns):
+        its, pres = columns.rows(loop)
+        if not len(its):
+            return []
+        return [(columns.shredded, its, pres,
+                 np.arange(len(its), dtype=np.int64))]
+    groups: dict[Node, tuple] = {}
+    row = 0
+    for it in loop:
+        # Cancellation checkpoint: one pass per iteration over decoded
+        # context nodes.
+        check_cancelled()
+        for node in context.items_for(it):
+            if not isinstance(node, Node):
+                raise XQueryTypeError(
+                    "path steps require node context items")
+            root = node.root
+            group = groups.get(root)
+            if group is None:
+                group = groups[root] = (ctx.shredded_for(root), [], [], [])
+            # Read the pre *after* shredding: a constructed fragment's
+            # numbering is assigned (idempotently) by the shred.
+            group[1].append(it)
+            group[2].append(node.pre)
+            group[3].append(row)
+            row += 1
+    return [(shredded, *(np.asarray(column, dtype=np.int64)
+                         for column in (its, pres, rows)))
+            for shredded, its, pres, rows in groups.values()]
+
+
+def fragment_step(ctx: DynamicContext, context: IterSeq, loop: Loop,
+                  join, *, by_row: bool = False,
+                  ties_by_row: bool = False) -> IterSeq:
+    """One axis step the way §4.4 runs it: the context grouped per
+    fragment (:func:`fragment_groups`), one call of the family's *join*
+    per fragment, the results merged (:func:`_merge_fragments`).
+
+    ``join(shredded, keys, pres)`` takes one fragment's context columns,
+    sorted by ``(key, pre)`` and duplicate-free, and returns its
+    :class:`ColumnarResult` keyed alike.  The keys are iterations, or
+    the group's row indices where the tree oracle collects per context
+    row: with *by_row* (positional predicates), and with *ties_by_row*
+    when some iteration mixes two transient fragments
+    (:func:`_mixes_transients`).
+    """
+    groups = fragment_groups(ctx, context, loop)
+    if ties_by_row and not by_row and len(groups) > 1:
+        by_row = _mixes_transients(ctx, groups)
+    canonical = isinstance(context.data, NodeColumns)
+    results = []
+    for shredded, its, pres, _rows in groups:
+        if by_row:
+            keys = np.arange(len(pres), dtype=np.int64)
+        elif canonical:
+            keys = its
+        else:
+            rows = ColumnarResult.from_pairs(its, pres)
+            keys = np.repeat(rows.iters, np.diff(rows.offsets))
+            pres = rows.values
+        results.append(join(shredded, keys, pres))
+    return _merge_fragments(groups, results, by_row)
+
+
+def _mixes_transients(ctx: DynamicContext, groups: list[tuple]) -> bool:
+    """Whether some iteration's context touches two transient fragments
+    (orphan subtrees or unstored documents).  Neither owns a
+    store-unique doc id, so their nodes can tie on the ``(doc id,
+    pre)`` key of document_order, and the DOM walk breaks such ties by
+    its per-row collection order."""
+    iters = [np.unique(its) for shredded, its, _pres, _rows in groups
+             if ctx.store.by_shred(shredded) is None]
+    if len(iters) < 2:
+        return False
+    seen = np.concatenate(iters)
+    return len(np.unique(seen)) < len(seen)
+
+
+def _merge_fragments(groups: list[tuple], results: list[ColumnarResult],
+                     by_row: bool) -> IterSeq:
+    """The per-fragment join *results* of :func:`fragment_step` as one
+    sequence.
+
+    One fragment stays columns (:class:`NodeColumns`); a row-keyed
+    result maps its rows back to their iterations, which within one
+    fragment is document order.  Several fragments decode into pieces
+    ``(first context row, iteration, nodes)``, one per result segment:
+    a context row's, or one fragment's in one iteration, keyed by its
+    first row there.  The pieces concatenate per iteration in row order
+    and document_order sorts them; its ties keep that order, the DOM
+    walk's collection order.
+    """
+    if len(groups) == 1:
+        (shredded, its, _pres, _rows), (result,) = groups[0], results
+        if by_row:
+            result = ColumnarResult.from_pairs(
+                np.repeat(its[result.iters], np.diff(result.offsets)),
+                result.values)
+        return IterSeq(NodeColumns(shredded, result))
+    pieces = []
+    for (shredded, its, _pres, rows), result in zip(groups, results):
+        if by_row:
+            firsts, iters = rows[result.iters], its[result.iters]
+        else:
+            seen, first = np.unique(its, return_index=True)
+            iters = result.iters
+            firsts = rows[first[np.searchsorted(seen, iters)]]
+        nodes = list(map(shredded.node_by_pre, result.values.tolist()))
+        bounds = result.offsets.tolist()
+        pieces += zip(firsts.tolist(), iters.tolist(),
+                      (nodes[a:b] for a, b in zip(bounds, bounds[1:])))
+    pieces.sort(key=lambda piece: piece[0])
+    merged: dict[int, list] = {}
+    for _row, it, nodes in pieces:
+        if nodes:
+            merged.setdefault(it, []).extend(nodes)
+    return IterSeq({it: document_order(nodes)
+                    for it, nodes in merged.items()})
 
 
 def _staircase_candidate_desc(test: ast.NodeTest) -> tuple | None:
@@ -693,174 +847,61 @@ def _staircase_candidate_desc(test: ast.NodeTest) -> tuple | None:
     return None
 
 
-def _tie_prone(env: BulkEnv, context: IterSeq,
-               transient: set[int]) -> bool:
-    """True when some iteration's context touches two or more transient
-    fragments — only then can document_order keys tie."""
-    for it in env.loop:
-        seen: set[int] = set()
-        for node in context.items_for(it):
-            key = id(env.ctx.shredded_for(node.root))
-            if key in transient:
-                seen.add(key)
-                if len(seen) > 1:
-                    return True
-    return False
+def _staircase_join(env: BulkEnv, step: ast.AxisStep, desc: tuple,
+                    keep=None, maskers=None):
+    """The Staircase family's join of a tree *step* for
+    :func:`fragment_step`: ``join(shredded, keys, pres)`` runs one
+    loop-lifted Staircase Join under the query's kernel and fan-out
+    settings and filters its columnar result by *keep* (``(shredded,
+    pres) -> bool mask``, :func:`_column_keep`) or by the compiled
+    position *maskers*.
 
-
-def _staircase_join(env: BulkEnv, axis: str, or_self: bool, desc: tuple,
-                    shredded, rows, candidates) -> ColumnarResult:
-    """One loop-lifted Staircase Join under the query's kernel and
-    fan-out settings; the result is columnar whichever kernel ran."""
-    from repro.staircase.kernels_vec import staircase_join
-
-    options = env.ctx.options
-    result = staircase_join(
-        axis, shredded, rows, candidates, or_self=or_self,
-        kernel=options.kernel, workers=options.workers,
-        shard_min_rows=options.shard_min_rows, executor=options.executor,
-        candidate_desc=desc)
-    if isinstance(result, ColumnarResult):
-        return result
-    return ColumnarResult.from_dict(result)
-
-
-def _column_context(context: IterSeq, loop: Loop, or_self: bool):
-    """``(shredded, its, pres)``: the context's ``(iter, pre)`` rows in
-    *loop*, when a join can take them as they are — a one-fragment node
-    sequence, unless an or-self step meets an attribute there (whose
-    self-match rides along outside the kernel, on the per-node path).
-    ``None`` otherwise."""
-    columns = context.data
-    if not isinstance(columns, NodeColumns):
-        return None
-    its, pres = columns.rows(loop)
-    if or_self and np.any(columns.shredded.kind[pres] == Attr.kind):
-        return None
-    return columns.shredded, its, pres
-
-
-def _staircase_axis_step(step: ast.AxisStep, env: BulkEnv,
-                         context: IterSeq, axis: str,
-                         or_self: bool, keep=None) -> IterSeq | None:
-    """Loop-lifted Staircase Join path for the tree axes.
-
-    Applies whenever the test is a name or kind test.  A context held
-    as one fragment's columns (:func:`_column_context`) is the join's
-    ``(iter, pre)`` input as it stands.  Otherwise context nodes are
-    grouped per fragment — stored documents use the store's shred,
-    constructed fragments shred on demand through the context's
-    transient cache — and each group runs one batched axis join under
-    ``ctx.options.kernel``.
-    A single-fragment result stays columns (:class:`NodeColumns`);
-    mixed stored + constructed contexts merge per iteration in document
-    order, exactly like the DOM walk would (iterations touching two or
-    more transient fragments collect per context row so cross-tree
-    order ties break identically).  *keep* (``(shredded, pres) -> bool
-    mask``, see :func:`_column_keep`) filters every join result columnar
-    before anything is decoded.  Returns None only for tests the
-    shredded encoding has no candidate pool for.
+    Under *maskers* every key is one context row, so each CSR segment
+    is one context node's axis result in document order: forward
+    positions are the segment ordinals, reverse-axis positions the
+    flipped ordinals (:func:`segment_positions`).
     """
-    from repro.staircase.kernels_vec import resolve_staircase_pool
+    from repro.staircase.kernels_vec import (
+        resolve_staircase_pool,
+        staircase_join,
+    )
 
-    desc = _staircase_candidate_desc(step.test)
-    if desc is None:
-        return None
+    axis, or_self = STAIRCASE_AXES[step.axis]
+    # node() is the one test an attribute passes on a tree axis, and no
+    # tree-axis pool holds attributes: an or-self step adds the
+    # self-match of its attribute context rows beside the kernel's, in
+    # pre order, so positions count it where the DOM walk does.
+    attribute_selves = or_self and step.test.kind == "node"
+    reverse = step.axis in REVERSE_AXES
+    options = env.ctx.options
 
-    def join(shredded, rows, candidates) -> ColumnarResult:
-        result = _staircase_join(env, axis, or_self, desc, shredded, rows,
-                                 candidates)
-        if keep is None:
-            return result
-        return result.keep_rows(keep(shredded, result.values))
+    def join(shredded, keys: np.ndarray, pres: np.ndarray
+             ) -> ColumnarResult:
+        result = staircase_join(
+            axis, shredded, (keys, pres),
+            resolve_staircase_pool(shredded, desc), or_self=or_self,
+            kernel=options.kernel, workers=options.workers,
+            shard_min_rows=options.shard_min_rows,
+            executor=options.executor, candidate_desc=desc)
+        if not isinstance(result, ColumnarResult):
+            result = ColumnarResult.from_dict(result)
+        if attribute_selves:
+            selves = shredded.kind[pres] == Attr.kind
+            if selves.any():
+                result = ColumnarResult.from_pairs(
+                    np.concatenate((np.repeat(result.iters,
+                                              np.diff(result.offsets)),
+                                    keys[selves])),
+                    np.concatenate((result.values, pres[selves])))
+        if keep is not None:
+            result = result.keep_rows(keep(shredded, result.values))
+        if maskers is not None:
+            offsets, values = _apply_positional_chain(
+                result.offsets, result.values, maskers, reverse)
+            result = ColumnarResult(result.iters, offsets, values)
+        return result
 
-    columns = _column_context(context, env.loop, or_self)
-    if columns is not None:
-        shredded, its, pres = columns
-        if not len(its):
-            return IterSeq({})
-        return IterSeq(NodeColumns(shredded, join(
-            shredded, (its, pres), resolve_staircase_pool(shredded, desc))))
-
-    groups: dict[int, list[tuple[int, int]]] = {}
-    shreds: dict[int, object] = {}
-    attr_self: dict[int, list[Node]] = {}
-    for it in env.loop:
-        for node in context.items_for(it):
-            if not isinstance(node, Node):
-                return None
-            shredded = env.ctx.shredded_for(node.root)
-            key = id(shredded)
-            shreds[key] = shredded
-            if or_self and isinstance(node, Attr) \
-                    and matches_test(node, step.test, step.axis) \
-                    and _self_kept(keep, shredded, node):
-                # Or-self inclusion is pool membership inside the
-                # kernel; attribute context nodes are outside every
-                # tree-axis pool, so their self-match rides along
-                # DOM-side.
-                attr_self.setdefault(it, []).append(node)
-            # Read the pre *after* shredding: a constructed fragment's
-            # numbering is assigned (idempotently) by the shred.
-            groups.setdefault(key, []).append((it, node.pre))
-    if not shreds:
-        return IterSeq({})
-    cand_by_key = {key: resolve_staircase_pool(shredded, desc)
-                   for key, shredded in shreds.items()}
-
-    # document_order sorts by (doc id, pre), stable on ties — and two
-    # *transient* fragments (orphan subtrees or unstored documents) can
-    # tie, because neither owns a store-unique doc id.  The DOM walk
-    # breaks such ties by per-iteration collection order, so any
-    # iteration touching two or more transient fragments collects per
-    # context row in context order (one single-row kernel join each) —
-    # tied nodes always come from different rows, never the same one,
-    # so row-ordered collection reproduces the oracle exactly.  The
-    # check runs only in the already-rare multi-fragment case.
-    if len(shreds) > 1:
-        transient = {key for key, sh in shreds.items()
-                     if env.ctx.store.by_shred(sh) is None}
-        if len(transient) > 1 and _tie_prone(env, context, transient):
-            out: dict[int, list] = {}
-            for it in env.loop:
-                collected: list[Node] = []
-                for node in context.items_for(it):
-                    shredded = env.ctx.shredded_for(node.root)
-                    result = join(shredded, [(0, node.pre)],
-                                  cand_by_key[id(shredded)])
-                    collected.extend(shredded.node_by_pre(p)
-                                     for p in result.values.tolist())
-                    if or_self and isinstance(node, Attr) \
-                            and matches_test(node, step.test, step.axis) \
-                            and _self_kept(keep, shredded, node):
-                        collected.append(node)
-                ordered = document_order(collected)
-                if ordered:
-                    out[it] = ordered
-            return IterSeq(out)
-
-    results = [(shreds[key], join(shreds[key], rows, cand_by_key[key]))
-               for key, rows in groups.items()]
-    if len(results) == 1 and not attr_self:
-        return IterSeq(NodeColumns(*results[0]))
-    out = {}
-    for shredded, result in results:
-        for it, nodes in NodeColumns(shredded, result).items():
-            if nodes:
-                out.setdefault(it, []).extend(nodes)
-    for it, extra in attr_self.items():
-        out.setdefault(it, []).extend(extra)
-    if len(results) > 1 or attr_self:
-        # No iteration mixes two transient fragments here, so keys are
-        # tie-free and the sort alone fixes the order.
-        out = {it: document_order(nodes) for it, nodes in out.items()}
-    return IterSeq(out)
-
-
-def _self_kept(keep, shredded, node: Node) -> bool:
-    """Whether *keep* keeps one node riding along outside the join."""
-    return keep is None or bool(
-        keep(shredded, np.asarray([node.pre], dtype=np.int64))[0])
+    return join
 
 
 # ----------------------------------------------------------------------
@@ -1173,128 +1214,6 @@ def _apply_positional_chain(offsets: np.ndarray, values: np.ndarray,
     return offsets, values
 
 
-def _dom_positional_anchor(node: Node, step: ast.AxisStep,
-                           scope: DynamicContext) -> list[Node]:
-    """One anchor's axis-plus-predicates result via the DOM walk (the
-    rare corners the columnar filter leaves to the oracle path)."""
-    axis_fn = AXIS_FUNCTIONS[step.axis]
-    matched = [cand for cand in axis_fn(node)
-               if matches_test(cand, step.test, step.axis)]
-    if step.axis in REVERSE_AXES:
-        matched.sort(key=Node.sort_key, reverse=True)
-    for predicate in step.predicates:
-        matched = _filter_by_predicate(matched, predicate, scope)
-    return matched
-
-
-def _staircase_positional_step(step: ast.AxisStep, env: BulkEnv,
-                               context: IterSeq, axis: str,
-                               or_self: bool, maskers: list
-                               ) -> IterSeq | None:
-    """Staircase axis step with a compiled positional predicate chain.
-
-    Positions count per *context node*, not per iteration, so every
-    (iteration, context node) row becomes its own kernel anchor: the
-    join runs with one context row per anchor, making each CSR segment
-    exactly one context node's axis result in document order — forward
-    positions are the segment ordinals, reverse-axis positions the
-    flipped ordinals (:func:`segment_positions`).  Attribute anchors
-    whose or-self match would ride along DOM-side shift their whole
-    sequence, so those anchors evaluate through the walk; everything
-    else stays columnar.  A context held as one fragment's columns
-    (:func:`_column_context`) makes its rows the anchors as they stand.
-    Per-row collection in context order keeps cross-fragment
-    document_order ties identical to the oracle.
-    Returns None to fall back (unsupported test pool, non-node context,
-    or arithmetic past the exact-float range).
-    """
-    from repro.staircase.kernels_vec import resolve_staircase_pool
-
-    desc = _staircase_candidate_desc(step.test)
-    if desc is None:
-        return None
-    reverse = step.axis in REVERSE_AXES
-
-    def filtered_join(shredded, rows):
-        result = _staircase_join(env, axis, or_self, desc, shredded, rows,
-                                 resolve_staircase_pool(shredded, desc))
-        offsets, values = _apply_positional_chain(
-            result.offsets, result.values, maskers, reverse)
-        return result.iters, offsets, values
-
-    def lifted(shredded, anchor_iters: np.ndarray, rows) -> IterSeq:
-        # Survivors map straight back to iterations columnar;
-        # from_pairs re-sorts and dedups, which is document order
-        # within one fragment.
-        anchors, offsets, values = filtered_join(shredded, rows)
-        return IterSeq(NodeColumns(shredded, ColumnarResult.from_pairs(
-            np.repeat(anchor_iters[anchors], np.diff(offsets)), values)))
-
-    columns = _column_context(context, env.loop, or_self)
-    if columns is not None:
-        shredded, its, pres = columns
-        if not len(pres):
-            return IterSeq({})
-        try:
-            return lifted(shredded, its,
-                          (np.arange(len(pres), dtype=np.int64), pres))
-        except _PositionalOverflow:
-            return None
-
-    groups: dict[int, list[tuple[int, int]]] = {}
-    shreds: dict[int, object] = {}
-    anchor_iters: list[int] = []
-    dom_anchors: dict[int, Node] = {}
-    for it in env.loop:
-        for node in context.items_for(it):
-            if not isinstance(node, Node):
-                return None
-            shredded = env.ctx.shredded_for(node.root)
-            key = id(shredded)
-            shreds[key] = shredded
-            anchor = len(anchor_iters)
-            anchor_iters.append(it)
-            if or_self and isinstance(node, Attr) \
-                    and matches_test(node, step.test, step.axis):
-                dom_anchors[anchor] = node
-            else:
-                groups.setdefault(key, []).append((anchor, node.pre))
-    if not anchor_iters:
-        return IterSeq({})
-
-    anchor_map = np.asarray(anchor_iters, dtype=np.int64)
-    try:
-        if len(groups) == 1 and not dom_anchors:
-            ((key, rows),) = groups.items()
-            return lifted(shreds[key], anchor_map, rows)
-
-        survivors: dict[int, list] = {}
-        for key, rows in groups.items():
-            anchors, offsets, values = filtered_join(shreds[key], rows)
-            bounds = offsets.tolist()
-            vals = values.tolist()
-            shredded = shreds[key]
-            for i, anchor in enumerate(anchors.tolist()):
-                a, b = bounds[i], bounds[i + 1]
-                if b > a:
-                    survivors[anchor] = [shredded.node_by_pre(pre)
-                                         for pre in vals[a:b]]
-    except _PositionalOverflow:
-        return None
-
-    if dom_anchors:
-        scope = env.ctx.child_scope()
-        for anchor, node in dom_anchors.items():
-            nodes = _dom_positional_anchor(node, step, scope)
-            if nodes:
-                survivors[anchor] = nodes
-
-    collected: dict[int, list] = {}
-    for anchor in sorted(survivors):
-        nodes = survivors[anchor]
-        collected.setdefault(int(anchor_map[anchor]), []).extend(nodes)
-    return IterSeq({it: document_order(nodes)
-                    for it, nodes in collected.items()})
 
 
 class _PredicateScopes:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from repro.xquery import ast
 from repro.xquery.bulk import step_route
-from repro.xquery.rewrite import column_predicates
 
 _ROUTES = {
-    "columns": "Staircase join, column filter",
-    "kernel": "Staircase join",
-    "positional": "Staircase join, position masks",
+    "columns": "{join}, column filter",
+    "kernel": "{join}",
+    "positional": "{join}, position masks",
     "dom": "DOM walk",
 }
 
@@ -37,17 +36,10 @@ def render_plan(module: ast.Module) -> str:
 
 
 def _route(step: ast.AxisStep) -> str:
-    if step.is_standoff:
-        note = "StandOff merge join"
-        filtered = bool(step.predicates)
-        if filtered and column_predicates(step.predicates) is not None:
-            note += ", column filter"
-            filtered = False
-    else:
-        route, _maskers = step_route(step)
-        note = _ROUTES[route]
-        filtered = route == "kernel" and bool(step.predicates)
-    if filtered:
+    route, _plan = step_route(step)
+    join = "StandOff merge join" if step.is_standoff else "Staircase join"
+    note = _ROUTES[route].format(join=join)
+    if route == "kernel" and step.predicates:
         note += ", then per-item filter"
     if step.fused:
         note = "'//' fused; " + note

@@ -1,38 +1,38 @@
 """Bridge between the XQuery evaluators and the StandOff join machinery.
 
 A StandOff step runs its join once per XML fragment of the context and
-concatenates the results (§4.4) — the shape of a Staircase step.  The
-context is grouped per fragment: a one-fragment node sequence held as
-``(iter, pre)`` columns (:class:`~repro.relational.sequence.NodeColumns`)
-is one group as it stands; a node list is grouped by the fragment's
-shredded columns (:meth:`DynamicContext.shredded_for`).  Each group
-makes one :func:`~repro.core.steps.standoff_step` call against the
-fragment's region index (:meth:`DynamicContext.region_index_for` asks
-the store about the shred, so a stored document's persisted table is
-used without its DOM), with the candidate sequence derived from the
-step's name test via the element index (selection pushdown, §4.3).
+concatenates the results (§4.4) — the shape of a Staircase step, and
+the same driver runs both: :func:`repro.xquery.bulk.fragment_step`
+groups the context per fragment, makes one call of the family's join
+per group, and merges the results.  This module supplies the StandOff
+family's join (:func:`standoff_join`): one
+:func:`~repro.core.steps.standoff_step` call against the fragment's
+region index (:meth:`DynamicContext.region_index_for` asks the store
+about the shred, so a stored document's persisted table is used
+without its DOM), with the candidate sequence derived from the step's
+name test via the element index (selection pushdown, §4.3), its
+:class:`~repro.relational.columnar.ColumnarResult` masked by the node
+test where it was not pushed down and by the step predicates' column
+filter.
 
-Each fragment's :class:`~repro.relational.columnar.ColumnarResult` is
-then masked by the node test where it was not pushed down and by the
-step predicates' column filter.  A one-fragment result stays columns
-(``NodeColumns``); the results of several fragments are decoded,
-concatenated in order of first appearance, and sorted into document
-order.  The ``udf``/``basic`` evaluator's step and the builtin-function
-form run the same routine over one iteration.
+The join is keyed by iteration: a StandOff step is a sequence-level
+join, so positions count per iteration, and several fragments in one
+iteration concatenate in the order they first appear there.  The
+loop-lifted evaluator runs it over all iterations at once; the
+``udf``/``basic`` evaluator's step (:func:`standoff_axis_step`) and the
+builtin-function form (:func:`standoff_function`) run the same driver
+over one iteration.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable, Mapping
 
 import numpy as np
 
 from repro.core.naive import StandoffOp
 from repro.core.steps import Strategy, standoff_step
-from repro.errors import XQueryTypeError
 from repro.relational.columnar import ColumnarResult
-from repro.relational.sequence import IterSeq, Loop, NodeColumns
-from repro.xmldb.dom import Node, document_order
+from repro.relational.sequence import IterSeq
+from repro.xmldb.dom import Node
 from repro.xquery.ast import NodeTest
 from repro.xquery.context import DynamicContext
 
@@ -74,60 +74,39 @@ def _candidate_ids_for_test(ctx: DynamicContext, shredded, index,
     return np.empty(0, dtype=np.int64)
 
 
-def _node_groups(ctx: DynamicContext,
-                 per_iter: Iterable[tuple[int, list]]) -> list[tuple]:
-    """Group node-list context rows per fragment, in order of first
-    appearance: ``(shredded, its, pres)`` each, the columns sorted by
-    ``(iter, pre)`` and duplicate-free."""
-    groups: dict[Node, tuple] = {}
-    for iteration, nodes in per_iter:
-        for node in nodes:
-            if not isinstance(node, Node):
-                raise XQueryTypeError(
-                    "StandOff steps require node context items")
-            root = node.root
-            group = groups.get(root)
-            if group is None:
-                group = groups[root] = (ctx.shredded_for(root), [], [])
-            # Read the pre *after* shredding: a constructed fragment's
-            # numbering is assigned (idempotently) by the shred.
-            group[1].append(iteration)
-            group[2].append(node.pre)
-    out = []
-    for shredded, its, pres in groups.values():
-        rows = ColumnarResult.from_pairs(its, pres)
-        out.append((shredded, np.repeat(rows.iters, np.diff(rows.offsets)),
-                    rows.values))
-    return out
-
-
-def _step(ctx: DynamicContext, op_name: str, groups: list[tuple],
-          test: NodeTest | None, keep=None,
-          candidates: list[Node] | None = None) -> Mapping:
-    """One StandOff step over context *groups* (see :func:`_node_groups`):
-    one join per fragment, one counted join per step.
+def standoff_join(ctx: DynamicContext, op_name: str,
+                  test: NodeTest | None = None, *, keep=None,
+                  candidates: list[Node] | None = None):
+    """The StandOff family's join of one step for
+    :func:`repro.xquery.bulk.fragment_step`: ``join(shredded, its,
+    pres)`` runs one :func:`~repro.core.steps.standoff_step` over one
+    fragment's context columns and returns its
+    :class:`~repro.relational.columnar.ColumnarResult`, each call
+    counted (:meth:`DynamicContext.count_standoff_join`).
 
     *candidates* are the builtin form's explicit candidate nodes (only
-    those in a context fragment take part); otherwise *test* derives
-    them.  *keep* (``(shredded, pres) -> bool mask``) filters each
-    fragment's result before anything is decoded.
+    those in the joined fragment take part); otherwise *test* derives
+    them.  The result is masked by a name test that was not pushed
+    down and by *keep* (``(shredded, pres) -> bool mask``, the step
+    predicates' column filter) before anything is decoded.
     """
-    if not groups:
-        return {}
     op = StandoffOp.from_name(op_name)
     options = ctx.options
-    explicit = None
+    explicit: dict[Node, list[Node]] | None = None
     if candidates is not None:
-        explicit = {shredded.root: [] for shredded, _its, _pres in groups}
+        explicit = {}
         for node in candidates:
-            explicit.get(node.root, []).append(node.pre)
-    ctx.count_standoff_join()
-    results = []
-    for shredded, its, pres in groups:
+            explicit.setdefault(node.root, []).append(node)
+
+    def join(shredded, its: np.ndarray, pres: np.ndarray
+             ) -> ColumnarResult:
+        ctx.count_standoff_join()
         index = ctx.region_index_for(shredded)
         if explicit is not None:
-            wanted = np.unique(np.asarray(explicit[shredded.root],
-                                          dtype=np.int64))
+            # Read the pres now: the fragment is shredded, so numbered.
+            wanted = np.unique(np.asarray(
+                [node.pre for node in explicit.get(shredded.root, ())],
+                dtype=np.int64))
         else:
             wanted = _candidate_ids_for_test(ctx, shredded, index, test)
         result = standoff_step(
@@ -142,37 +121,9 @@ def _step(ctx: DynamicContext, op_name: str, groups: list[tuple],
                 result.values, shredded.elements_matching(test.name)))
         if keep is not None:
             result = result.keep_rows(keep(shredded, result.values))
-        results.append((shredded, result))
-    if len(results) == 1:
-        return NodeColumns(*results[0])
-    merged: dict[int, list[Node]] = {}
-    for shredded, result in results:
-        for iteration, nodes in NodeColumns(shredded, result).items():
-            if nodes:
-                merged.setdefault(iteration, []).extend(nodes)
-    return {iteration: document_order(nodes)
-            for iteration, nodes in merged.items()}
+        return result
 
-
-def standoff_axis_step_lifted(ctx: DynamicContext, axis: str,
-                              context: IterSeq, loop: Loop,
-                              test: NodeTest, keep=None) -> Mapping:
-    """Loop-lifted StandOff axis step: all iterations of *loop* in one
-    join call per fragment.
-
-    A context held as :class:`~repro.relational.sequence.NodeColumns`
-    joins from its ``(iter, pre)`` columns.  A result in one fragment
-    comes back as ``NodeColumns`` too; a result spanning fragments is
-    decoded.  *keep* is the column filter of the step's predicates (see
-    :func:`_step`).
-    """
-    if isinstance(context.data, NodeColumns):
-        its, pres = context.data.rows(loop)
-        groups = [(context.data.shredded, its, pres)] if len(its) else []
-    else:
-        groups = _node_groups(
-            ctx, ((it, context.items_for(it)) for it in loop))
-    return _step(ctx, axis, groups, test, keep=keep)
+    return join
 
 
 def standoff_axis_step(ctx: DynamicContext, axis: str,
@@ -185,14 +136,23 @@ def standoff_axis_step(ctx: DynamicContext, axis: str,
     are sequence-level joins, not per-node mappings (this matters for the
     reject anti-joins).
     """
-    groups = _node_groups(ctx, [(0, context_nodes)])
-    return list(_step(ctx, axis, groups, test).get(0, []))
+    return _one_iteration(ctx, context_nodes,
+                          standoff_join(ctx, axis, test))
 
 
 def standoff_function(ctx: DynamicContext, op_name: str,
                       context_nodes: list[Node],
                       candidates: list[Node] | None) -> list[Node]:
     """The builtin-function form (Alternative 3 of §3.2)."""
-    groups = _node_groups(ctx, [(0, context_nodes)])
-    return list(_step(ctx, op_name, groups, None,
-                      candidates=candidates).get(0, []))
+    return _one_iteration(ctx, context_nodes,
+                          standoff_join(ctx, op_name,
+                                        candidates=candidates))
+
+
+def _one_iteration(ctx: DynamicContext, context_nodes: list[Node],
+                   join) -> list[Node]:
+    # Imported here: the bulk evaluator imports this module.
+    from repro.xquery.bulk import fragment_step
+
+    return list(fragment_step(ctx, IterSeq({0: context_nodes}), [0],
+                              join).items_for(0))

@@ -449,6 +449,57 @@ def test_column_route_respects_short_circuits():
         assert db.query(query, strategy="ll").serialize() == want
 
 
+# ----------------------------------------------------------------------
+# one step driver: group per fragment, join, merge
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("query", [
+    'let $a := <u><x/></u> let $b := <v><y/></v> '
+    'for $i in (1, 2) return (if ($i = 1) then $b else ($a, $b))/child::*',
+    'let $a := <u><x/><w/></u> let $b := <v><y/></v> '
+    'return ($a, $b, $a)/child::*',
+])
+def test_tie_prone_step_joins_once_per_fragment(monkeypatch, query):
+    """An iteration mixing two constructed fragments keys its join by
+    context row, so document-order ties break as the DOM walk's do; the
+    rows of one fragment still share one kernel call."""
+    import repro.staircase.kernels_vec as kernels_vec
+
+    db = Database()
+    want = db.query(query, strategy="basic").serialize()
+    calls = []
+    original = kernels_vec.staircase_join
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels_vec, "staircase_join", spy)
+    assert db.query(query, strategy="ll").serialize() == want
+    assert calls == ["child", "child"]
+
+
+@pytest.mark.parametrize("step", [
+    "child::w", "child::w[1]", 'child::w[@start = "0"]', "parent::*",
+    "select-narrow::w",
+])
+def test_non_node_context_raises_the_oracle_error(step):
+    """Every route — the grouper of the join routes and the DOM walk —
+    rejects an atomic context item with the oracles' words and code."""
+    from repro.errors import XQueryError
+
+    db = Database()
+    db.add_document("n.xml", '<r><s start="0" end="9">'
+                             '<w start="0" end="1"/></s></r>')
+    query = f'(1, doc("n.xml")//s)/{step}'
+    with pytest.raises(XQueryError) as oracle:
+        db.query(query, strategy="basic")
+    with pytest.raises(XQueryError) as ll:
+        db.query(query, strategy="ll")
+    assert str(ll.value) == str(oracle.value)
+    assert ll.value.code == oracle.value.code == "err:XPTY0004"
+
+
 class TestAttributeColumn:
     def test_dictionary_encoding(self, column_db):
         shredded = column_db.document("c.xml").shredded

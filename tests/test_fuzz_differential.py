@@ -21,9 +21,10 @@ Beyond the stored-document paths, dedicated fuzz targets pin the
 corners that previously fell off the kernel path: the sibling axes
 (including attribute anchors — which have no siblings — and merged
 text-node siblings), *constructed-fragment* contexts, which now
-shred on demand instead of dropping to the DOM walk, and ``for`` loops
-over paths, whose node sequences stay ``(iter, pre)`` columns from one
-join to the next.
+shred on demand instead of dropping to the DOM walk, StandOff steps
+over several constructed fragments met in a different order in every
+iteration, and ``for`` loops over paths, whose node sequences stay
+``(iter, pre)`` columns from one join to the next.
 
 Seeds are fixed: every failure is reproducible from the printed
 (seed, query) pair.  The whole module is budgeted at roughly two
@@ -527,6 +528,67 @@ def test_fuzz_positional_constructed_fragments(seed=6500):
                     assert got == oracle, (seed, query, kernel, workers)
 
 
+def region_fragments(rng: random.Random, names) -> list[str]:
+    """Constructed fragments of one random shape, each with its own
+    random regions: the nodes at one pre rank share a tag, so their
+    document-order keys tie across fragments."""
+    def element(depth: int) -> str:
+        tag = rng.choice(TAGS)
+        children = "".join(element(depth + 1)
+                           for _ in range(rng.randrange(3 - depth)))
+        return f"<{tag} {{}}>{children}</{tag}>"
+
+    body = "".join(element(1) for _ in range(rng.randrange(1, 3)))
+    fragments = []
+    for name in names:
+        template = f"<{name} {{}}>{body}</{name}>"
+        regions = []
+        for _ in range(template.count("{}")):
+            start = rng.randrange(60)
+            regions.append(
+                f'start="{start}" end="{start + rng.randrange(1, 40)}"')
+        fragments.append(template.format(*regions))
+    return fragments
+
+
+def test_fuzz_standoff_constructed_fragments(seed=6600):
+    """StandOff steps over two or three constructed fragments, met in a
+    different order in every iteration: all four operators, with no
+    predicate, a column term, a position or a per-item test, under
+    every pushdown policy — ``udf``, ``basic`` and ``ll`` answer (or
+    raise) identically."""
+    rng = random.Random(seed)
+    db = Database()
+    answered = 0
+    predicates = ("", "[@start >= 10]", '[@end = "30" or @start < 20]',
+                  "[1]", "[last()]", "[2]", "[*]", "[@start + 0 > 15]")
+    for _trial in range(6):
+        names = ("f", "g", "h")[:rng.randrange(2, 4)]
+        lets = "".join(f"let ${name} := {fragment} " for name, fragment
+                       in zip(names, region_fragments(rng, names)))
+        orders = []
+        for _it in range(3):
+            order = list(names)
+            rng.shuffle(order)
+            orders.append("(" + ", ".join(f"${n}" for n in order) + ")")
+        context = (f"if ($i = 1) then {orders[0]} "
+                   f"else if ($i = 2) then {orders[1]} else {orders[2]}")
+        for _q in range(3):
+            op = rng.choice(STANDOFF_AXES)
+            test = rng.choice((*TAGS, "*"))
+            query = (f"{lets}for $i in (1, 2, 3) return "
+                     f"({context})/{op}::{test}{rng.choice(predicates)}")
+            for pushdown in ("always", "never", "auto"):
+                oracle = outcome(db, query, strategy="basic",
+                                 pushdown=pushdown)
+                answered += bool(oracle) and not oracle.startswith("raised")
+                for strategy in ("udf", "ll"):
+                    got = outcome(db, query, strategy=strategy,
+                                  pushdown=pushdown)
+                    assert got == oracle, (seed, query, strategy, pushdown)
+    assert answered >= 18, answered
+
+
 def test_positional_division_by_zero_matches_oracle():
     """Eagerly vectorized arithmetic must raise the same err:FOAR0001
     the per-item oracle raises — and must refuse to compile ``and``/
@@ -565,12 +627,22 @@ def test_positional_compiler_covers_the_pool():
         assert maskers is not None and len(maskers) == 1, predicate
 
 
+#: Two constructed region fragments, met in a different order in each
+#: of two iterations.
+TWO_FRAGMENT_LOOP = (
+    'let $a := <u start="0" end="9"><x start="1" end="2"/></u> '
+    'let $b := <v start="0" end="9"><y start="3" end="4"/></v> '
+    'for $i in (1, 2) return (if ($i = 1) then ($b, $a) else ($a, $b))')
+
+
 def test_cross_fragment_tie_break_matches_oracle():
     """Two transient fragments share doc id -1, so their nodes can tie
     on (doc id, pre); the DOM walk breaks ties by per-iteration context
-    order.  The kernel path must reproduce that exactly — including
-    when the fragments' first appearance (in an earlier iteration)
-    differs from a later iteration's context order."""
+    order, and the StandOff step concatenates an iteration's fragments
+    in the order they first appear in it.  The kernel path must
+    reproduce that exactly — including when the fragments' first
+    appearance (in an earlier iteration) differs from a later
+    iteration's context order."""
     db = Database()
     db.add_document("d.xml", "<r><a/></r>")
     queries = [
@@ -579,14 +651,22 @@ def test_cross_fragment_tie_break_matches_oracle():
         '(if ($i = 1) then $b else ($a, $b))/child::*',
         'let $a := <u><x/><w/></u> let $b := <v><y/></v> '
         'return ($a, $b, $a)/child::*',
+        # u's first row yields nothing; its tied x comes after v's y
+        'let $a := <u><x/><w/></u> let $b := <v><y/></v> '
+        'return ($a/child::x, $b, $a)/child::*',
         'let $a := <u><x/></u> let $b := <v><y/></v> '
         'return ($b/child::*, $a/child::*)'
         '/following-sibling::node()',
         'let $a := <u><x/></u> '
         'return (doc("d.xml")/r, $a)/child::*',
+        TWO_FRAGMENT_LOOP + '/select-narrow::*[1]',
+        TWO_FRAGMENT_LOOP + '/select-narrow::*',
+        TWO_FRAGMENT_LOOP + '/select-narrow::*[@start = 1 or @start = 3]',
+        TWO_FRAGMENT_LOOP + '/child::*',
     ]
     for query in queries:
         oracle = db.query(query, strategy="basic").serialize()
+        assert db.query(query, strategy="udf").serialize() == oracle, query
         for kernel in KERNELS_UNDER_TEST:
             for workers in WORKERS_UNDER_TEST:
                 got = db.query(query, strategy="ll",

@@ -1,6 +1,7 @@
-"""Fragment grouping in repro.xquery.standoff under address reuse.
+"""Fragment grouping of StandOff steps under address reuse.
 
-A StandOff step groups its context per fragment root and resolves each
+A StandOff step groups its context per fragment root
+(:func:`repro.xquery.bulk.fragment_groups`) and resolves each
 fragment's shred and region index through the query's caches, which
 key constructed fragments on ``id(root)``.  Soundness rests on two
 properties: every cache entry pins its root object and every lookup
@@ -13,9 +14,11 @@ exactly what a stale entry at a recycled address looks like.
 
 import gc
 
+import repro.xquery.bulk as bulk
 import repro.xquery.context as context_module
 import repro.xquery.standoff as standoff
 from repro.config import ExecOptions
+from repro.relational import IterSeq
 from repro.xquery import Database
 from repro.xquery.context import DynamicContext
 
@@ -29,7 +32,7 @@ def make_context(db: Database) -> DynamicContext:
 
 def shadow_id(monkeypatch, fake_id) -> None:
     # A module-level binding shadows the builtin for code in the module.
-    for module in (standoff, context_module):
+    for module in (bulk, standoff, context_module):
         monkeypatch.setattr(module, "id", fake_id, raising=False)
 
 
@@ -78,8 +81,10 @@ def test_partition_entries_pin_fragment_roots():
     db = Database()
     ctx = make_context(db)
     nodes = list(db.query("let $f := <w><c/></w> return $f/child::c"))
-    ((shredded, its, pres),) = standoff._node_groups(ctx, [(0, nodes)])
+    ((shredded, its, pres, rows),) = bulk.fragment_groups(
+        ctx, IterSeq({0: nodes}), [0])
     assert its.tolist() == [0] and pres.tolist() == [nodes[0].pre]
+    assert rows.tolist() == [0]
     del nodes
     gc.collect()
     # The group holds the fragment's shred, which holds its root, so
