@@ -51,7 +51,7 @@ SUPPORTED_TYPES = ("xs:integer", "xs:long", "xs:double", "xs:decimal")
 #: (paper Listing 1; ``list`` or ``heap`` active-items structure) for
 #: StandOff joins, the bisect/insort loop-lifted Staircase Join
 #: (``repro.staircase.loop_lifted``) for the tree axes.  The oracle and
-#: the Figure 6 / ablation series; a trace sink always runs it.
+#: the Figure 6 / ablation series; the only kernel with a trace sink.
 KERNEL_LL = "ll"
 
 #: The batched NumPy kernels (:mod:`repro.core.kernels_vec` /

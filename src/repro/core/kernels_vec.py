@@ -27,9 +27,10 @@ differential suite (``tests/test_kernels_differential.py``) asserts
 ``columnar == vectorized == list == heap == naive`` on randomized
 workloads (the columnar result's lazy dict view makes the comparison
 direct).  The reference path is kept both as the oracle and as the
-fallback: trace sinks (which observe Listing 1's add/replace/trim/emit
-events) and pathological inputs whose candidate windows would
-materialize too many pairs are delegated to ``ll_join``.
+fallback: pathological inputs whose candidate windows would materialize
+too many pairs are delegated to ``ll_join``.  Tracing Listing 1's
+add/replace/trim/emit events is ``ll_join``'s own feature; the batched
+kernel has no per-row events to report.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import DEFAULT_KERNEL, KERNEL_VECTORIZED, check_kernel
-from repro.core.mergejoin_ll import (
-    IterContext,
-    JoinResult,
-    TraceSink,
-    ll_join,
-)
+from repro.core.mergejoin_ll import IterContext, JoinResult, ll_join
 from repro.core.naive import StandoffOp
 from repro.core.region_index import RegionTable
 from repro.relational.columnar import (
@@ -378,37 +374,24 @@ _VEC_DISPATCH = {
 
 
 def vec_join(op: StandoffOp, context: IterContext,
-             candidates: RegionTable, *,
-             active_structure: str = "list",
-             trace: TraceSink | None = None
-             ) -> ColumnarResult | JoinResult:
-    """Dispatch a vectorized StandOff join by operator.
-
-    Signature-compatible with :func:`~repro.core.mergejoin_ll.ll_join`;
-    returns a :class:`~repro.relational.columnar.ColumnarResult` (whose
-    lazy dict view is interchangeable with the classical ``JoinResult``).
-    A trace sink forces the reference path (the batched kernel has no
-    per-row events to report), which returns the plain dict.
-    """
-    if trace is not None:
-        return ll_join(op, context, candidates,
-                       active_structure=active_structure, trace=trace)
+             candidates: RegionTable) -> ColumnarResult:
+    """Dispatch a vectorized StandOff join by operator; returns a
+    :class:`~repro.relational.columnar.ColumnarResult` (whose lazy dict
+    view is interchangeable with the classical ``JoinResult``)."""
     return _VEC_DISPATCH[op](context, candidates)
 
 
 def kernel_join(op: StandoffOp, context: IterContext,
                 candidates: RegionTable, *,
-                kernel: str = DEFAULT_KERNEL,
-                trace: TraceSink | None = None
+                kernel: str = DEFAULT_KERNEL
                 ) -> ColumnarResult | JoinResult:
     """Run a loop-lifted StandOff join under the named kernel.
 
     ``kernel`` is ``"vectorized"`` (the batched kernel, which falls back
     to the reference merge itself past :data:`PAIR_BUDGET`) or ``"ll"``
-    (Listing 1; the §5 ablation calls :func:`ll_join` directly for its
-    ``active_structure``).  A trace sink observes Listing 1's events, so
-    it always runs ``ll``.
+    (Listing 1; the §5 ablation and tracing call :func:`ll_join`
+    directly for its ``active_structure`` and ``trace``).
     """
-    if check_kernel(kernel) == KERNEL_VECTORIZED and trace is None:
+    if check_kernel(kernel) == KERNEL_VECTORIZED:
         return vec_join(op, context, candidates)
-    return ll_join(op, context, candidates, trace=trace)
+    return ll_join(op, context, candidates)

@@ -95,11 +95,6 @@ class RegionTable:
     def __repr__(self) -> str:
         return f"RegionTable(n={len(self)})"
 
-    def row(self, i: int) -> tuple:
-        """The ``(start, end, id)`` triple at position *i*."""
-        return (self.starts[i].item(), self.ends[i].item(),
-                int(self.ids[i]))
-
     def iter_rows(self) -> Iterable[tuple]:
         """Yield ``(start, end, id)`` triples in clustering order.
 

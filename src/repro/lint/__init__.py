@@ -88,7 +88,7 @@ _DEFAULT_DTYPE_SCOPE = (
 
 _DEFAULT_COLUMN_NAMES = (
     "pre", "size", "level", "kind", "parent", "name", "starts", "ends",
-    "ids", "iters", "offsets", "values", "heap", "pres",
+    "ids", "iters", "offsets", "values", "heap", "pres", "nids",
 )
 
 _DEFAULT_CANCEL_SAFE_MODULES = (

@@ -18,7 +18,7 @@ StandOff kernels (:mod:`repro.core.kernels_vec`), the StandOff step
 vectorized Staircase kernels all return it.  It also implements the read-only
 ``Mapping`` protocol with **lazy per-iteration decoding**, so code
 written against the historical ``dict[int, list[int]]`` ``JoinResult``
-(the ``ll``/``basic``/``udf`` reference paths, trace sinks, tests)
+(the ``ll``/``basic``/``udf`` reference paths, tests)
 consumes columnar results unchanged — decoding happens per accessed
 iteration and is cached, never eagerly for the whole result.
 

@@ -266,10 +266,6 @@ class IterSeq:
     def iterations(self) -> list[int]:
         return sorted(self.data)
 
-    def per_iter(self) -> Iterator[tuple[int, list]]:
-        for it in sorted(self.data):
-            yield it, self.data[it]
-
     def total_items(self) -> int:
         return sum(len(v) for v in self.data.values())
 

@@ -3,9 +3,12 @@
 ``save_store(path, db)`` writes every stored document's shredded
 columns — pre/size/level/parent/kind/name, the value string heap, the
 element-name index and the default-config region table — into one
-versioned store file (:mod:`repro.storage.format`).  The columns are
-the document: the file holds no XML text.  ``open_store(path)`` maps
-it back with ``np.memmap``:
+versioned store file (:mod:`repro.storage.format`).  A shred already
+holds its arrays in the file's layout, so they are written as they are,
+and :meth:`StoreReader.shredded` hands the mapped arrays back to the
+same :class:`~repro.xmldb.shred.ShreddedDocument` constructor.  The
+columns are the document: the file holds no XML text.
+``open_store(path)`` maps it back with ``np.memmap``:
 
 * **O(1) cold start** — only the header is read; columns are zero-copy
   mapped views, so no shred, no region extraction, no DOM build happens
@@ -53,7 +56,7 @@ from repro.storage.format import (
     write_store,
 )
 from repro.xmldb.dom import Document
-from repro.xmldb.shred import ShreddedDocument, StringHeap, shred
+from repro.xmldb.shred import ElementIndex, ShreddedDocument, StringHeap, shred
 from repro.xmldb.store import DocumentStore, StoredDocument, extract_regions
 
 __all__ = [
@@ -91,17 +94,7 @@ def _document_entry(source: Document | StoredDocument,
     """One document's ``write_store`` entry (columns + metadata);
     *source* gives the uri, the doc id and the region table."""
     region_table = _default_region_table(source)
-    values = shredded.values
-    heap = (values if isinstance(values, StringHeap)
-            else StringHeap.from_dict(values))
-    items = sorted(shredded._element_index.items())
-    elind_offsets = np.zeros(len(items) + 1, dtype="<i8")
-    if items:
-        np.cumsum([len(pres) for _nid, pres in items],
-                  out=elind_offsets[1:])
-        elind_pres = np.concatenate([pres for _nid, pres in items])
-    else:
-        elind_pres = np.empty(0, dtype="<i8")
+    values, index = shredded.values, shredded.element_index
     columns = {
         "pre": shredded.pre,
         "size": shredded.size,
@@ -109,13 +102,12 @@ def _document_entry(source: Document | StoredDocument,
         "kind": shredded.kind,
         "parent": shredded.parent,
         "name": shredded.name,
-        "elind_nids": np.asarray([nid for nid, _p in items],
-                                 dtype="<i4"),
-        "elind_offsets": elind_offsets,
-        "elind_pres": elind_pres,
-        "val_pres": heap.pres,
-        "val_offsets": heap.offsets,
-        "val_heap": heap.heap,
+        "elind_nids": index.nids,
+        "elind_offsets": index.offsets,
+        "elind_pres": index.pres,
+        "val_pres": values.pres,
+        "val_offsets": values.offsets,
+        "val_heap": values.heap,
     }
     if region_table is not None:
         columns["reg_starts"] = region_table.starts
@@ -196,19 +188,15 @@ class StoreReader:
         a *document* it builds its own from them on first use."""
         meta = self.meta(uri)
         col = lambda suffix: self._column(uri, suffix)  # noqa: E731
-        nids = col("elind_nids")
-        offsets = col("elind_offsets")
-        pres = col("elind_pres")
-        element_index = {
-            int(nid): pres[offsets[i]:offsets[i + 1]]
-            for i, nid in enumerate(nids.tolist())}
-        return ShreddedDocument.from_columns(
+        return ShreddedDocument(
             pre=col("pre"), size=col("size"), level=col("level"),
             kind=col("kind"), parent=col("parent"), name=col("name"),
             names=meta["names"],
             values=StringHeap(col("val_pres"), col("val_offsets"),
                               col("val_heap")),
-            element_index=element_index,
+            element_index=ElementIndex(col("elind_nids"),
+                                       col("elind_offsets"),
+                                       col("elind_pres")),
             document=document, doc_id=meta["doc_id"],
             store_ref=(self.path, uri))
 

@@ -8,10 +8,14 @@ plus a name dictionary and an element-name index (name -> sorted pre
 array) which serves as MonetDB/XQuery's "element index" for candidate
 pushdown into StandOff steps.  Attributes appear as rows of kind
 ATTRIBUTE numbered directly after their owner element, with their owner
-recoverable through the ``parent`` column.  The encoding is lossless:
+recoverable through the ``parent`` column.
+
+There is one layout, the one a store file (:mod:`repro.storage`)
+holds: the values are a UTF-8 :class:`StringHeap` and the element index
+is an :class:`ElementIndex` CSR triple, whether :func:`shred` built them
+from a DOM or a store file maps them.  The encoding is lossless:
 :func:`unshred` builds the document back from the columns, which is how
-a store file (:mod:`repro.storage`), holding columns only, hands out
-nodes.
+a store file, holding columns only, hands out nodes.
 
 All columns are frozen (``writeable=False``) at construction: a stored
 document's shred serves every query, and — via :mod:`repro.storage` —
@@ -53,10 +57,11 @@ def freeze(*arrays: np.ndarray) -> None:
 class StringHeap:
     """Read-only ``pre -> str`` mapping over three frozen columns.
 
-    The storage representation of :attr:`ShreddedDocument.values`: the
-    pre ranks that carry a value (sorted), offsets into a UTF-8 heap,
-    and the heap bytes.  Strings decode lazily per lookup, so opening a
-    memory-mapped store never touches the heap pages.
+    The one representation of :attr:`ShreddedDocument.values`, in
+    memory and in a store file alike: the pre ranks that carry a value
+    (sorted), offsets into a UTF-8 heap, and the heap bytes.  Strings
+    decode lazily per lookup, so opening a memory-mapped store never
+    touches the heap pages.
     """
 
     __slots__ = ("pres", "offsets", "heap")
@@ -66,17 +71,6 @@ class StringHeap:
         self.pres = pres
         self.offsets = offsets
         self.heap = heap
-
-    @classmethod
-    def from_dict(cls, values: dict[int, str]) -> "StringHeap":
-        pres = np.asarray(sorted(values), dtype="<i8")
-        blobs = [values[int(p)].encode("utf-8") for p in pres]
-        offsets = np.zeros(len(blobs) + 1, dtype="<i8")
-        if blobs:
-            np.cumsum([len(b) for b in blobs], out=offsets[1:])
-        heap = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-        freeze(pres, offsets, heap)
-        return cls(pres, offsets, heap)
 
     def __len__(self) -> int:
         return len(self.pres)
@@ -125,6 +119,55 @@ class StringHeap:
                     f"row {int(self.pres[i])}: value is not valid "
                     f"UTF-8") from None
         return strings
+
+
+def _string_heap(pres: list[int], strings: list[str]) -> StringHeap:
+    """The heap of *strings* (the values of rows *pres*, ascending),
+    encoded in one batched pass: one join, one encode, and character
+    offsets turned into byte offsets only when a string is not ASCII."""
+    text = "".join(strings)
+    heap = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    offsets = np.zeros(len(strings) + 1, dtype="<i8")
+    np.cumsum(np.fromiter(map(len, strings), dtype=np.int64,
+                          count=len(strings)), out=offsets[1:])
+    if len(heap) != len(text):
+        chars = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+        widths = 1 + (chars >= 0x80) + (chars >= 0x800) \
+            + (chars >= 0x10000)
+        byte_at = np.zeros(len(chars) + 1, dtype="<i8")
+        np.cumsum(widths, out=byte_at[1:])
+        offsets = byte_at[offsets]
+    return StringHeap(np.asarray(pres, dtype="<i8"), offsets, heap)
+
+
+_NO_PRES = np.empty(0, dtype=np.int64)
+freeze(_NO_PRES)
+
+
+class ElementIndex:
+    """The element-name index as the CSR triple a store file holds.
+
+    ``nids`` (``<i4``, ascending) are the name ids of at least one
+    element, and the elements named ``nids[i]`` are
+    ``pres[offsets[i]:offsets[i + 1]]`` in document order — the
+    MonetDB/XQuery element index that name tests push down as
+    candidate pools.
+    """
+
+    __slots__ = ("nids", "offsets", "pres")
+
+    def __init__(self, nids: np.ndarray, offsets: np.ndarray,
+                 pres: np.ndarray):
+        self.nids = nids
+        self.offsets = offsets
+        self.pres = pres
+
+    def pres_of(self, nid: int) -> np.ndarray:
+        """Sorted pre ranks of the elements named *nid*."""
+        i = int(np.searchsorted(self.nids, nid))
+        if i == len(self.nids) or self.nids[i] != nid:
+            return _NO_PRES
+        return self.pres[self.offsets[i]:self.offsets[i + 1]]
 
 
 class AttributeColumn:
@@ -192,134 +235,34 @@ def _attribute_column(shredded: "ShreddedDocument",
     if np.any(owners[1:] < owners[:-1]):
         raise StorageFormatError(
             f"attribute rows of @{local} are not in owner order")
-    values = shredded.values
-    if isinstance(values, StringHeap):
-        texts = values.strings_at(rows)
-    else:
-        texts = [values[pre] for pre in rows.tolist()]
-    return AttributeColumn(owners, texts)
+    return AttributeColumn(owners, shredded.values.strings_at(rows))
 
 
+@lockcheck.audit_lazy_stores(("_document",))
 class ShreddedDocument:
     """Column representation of one fragment; pre rank is the row number.
 
-    Built from a stored :class:`Document` (the classical shred), from a
-    constructed orphan subtree via :func:`shred_fragment`, or — through
-    :meth:`from_columns` — straight from previously materialized columns
-    (typically ``np.memmap`` views of a store file, in which case the
-    DOM does not exist yet and is built from the columns by
-    :func:`unshred` only if a caller asks for nodes).  ``node_by_pre``
-    maps result pre ranks back to DOM nodes for any origin.
+    One constructor takes the columns in the layout a store file holds
+    them: the six structural columns, the name dictionary, the values
+    as a :class:`StringHeap` and the element-name index as an
+    :class:`ElementIndex`.  :func:`shred` and :func:`shred_fragment`
+    build those arrays from a DOM in one pass;
+    :meth:`repro.storage.StoreReader.shredded` hands over the
+    ``np.memmap`` views of a store file, in which case the DOM does not
+    exist yet and is built from the columns by :func:`unshred` only if
+    a caller asks for nodes.  ``node_by_pre`` maps result pre ranks
+    back to DOM nodes for any origin.
     """
 
-    #: Guards the one lazy DOM build of a column-backed shred; only
-    #: :meth:`from_columns` creates it.
-    _build_lock = None
-
-    def __init__(self, document: Document | None, *,
+    def __init__(self, *, pre: np.ndarray, size: np.ndarray,
+                 level: np.ndarray, kind: np.ndarray, parent: np.ndarray,
+                 name: np.ndarray, names: list[str], values: StringHeap,
+                 element_index: ElementIndex,
+                 document: Document | None = None,
+                 root: Node | None = None,
                  nodes: list[Node] | None = None,
-                 root: Node | None = None):
-        if nodes is None:
-            document.renumber()
-            nodes = document.all_nodes()
-        n = len(nodes)
-        self._document = document
-        self._doc_id = document.doc_id if document is not None else 0
-        #: The fragment root: the document itself, or the orphan
-        #: subtree's top node for constructed fragments.
-        self._root = root if root is not None else document
-        #: ``(store path, uri)`` once the columns are store-backed —
-        #: the handle worker processes use to re-open the same file.
-        self._store_ref: tuple[str, str] | None = None
-        # Stored documents already cache their pre -> node list; only
-        # orphan fragments need the snapshot kept here.
-        self._nodes = None if document is not None else nodes
-        self.pre = np.arange(n, dtype=np.int64)
-        self.size = np.fromiter((node.size for node in nodes),
-                                dtype=np.int64, count=n)
-        self.level = np.fromiter((node.level for node in nodes),
-                                 dtype=np.int64, count=n)
-        self.kind = np.fromiter((node.kind for node in nodes),
-                                dtype=np.int8, count=n)
-        parent = np.empty(n, dtype=np.int64)
-        names: list[str] = []
-        name_ids: dict[str, int] = {}
-        name_col = np.full(n, -1, dtype=np.int32)
-        values: dict[int, str] = {}
-
-        for i, node in enumerate(nodes):
-            parent[i] = node.parent.pre if node.parent is not None else -1
-            name = None
-            if isinstance(node, Element):
-                name = node.tag
-            elif isinstance(node, Attr):
-                name = node.name
-                values[i] = node.value
-            elif isinstance(node, (Text, Comment)):
-                values[i] = node.text
-            elif isinstance(node, ProcessingInstruction):
-                name = node.target
-                values[i] = node.data
-            if name is not None:
-                nid = name_ids.setdefault(name, len(name_ids))
-                if nid == len(names):
-                    names.append(name)
-                name_col[i] = nid
-        self.parent = parent
-        self.names = names
-        self._name_ids = name_ids
-        self.name = name_col
-        self.values = values
-        freeze(self.pre, self.size, self.level, self.kind, self.parent,
-               self.name)
-        self._attr_columns: dict[str, AttributeColumn] = {}
-        self._columns_lock = lockcheck.new_lock(
-            "ShreddedDocument._columns_lock")
-
-        # element-name index: name id -> sorted pre array
-        element_mask = self.kind == Element.kind
-        self._kind_pres: dict[int, np.ndarray] = {}
-        self._non_attribute: np.ndarray | None = None
-        self._element_index: dict[int, np.ndarray] = {}
-        if element_mask.any():
-            el_pres = self.pre[element_mask]
-            el_names = name_col[element_mask]
-            order = np.argsort(el_names, kind="stable")
-            el_pres, el_names = el_pres[order], el_names[order]
-            boundaries = np.flatnonzero(np.diff(el_names)) + 1
-            for chunk, nid in zip(
-                    np.split(el_pres, boundaries),
-                    el_names[np.concatenate(([0], boundaries))]):
-                entry = np.sort(chunk)
-                freeze(entry)
-                self._element_index[int(nid)] = entry
-
-    @classmethod
-    def from_columns(cls, *, pre: np.ndarray, size: np.ndarray,
-                     level: np.ndarray, kind: np.ndarray,
-                     parent: np.ndarray, name: np.ndarray,
-                     names: list[str], values,
-                     element_index: dict[int, np.ndarray],
-                     document: Document | None = None,
-                     doc_id: int = 0,
-                     store_ref: tuple[str, str] | None = None
-                     ) -> "ShreddedDocument":
-        """Rebuild a shred from previously materialized columns.
-
-        The storage layer's constructor: no DOM walk, no index build.
-        *values* is a :class:`StringHeap` (or a plain dict); when
-        *document* is absent it is built from these columns (numbered
-        *doc_id*, named by *store_ref*'s uri) the first time node
-        decoding is requested.
-        """
-        self = object.__new__(cls)
-        self._document = document
-        self._root = document
-        self._doc_id = doc_id
-        self._build_lock = lockcheck.new_lock(
-            "ShreddedDocument._build_lock")
-        self._store_ref = store_ref
-        self._nodes = None
+                 doc_id: int = 0,
+                 store_ref: tuple[str, str] | None = None):
         self.pre = pre
         self.size = size
         self.level = level
@@ -329,15 +272,32 @@ class ShreddedDocument:
         self.names = list(names)
         self._name_ids = {nm: i for i, nm in enumerate(self.names)}
         self.values = values
-        self._kind_pres = {}
-        self._non_attribute = None
-        self._element_index = dict(element_index)
-        self._attr_columns = {}
+        self.element_index = element_index
+        freeze(pre, size, level, kind, parent, name, values.pres,
+               values.offsets, values.heap, element_index.nids,
+               element_index.offsets, element_index.pres)
+        #: Without a *document* or an orphan's *nodes*, the DOM is
+        #: built from the columns (numbered *doc_id*, named by
+        #: *store_ref*'s uri) the first time a node is decoded.
+        self._document = document
+        self._doc_id = document.doc_id if document is not None else doc_id
+        #: The fragment root: the document itself, or the orphan
+        #: subtree's top node for constructed fragments.
+        self._root = root if root is not None else document
+        #: Stored documents cache their own pre -> node list; only
+        #: orphan fragments need the snapshot kept here.
+        self._nodes = nodes
+        #: ``(store path, uri)`` once the columns are store-backed —
+        #: the handle worker processes use to re-open the same file.
+        self._store_ref = store_ref
+        self._build_lock = lockcheck.new_lock(
+            "ShreddedDocument._build_lock")
+        self._kind_pres: dict[int, np.ndarray] = {}
+        self._name_pools: dict[str, np.ndarray] = {}
+        self._non_attribute: np.ndarray | None = None
+        self._attr_columns: dict[str, AttributeColumn] = {}
         self._columns_lock = lockcheck.new_lock(
             "ShreddedDocument._columns_lock")
-        freeze(self.pre, self.size, self.level, self.kind, self.parent,
-               self.name)
-        return self
 
     @property
     def document(self) -> Document | None:
@@ -347,11 +307,9 @@ class ShreddedDocument:
         one instance: double-checked, the hit is a plain attribute
         read."""
         document = self._document
-        if document is None and self._build_lock is not None:
+        if document is None and self._nodes is None:
             with self._build_lock:
                 if self._document is None:
-                    lockcheck.assert_locked(self._build_lock,
-                                            "ShreddedDocument._document")
                     uri = self._store_ref[1] if self._store_ref else ""
                     self._document = unshred(self, uri=uri,
                                              doc_id=self._doc_id)
@@ -393,12 +351,12 @@ class ShreddedDocument:
         """Sorted pre ranks of elements with the given tag (element index)."""
         nid = self._name_ids.get(tag)
         if nid is None:
-            return np.empty(0, dtype=np.int64)
-        return self._element_index.get(nid, np.empty(0, dtype=np.int64))
+            return _NO_PRES
+        return self.element_index.pres_of(nid)
 
     def all_element_pres(self) -> np.ndarray:
-        """Sorted pre ranks of all element nodes."""
-        return self.pre[self.kind == Element.kind]
+        """Sorted pre ranks of all element nodes (cached)."""
+        return self.pres_of_kind(Element.kind)
 
     def elements_matching(self, name: str) -> np.ndarray:
         """Sorted pre ranks of the elements a *name test* matches.
@@ -409,16 +367,21 @@ class ShreddedDocument:
         case.  The single pool-resolution routine shared by the bulk
         evaluator and the process-pool executor's workers: both sides
         must derive byte-identical pools from the same columns.
+        Cached per name, so a step pays one dict lookup.
         """
-        local = name.rpartition(":")[2]
-        chunks = [self.elements_named(tag) for tag in self.names
-                  if tag.rpartition(":")[2] == local]
-        chunks = [c for c in chunks if len(c)]
-        if not chunks:
-            return self.elements_named(name)
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.sort(np.concatenate(chunks))
+        pool = self._name_pools.get(name)
+        if pool is None:
+            local = name.rpartition(":")[2]
+            chunks = [self.elements_named(tag) for tag in self.names
+                      if tag.rpartition(":")[2] == local]
+            chunks = [c for c in chunks if len(c)]
+            if len(chunks) > 1:
+                pool = np.sort(np.concatenate(chunks))
+                freeze(pool)
+            else:
+                pool = chunks[0] if chunks else _NO_PRES
+            self._name_pools[name] = pool
+        return pool
 
     def pres_of_kind(self, kind: int) -> np.ndarray:
         """Sorted pre ranks of the nodes of one kind (cached)."""
@@ -460,9 +423,82 @@ class ShreddedDocument:
         return self.pre + self.size
 
 
+def _columns(nodes: list[Node]) -> dict:
+    """The store-layout columns of a numbered pre-order node list, built
+    straight from the nodes (the :class:`ShreddedDocument` keywords)."""
+    n = len(nodes)
+    size = np.fromiter((node.size for node in nodes), dtype=np.int64,
+                       count=n)
+    level = np.fromiter((node.level for node in nodes), dtype=np.int64,
+                        count=n)
+    kind = np.fromiter((node.kind for node in nodes), dtype=np.int8,
+                       count=n)
+    parent = np.fromiter((-1 if node.parent is None else node.parent.pre
+                          for node in nodes), dtype=np.int64, count=n)
+    names: list[str] = []
+    name_ids: dict[str, int] = {}
+    name_col = [-1] * n
+    value_pres: list[int] = []
+    strings: list[str] = []
+    for i, node in enumerate(nodes):
+        if isinstance(node, Element):
+            label = node.tag
+        elif isinstance(node, (Text, Comment)):
+            value_pres.append(i)
+            strings.append(node.text)
+            continue
+        elif isinstance(node, Attr):
+            label = node.name
+            value_pres.append(i)
+            strings.append(node.value)
+        elif isinstance(node, ProcessingInstruction):
+            label = node.target
+            value_pres.append(i)
+            strings.append(node.data)
+        else:
+            continue
+        nid = name_ids.get(label)
+        if nid is None:
+            nid = name_ids[label] = len(names)
+            names.append(label)
+        name_col[i] = nid
+    name = np.asarray(name_col, dtype=np.int32)
+
+    # element-name index: element pres grouped by name id, each group
+    # in document order (a stable sort of the ascending pres)
+    elements = np.flatnonzero(kind == Element.kind)
+    tags = name[elements]
+    order = np.argsort(tags, kind="stable")
+    tags = tags[order]
+    starts = np.flatnonzero(np.diff(tags, prepend=-1))
+    element_index = ElementIndex(tags[starts], np.append(starts, len(tags)),
+                                 elements[order])
+    return dict(pre=np.arange(n, dtype=np.int64), size=size, level=level,
+                kind=kind, parent=parent, name=name, names=names,
+                values=_string_heap(value_pres, strings),
+                element_index=element_index)
+
+
 def shred(document: Document) -> ShreddedDocument:
     """Shred a document into its column representation."""
-    return ShreddedDocument(document)
+    document.renumber()
+    return ShreddedDocument(**_columns(document.all_nodes()),
+                            document=document)
+
+
+def shred_fragment(root: Node) -> ShreddedDocument:
+    """Shred a constructed fragment (an orphan subtree) on demand.
+
+    Document roots go through :func:`shred`; orphan subtrees are
+    numbered by the shared :func:`~repro.xmldb.dom.renumber_fragment`
+    — idempotent with the numbering the evaluator's fragment
+    constructor already assigned — and the node list in pre order
+    backs :meth:`ShreddedDocument.node_by_pre`.
+    """
+    if isinstance(root, Document):
+        return shred(root)
+    nodes = renumber_fragment(root)
+    return ShreddedDocument(**_columns(nodes), root=root, nodes=nodes)
 
 
 def unshred(shredded: ShreddedDocument, *, uri: str = "",
@@ -511,16 +547,11 @@ def unshred(shredded: ShreddedDocument, *, uri: str = "",
             if len(rows):
                 raise bad(rows[0], f"is named {entry!r} (dictionary "
                                    f"entry {nid}), which is not a QName")
-    values = shredded.values
-    if isinstance(values, StringHeap):
-        value_pres = values.pres.tolist()
-        try:
-            strings = values.strings()
-        except StorageFormatError as exc:
-            raise StorageFormatError(f"{where}: {exc}") from None
-    else:
-        value_pres = sorted(values)
-        strings = [values[pre] for pre in value_pres]
+    value_pres = shredded.values.pres.tolist()
+    try:
+        strings = shredded.values.strings()
+    except StorageFormatError as exc:
+        raise StorageFormatError(f"{where}: {exc}") from None
     value_pres.append(-1)           # sentinel: no heap row left
 
     kinds, name_ids = kind.tolist(), name.tolist()
@@ -617,18 +648,3 @@ def fragment_fingerprint(nodes: list[Node]) -> str:
             s for s in column if s is not None).encode("utf-8"))
     return digest.hexdigest()
 
-
-def shred_fragment(root: Node) -> ShreddedDocument:
-    """Shred a constructed fragment (an orphan subtree) on demand.
-
-    Document roots go through the classical :func:`shred`; orphan
-    subtrees are numbered by the shared
-    :func:`~repro.xmldb.dom.renumber_fragment` — idempotent with the
-    numbering the evaluator's fragment constructor already assigned —
-    and the node list in pre order backs
-    :meth:`ShreddedDocument.node_by_pre`.
-    """
-    if isinstance(root, Document):
-        return shred(root)
-    return ShreddedDocument(None, nodes=renumber_fragment(root),
-                            root=root)

@@ -551,6 +551,14 @@ class TestAttributeColumn:
         column_db.store.touch("c.xml")
         assert stored.shredded.attribute_column("i") is not column
 
+    def test_name_pool_cached_and_touch_drops(self, column_db):
+        stored = column_db.document("c.xml")
+        pool = stored.shredded.elements_matching("a")
+        assert stored.shredded.elements_matching("a") is pool
+        assert len(pool) == 12
+        column_db.insert_nodes("c.xml", 'doc("c.xml")/r', "<a/>")
+        assert len(stored.shredded.elements_matching("a")) == 13
+
     def test_store_backed_heap(self, tmp_path):
         from repro import storage
         from repro.xmldb.shred import StringHeap

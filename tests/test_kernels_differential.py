@@ -180,17 +180,6 @@ def test_unknown_kernel_refused():
                     RegionTable.from_rows([]), kernel="simd")
 
 
-def test_kernel_join_trace_uses_reference_path():
-    context, candidates, _ctx, _cand = make_workload(
-        seed=21, n_iters=3, per_iter=3, n_cand=10, span=40, max_len=15)
-    events = []
-    traced = kernel_join(StandoffOp.SELECT_NARROW, context, candidates,
-                         kernel=KERNEL_VECTORIZED, trace=events.append)
-    assert events, "tracing must produce Listing 1 events"
-    assert traced == kernel_join(StandoffOp.SELECT_NARROW, context,
-                                 candidates, kernel=KERNEL_VECTORIZED)
-
-
 ANNOTATED = """
 <doc>
   <a nr="1" start="0" end="30"/>

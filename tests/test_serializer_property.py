@@ -15,8 +15,18 @@ from repro.xmldb import (
     parse_document,
     serialize,
 )
-from repro.xmldb.shred import fragment_fingerprint, shred, unshred
+from repro.xmldb.shred import (
+    fragment_fingerprint,
+    shred,
+    shred_fragment,
+    unshred,
+)
 from repro.xquery.engine import Database
+from test_storage_format import (
+    assert_same_arrays,
+    orphan_arrays,
+    stored_arrays,
+)
 
 tag_names = st.sampled_from(["a", "b", "item", "ns:c", "x-y", "_d"])
 attr_names = st.sampled_from(["id", "start", "end", "v", "data-k"])
@@ -134,6 +144,7 @@ def assert_same_document(built, original, columns):
 @given(elements(beyond_xml=True), st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_unshred_inverts_shred(tmp_path_factory, element, prolog):
+    orphan = shred_fragment(element)
     document = Document("p.xml", 7)
     if prolog:
         document.append(Comment("c"))
@@ -142,6 +153,8 @@ def test_unshred_inverts_shred(tmp_path_factory, element, prolog):
     columns = shred(document)
     assert_same_document(unshred(columns, uri="p.xml", doc_id=7),
                          document, columns)
+    if not prolog:
+        assert_same_arrays(stored_arrays(orphan), orphan_arrays(columns))
 
     db = Database()
     db.store.add("p.xml", document)
@@ -151,3 +164,5 @@ def test_unshred_inverts_shred(tmp_path_factory, element, prolog):
     stored = reader.document("p.xml")
     assert (stored.uri, stored.doc_id) == ("p.xml", document.doc_id)
     assert_same_document(stored, document, reader.shredded("p.xml"))
+    assert_same_arrays(stored_arrays(columns),
+                       stored_arrays(reader.shredded("p.xml")))

@@ -48,12 +48,13 @@ class TestShred:
         assert sh.parent[0] == -1
 
     def test_element_index(self):
-        doc = parse_document("<a><b/><c><b/></c></a>")
+        doc = parse_document("<a x='1'><b/><c><b/></c></a>")
         sh = shred(doc)
         bs = sh.elements_named("b")
         assert len(bs) == 2
         assert all(sh.name_of(p) == "b" for p in bs.tolist())
         assert sh.elements_named("zzz").tolist() == []
+        assert sh.elements_named("x").tolist() == []    # an attribute
 
     def test_post_order(self):
         doc = parse_document("<a><b><c/></b><d/></a>")

@@ -26,7 +26,7 @@ from repro.core.region_index import RegionIndex, RegionTable
 from repro.errors import StorageFormatError
 from repro.storage.format import MAGIC, StoreFile, write_store
 from repro.xmldb.parser import parse_document
-from repro.xmldb.shred import fragment_fingerprint, shred
+from repro.xmldb.shred import fragment_fingerprint, shred, shred_fragment
 from repro.xquery.engine import Database
 from test_updates import ADJACENT_TEXT, ADJACENT_TEXT_QUERIES
 
@@ -35,6 +35,8 @@ DOC_A = """<video><music artist="U2" start="10" end="99">\
 <shot start="40" end="55"/></music>\
 <!-- annotated stream --><music artist="Moby" start="120" end="180"/>\
 </video>"""
+
+SHRED_COLUMNS = ("pre", "size", "level", "kind", "parent", "name")
 
 DOC_B = """<r>
   <a i="1">text <b>nested</b> tail</a>
@@ -56,6 +58,37 @@ def build_db():
     db.add_document("a.xml", DOC_A)
     db.add_document("b.xml", DOC_B)
     return db
+
+
+def stored_arrays(sh) -> dict:
+    """Every array a store file holds for a shred, by column name."""
+    arrays = {col: getattr(sh, col) for col in SHRED_COLUMNS}
+    arrays.update(
+        val_pres=sh.values.pres, val_offsets=sh.values.offsets,
+        val_heap=sh.values.heap, elind_nids=sh.element_index.nids,
+        elind_offsets=sh.element_index.offsets,
+        elind_pres=sh.element_index.pres)
+    return arrays
+
+
+def assert_same_arrays(mine: dict, theirs: dict) -> None:
+    """Equal by value and by dtype, column by column."""
+    assert sorted(mine) == sorted(theirs)
+    for col, arr in mine.items():
+        assert arr.dtype.str == theirs[col].dtype.str, col
+        assert np.array_equal(arr, theirs[col]), col
+
+
+def orphan_arrays(document_shred) -> dict:
+    """The arrays of a document's one top-level subtree shredded as an
+    orphan fragment: every row but the document's, renumbered from 0."""
+    arrays = stored_arrays(document_shred)
+    rows = {col: arrays[col][1:] for col in SHRED_COLUMNS}
+    for col in ("pre", "level", "parent"):
+        rows[col] = rows[col] - 1
+    rows.update(val_pres=arrays["val_pres"] - 1,
+                elind_pres=arrays["elind_pres"] - 1)
+    return {**arrays, **rows}
 
 
 @pytest.fixture()
@@ -94,6 +127,18 @@ class TestRoundTrip:
             assert list(mine.names) == list(mapped.names)
             for pre in mine.pre.tolist():
                 assert mine.value_of(pre) == mapped.value_of(pre)
+            assert_same_arrays(stored_arrays(mine), stored_arrays(mapped))
+
+    @pytest.mark.parametrize("xml", [DOC_A, DOC_B], ids=["a", "b"])
+    def test_orphan_fragment_has_the_document_layout(self, xml):
+        """An orphan subtree shreds to the arrays of the same subtree
+        inside a document, less the document row."""
+        document = parse_document(xml, uri="f.xml")
+        in_document = shred(document)
+        root = document.root_element
+        root.parent = None
+        assert_same_arrays(stored_arrays(shred_fragment(root)),
+                           orphan_arrays(in_document))
 
     def test_region_table_identical_after_reopen(self, store_path):
         original = build_db()
@@ -332,9 +377,6 @@ class TestHostileColumns:
 # column invariants
 # ----------------------------------------------------------------------
 
-SHRED_COLUMNS = ("pre", "size", "level", "kind", "parent", "name")
-
-
 class TestColumnInvariants:
     def test_region_table_dtypes_are_explicit_little_endian(self):
         """RegionTable must pin '<i8' (and '<f8' for xs:double
@@ -359,8 +401,8 @@ class TestColumnInvariants:
 
     def test_in_memory_columns_read_only(self):
         sh = shred(parse_document(DOC_A, uri="a.xml"))
-        for col in SHRED_COLUMNS:
-            assert not getattr(sh, col).flags.writeable, col
+        for col, arr in stored_arrays(sh).items():
+            assert not arr.flags.writeable, col
         index = RegionIndex.build([(1, 10, 20), (2, 12, 15)])
         for col in ("starts", "ends", "ids"):
             assert not getattr(index.table, col).flags.writeable, col
@@ -368,8 +410,8 @@ class TestColumnInvariants:
     def test_mapped_columns_read_only(self, store_path):
         reader = storage.StoreReader(store_path)
         sh = reader.shredded("a.xml")
-        for col in SHRED_COLUMNS:
-            assert not getattr(sh, col).flags.writeable, col
+        for col, arr in stored_arrays(sh).items():
+            assert not arr.flags.writeable, col
         table = reader.region_index("a.xml").table
         for col in ("starts", "ends", "ids"):
             assert not getattr(table, col).flags.writeable, col
@@ -378,6 +420,12 @@ class TestColumnInvariants:
         sh = shred(parse_document(DOC_A, uri="a.xml"))
         assert not sh.non_attribute_pres().flags.writeable
         assert not sh.pres_of_kind(3).flags.writeable
+        assert not sh.all_element_pres().flags.writeable
+        prefixed = shred(parse_document(
+            '<r xmlns:p="u"><p:a/><a/><b/></r>', uri="p.xml"))
+        assert len(prefixed.elements_matching("a")) == 2
+        assert not prefixed.elements_matching("a").flags.writeable
+        assert not prefixed.elements_matching("b").flags.writeable
 
     def test_mutation_raises(self):
         sh = shred(parse_document(DOC_A, uri="a.xml"))
