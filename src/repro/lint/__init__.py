@@ -107,7 +107,7 @@ _DEFAULT_POLL_MODULES = (
 
 _DEFAULT_MUST_POLL = (
     "_eval_flwor", "_filter_by_predicate", "_dom_step",
-    "fragment_groups", "run_shards",
+    "_filter_segments", "fragment_groups", "run_shards",
 )
 
 _DEFAULT_POLL_CALLS = (

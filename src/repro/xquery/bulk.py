@@ -7,10 +7,10 @@ loop (one inner iteration per binding item), relifts the visible
 variables, and unlifts the body's result back — so an axis step in the
 body sees the context nodes of **all** iterations at once.
 
-Every axis step, tree or StandOff, takes the route :func:`step_route`
-reads off its shape, and every join route runs through one driver,
-:func:`fragment_step`, the way §4.4 runs a step — one join per XML
-fragment of the context, the results concatenated:
+Every Staircase-axis or StandOff step runs one route, its family's
+join, through one driver, :func:`fragment_step`, the way §4.4 runs a
+step — one join per XML fragment of the context, the results
+concatenated:
 
 * **group** — :func:`fragment_groups` cuts the context into
   per-fragment ``(shredded, its, pres, rows)`` columns;
@@ -18,32 +18,33 @@ fragment of the context, the results concatenated:
   Loop-Lifted StandOff MergeJoin
   (:func:`repro.xquery.standoff.standoff_join`) or a loop-lifted
   Staircase Join (:func:`_staircase_join`), keyed by iteration, or by
-  context row where the tree oracle collects per row (positional
-  predicates, and an iteration that mixes two transient fragments);
+  context row where the tree oracle collects per row (a position
+  stage, and an iteration that mixes two transient fragments);
+* **filter** — one *stage* per predicate, in order, on each
+  fragment's CSR rows: a keep-mask, so positions renumber between
+  stages (§4.1's selection on ``iter|pos|item``);
 * **merge** — :func:`_merge_fragments`: one fragment stays columns,
   several concatenate per iteration in context-row order and sort into
   document order.
 
-The routes:
+The stage kinds (:func:`step_route`):
 
-* ``columns`` — every predicate is a *column term*
+* ``columns`` — a *column term*
   (:func:`repro.xquery.rewrite.column_predicate`: ``[@a op "lit"]``,
-  ``[@a op 42]``, ``[@a]`` under ``not``/``and``/``or``): the join's
-  CSR output is filtered with one keep-mask computed on the shred's
-  dictionary-encoded attribute columns
+  ``[@a op 42]``, ``[@a]`` under ``not``/``and``/``or``), decided on
+  the shred's dictionary-encoded attribute columns
   (:meth:`~repro.xmldb.shred.ShreddedDocument.attribute_column`) — no
-  node is decoded before it survives, no interpreter runs; a step where
-  some candidate's compare would raise (a failed cast, a value
-  comparison over two attributes) takes the next route, so the error
-  surfaces exactly as the oracle raises it;
-* ``kernel`` — join, then filter each iteration's decoded result per
-  item: a tree step whose predicates are position-free
-  (:func:`repro.xquery.rewrite.position_free`), a StandOff step
-  whatever its predicates (its positions count per iteration);
-* ``positional`` — tree steps whose predicates compile to position
-  masks filter the join's CSR output columnar;
-* ``dom`` — only what is left (the attribute, self and parent axes,
-  predicates mixing positions with values) walks the DOM per node.
+  node is decoded before it survives, no interpreter runs;
+* ``items`` — a position-free predicate
+  (:func:`repro.xquery.rewrite.position_free`), run per item;
+* ``positions`` — anything else: a columnar position mask where the
+  predicate compiles (:func:`_positional_masker`), else per item.
+
+Per item means the oracle's predicate filter over each CSR segment's
+decoded nodes (:func:`_filter_segments`); a column or position stage
+that might raise (a failed cast, position arithmetic past the exact
+float range) runs so too, and raises as the oracle does.  The DOM walk
+(:func:`_dom_step`) is left for the attribute, self and parent axes.
 
 A node sequence in one fragment stays the join's CSR output — a
 :class:`~repro.relational.sequence.NodeColumns`, ``iter|pos|item`` with
@@ -139,7 +140,7 @@ from repro.xquery.functions import (
     fn_exists,
     lookup_builtin,
 )
-from repro.xquery.rewrite import column_predicates, position_free
+from repro.xquery.rewrite import column_predicate, position_free
 from repro.xquery.standoff import standoff_join
 from repro.xquery.values import (
     arithmetic,
@@ -573,79 +574,62 @@ def _bulk_step(step, env: BulkEnv, context: IterSeq | None) -> IterSeq:
     assert isinstance(step, ast.AxisStep)
     if context is None:
         context = _bulk_context_item(None, env)
-    route, plan = step_route(step)
-    if route != "dom":
-        result = _join_step(step, env, context, route, plan)
-        if result is not None:
-            return result
+    route, stages = step_route(step)
+    if route == "join":
+        return _join_step(step, env, context, stages)
     return _dom_step(step, env, context)
 
 
 def step_route(step: ast.AxisStep) -> tuple[str, list | None]:
-    """Which route an axis step takes, decided from its shape alone
+    """How an axis step runs, decided from its shape alone
     (``Database.explain`` prints the same verdict the evaluator acts on):
 
-    ``("columns", terms)``
-        every predicate is a column term — one predicate-less join, then
-        a keep-mask on its CSR output from the attribute columns (the
-        ``kernel`` route when some compare would raise);
-    ``("kernel", None)``
-        one predicate-less join, then a per-item filter over each
-        iteration's result — for a StandOff step whatever its
-        predicates (its positions count per iteration), for a tree step
-        when they are position-free;
-    ``("positional", maskers)``
-        a tree step whose predicate chain compiles to columnar position
-        masks;
+    ``("join", stages)``
+        a Staircase-axis or StandOff step: its family's join, then one
+        stage per predicate, in order — ``("columns", term)`` for a
+        column term, ``("items", predicate)`` for a position-free
+        predicate, ``("positions", masker)`` for anything else, the
+        masker None where the predicate does not compile;
     ``("dom", None)``
-        the per-node DOM walk (a non-Staircase tree axis, or a predicate
-        that is none of these).
+        the per-node DOM walk: the attribute, self and parent axes.
     """
     if step.axis in STAIRCASE_AXES or step.is_standoff:
-        terms = column_predicates(step.predicates)
-        if terms is not None:
-            return "columns", terms
-        if all(position_free(p) for p in step.predicates) \
-                or step.is_standoff:
-            return "kernel", None
-        maskers = compile_positional_predicates(step.predicates)
-        if maskers is not None:
-            return "positional", maskers
+        return "join", [_stage(predicate) for predicate in step.predicates]
     return "dom", None
 
 
-def _join_step(step: ast.AxisStep, env: BulkEnv, context: IterSeq,
-               route: str, plan) -> IterSeq | None:
-    """*step* on a join route of :func:`step_route`: its family's join,
-    run by :func:`fragment_step`.  None sends the step to the DOM walk
-    (a node test with no candidate pool, or position arithmetic past
-    the exact float range)."""
-    ctx = env.ctx
-    if step.is_standoff:
-        def run(keep=None) -> IterSeq:
-            return fragment_step(ctx, context, env.loop, standoff_join(
-                ctx, step.axis, step.test, keep=keep))
-    else:
-        desc = _staircase_candidate_desc(step.test)
-        if desc is None:
-            return None
+def _stage(predicate: ast.Expr) -> tuple:
+    term = column_predicate(predicate)
+    if term is not None:
+        return "columns", term
+    if position_free(predicate):
+        return "items", predicate
+    return "positions", _positional_masker(predicate)
 
-        def run(keep=None, maskers=None) -> IterSeq:
-            return fragment_step(
-                ctx, context, env.loop,
-                _staircase_join(env, step, desc, keep, maskers),
-                by_row=maskers is not None, ties_by_row=True)
-    if route == "columns":
-        try:
-            return run(keep=_column_keep(plan))
-        except _Undecided:
-            pass     # rejoin, then filter per item
-    elif route == "positional":
-        try:
-            return run(maskers=plan)
-        except _PositionalOverflow:
-            return None
-    return _bulk_predicates_whole(run(), step.predicates, env)
+
+def _join_step(step: ast.AxisStep, env: BulkEnv, context: IterSeq,
+               stages: list) -> IterSeq:
+    """*step* as its family's join and its predicate *stages*, run by
+    :func:`fragment_step`.  A tree step keys by context row when some
+    stage counts positions (they count per context node).  A StandOff
+    step keys by iteration; over several fragments its positions count
+    over the merged sequence, so the stages from the first position
+    stage on run after the merge."""
+    ctx = env.ctx
+    keep = _stage_filter(env, step, stages) if stages else None
+    if not step.is_standoff:
+        return fragment_step(
+            ctx, context, env.loop, _staircase_join(env, step),
+            keep=keep, by_row=any(kind == "positions" for kind, _ in stages),
+            ties_by_row=True)
+    result = fragment_step(ctx, context, env.loop,
+                           standoff_join(ctx, step.axis, step.test),
+                           keep=keep)
+    if isinstance(result.data, NodeColumns):
+        return result
+    first = next((i for i, (kind, _plan) in enumerate(stages)
+                  if kind == "positions"), len(stages))
+    return _bulk_predicates_whole(result, step.predicates[first:], env)
 
 
 def _dom_step(step: ast.AxisStep, env: BulkEnv,
@@ -732,24 +716,30 @@ def fragment_groups(ctx: DynamicContext, context: IterSeq,
 
 
 def fragment_step(ctx: DynamicContext, context: IterSeq, loop: Loop,
-                  join, *, by_row: bool = False,
+                  join, *, keep=None, by_row: bool = False,
                   ties_by_row: bool = False) -> IterSeq:
     """One axis step the way §4.4 runs it: the context grouped per
     fragment (:func:`fragment_groups`), one call of the family's *join*
-    per fragment, the results merged (:func:`_merge_fragments`).
+    per fragment, each result filtered by *keep*, the results merged
+    (:func:`_merge_fragments`).
 
     ``join(shredded, keys, pres)`` takes one fragment's context columns,
     sorted by ``(key, pre)`` and duplicate-free, and returns its
     :class:`ColumnarResult` keyed alike.  The keys are iterations, or
     the group's row indices where the tree oracle collects per context
-    row: with *by_row* (positional predicates), and with *ties_by_row*
-    when some iteration mixes two transient fragments
+    row: with *by_row* (position stages), and with *ties_by_row* when
+    some iteration mixes two transient fragments
     (:func:`_mixes_transients`).
+
+    ``keep(shredded, iters, result, whole)`` filters each result
+    (:func:`_stage_filter`): ``iters`` are its segments' iterations,
+    ``whole`` whether a segment is the sequence positions count over.
     """
     groups = fragment_groups(ctx, context, loop)
     if ties_by_row and not by_row and len(groups) > 1:
         by_row = _mixes_transients(ctx, groups)
     canonical = isinstance(context.data, NodeColumns)
+    whole = by_row or len(groups) == 1
     results = []
     for shredded, its, pres, _rows in groups:
         if by_row:
@@ -760,7 +750,11 @@ def fragment_step(ctx: DynamicContext, context: IterSeq, loop: Loop,
             rows = ColumnarResult.from_pairs(its, pres)
             keys = np.repeat(rows.iters, np.diff(rows.offsets))
             pres = rows.values
-        results.append(join(shredded, keys, pres))
+        result = join(shredded, keys, pres)
+        if keep is not None:
+            result = keep(shredded, its[result.iters] if by_row
+                          else result.iters, result, whole)
+        results.append(result)
     return _merge_fragments(groups, results, by_row)
 
 
@@ -820,47 +814,34 @@ def _merge_fragments(groups: list[tuple], results: list[ColumnarResult],
                     for it, nodes in merged.items()})
 
 
-def _staircase_candidate_desc(test: ast.NodeTest) -> tuple | None:
+#: The candidate pool of each kind test.  The tree axes never yield
+#: attribute nodes (attributes are not children, and only the attribute
+#: axis has them as principal nodes), so the ``node()`` pool is the
+#: non-attribute rows — keeping the join in exact agreement with the
+#: DOM walk.
+_KIND_POOLS = {
+    "node": ("non-attr",),
+    "text": ("kind", Text.kind),
+    "comment": ("kind", Comment.kind),
+    "processing-instruction": ("kind", ProcessingInstruction.kind),
+}
+
+
+def _staircase_candidate_desc(test: ast.NodeTest) -> tuple:
     """The picklable descriptor of a node test's candidate pre pool
     (resolved by :func:`repro.staircase.kernels_vec.resolve_staircase_pool`,
-    in the parent and in process-pool workers alike), or ``None`` when
-    the shredded encoding has no pool for the test (fall back to the
-    DOM walk).
-
-    The tree axes never yield attribute nodes (attributes are not
-    children, and only the attribute axis has them as principal nodes),
-    so the ``node()`` pool is the non-attribute rows — keeping the fast
-    path in exact agreement with the DOM walk.
-    """
-    if test.kind == "name":
-        if test.name == "*":
-            return ("all-elements",)
-        return ("name", test.name)
-    if test.kind == "node":
-        return ("non-attr",)
-    if test.kind == "text":
-        return ("kind", Text.kind)
-    if test.kind == "comment":
-        return ("kind", Comment.kind)
-    if test.kind == "processing-instruction":
-        return ("kind", ProcessingInstruction.kind)
-    return None
+    in the parent and in process-pool workers alike); every node test
+    has one."""
+    if test.kind != "name":
+        return _KIND_POOLS[test.kind]
+    return ("all-elements",) if test.name == "*" else ("name", test.name)
 
 
-def _staircase_join(env: BulkEnv, step: ast.AxisStep, desc: tuple,
-                    keep=None, maskers=None):
+def _staircase_join(env: BulkEnv, step: ast.AxisStep):
     """The Staircase family's join of a tree *step* for
     :func:`fragment_step`: ``join(shredded, keys, pres)`` runs one
     loop-lifted Staircase Join under the query's kernel and fan-out
-    settings and filters its columnar result by *keep* (``(shredded,
-    pres) -> bool mask``, :func:`_column_keep`) or by the compiled
-    position *maskers*.
-
-    Under *maskers* every key is one context row, so each CSR segment
-    is one context node's axis result in document order: forward
-    positions are the segment ordinals, reverse-axis positions the
-    flipped ordinals (:func:`segment_positions`).
-    """
+    settings and returns its columnar result."""
     from repro.staircase.kernels_vec import (
         resolve_staircase_pool,
         staircase_join,
@@ -872,7 +853,7 @@ def _staircase_join(env: BulkEnv, step: ast.AxisStep, desc: tuple,
     # self-match of its attribute context rows beside the kernel's, in
     # pre order, so positions count it where the DOM walk does.
     attribute_selves = or_self and step.test.kind == "node"
-    reverse = step.axis in REVERSE_AXES
+    desc = _staircase_candidate_desc(step.test)
     options = env.ctx.options
 
     def join(shredded, keys: np.ndarray, pres: np.ndarray
@@ -893,26 +874,72 @@ def _staircase_join(env: BulkEnv, step: ast.AxisStep, desc: tuple,
                                               np.diff(result.offsets)),
                                     keys[selves])),
                     np.concatenate((result.values, pres[selves])))
-        if keep is not None:
-            result = result.keep_rows(keep(shredded, result.values))
-        if maskers is not None:
-            offsets, values = _apply_positional_chain(
-                result.offsets, result.values, maskers, reverse)
-            result = ColumnarResult(result.iters, offsets, values)
         return result
 
     return join
 
 
 # ----------------------------------------------------------------------
-# column predicates
+# the predicate stages
 # ----------------------------------------------------------------------
+
+def _stage_filter(env: BulkEnv, step: ast.AxisStep, stages: list):
+    """The ``keep`` of :func:`fragment_step` for *step*: its predicate
+    *stages* in order, each a keep-mask on the CSR rows, then
+    :meth:`ColumnarResult.keep_rows`, so positions renumber between
+    stages.  Where a segment is not the sequence positions count over,
+    it stops before the first position stage."""
+    reverse = step.axis in REVERSE_AXES
+    scopes = _PredicateScopes(env, step.predicates)
+
+    def keep(shredded, iters: np.ndarray, result: ColumnarResult,
+             whole: bool) -> ColumnarResult:
+        for predicate, (kind, plan) in zip(step.predicates, stages):
+            if not len(result.values) or kind == "positions" and not whole:
+                break
+            mask = None
+            try:
+                if kind == "columns":
+                    mask = _term_mask(plan, shredded, result.values)
+                elif kind == "positions" and plan is not None:
+                    mask = plan(result.offsets, reverse)
+            except (_Undecided, _PositionalOverflow):
+                pass
+            if mask is None:
+                mask = _filter_segments(shredded, iters, result, predicate,
+                                        scopes, reverse)
+            result = result.keep_rows(mask)
+        return result
+
+    return keep
+
+
+def _filter_segments(shredded, iters: np.ndarray, result: ColumnarResult,
+                     predicate: ast.Expr, scopes: _PredicateScopes,
+                     reverse: bool) -> np.ndarray:
+    """The keep-mask of *predicate* run by the oracle's per-item filter
+    over each CSR segment's decoded nodes, in axis order, with the
+    segment's iteration's variables in scope."""
+    nodes = list(map(shredded.node_by_pre, result.values.tolist()))
+    bounds = result.offsets.tolist()
+    keep = np.zeros(len(nodes), dtype=bool)
+    for it, a, b in zip(iters.tolist(), bounds, bounds[1:]):
+        if a == b:
+            continue
+        # Cancellation checkpoint: one interpreter pass per segment.
+        check_cancelled()
+        segment = nodes[a:b]
+        kept = {id(node) for node in _filter_by_predicate(
+            segment[::-1] if reverse else segment, predicate, scopes.at(it))}
+        keep[a:b] = [id(node) in kept for node in segment]
+    return keep
+
 
 class _Undecided(Exception):
     """Some candidate's compare would raise in the interpreter — a cast
     to a number fails, or a value comparison meets two attributes.  The
-    step goes back to the per-item filter, which raises (or
-    short-circuits past the compare) exactly as the oracle does."""
+    stage goes to the per-item filter, which raises (or short-circuits
+    past the compare) exactly as the oracle does."""
 
 
 def _cast(text: str) -> float | None:
@@ -984,19 +1011,6 @@ def _term_mask(term: tuple, shredded, pres: np.ndarray) -> np.ndarray:
     return _any_in_spans(truth, lo, hi)
 
 
-def _column_keep(terms: list):
-    """The keep-mask function of a column-term predicate chain: the
-    chain's predicates are position-free, so ``[p1][p2]`` keeps what
-    every ``p`` keeps."""
-    def keep(shredded, pres: np.ndarray) -> np.ndarray:
-        mask = np.ones(len(pres), dtype=bool)
-        for term in terms:
-            mask &= _term_mask(term, shredded, pres)
-        return mask
-
-    return keep
-
-
 # ----------------------------------------------------------------------
 # vectorized positional predicates
 # ----------------------------------------------------------------------
@@ -1007,7 +1021,8 @@ def _column_keep(terms: list):
 #: integer, so the compiled chain agrees bit-for-bit with the
 #: interpreted integer semantics of
 #: :func:`repro.xquery.values.arithmetic`.  Larger literals refuse to
-#: compile and larger runtime intermediates bail to the DOM walk.
+#: compile and larger runtime intermediates send their stage to the
+#: per-item filter.
 _POSITIONAL_EXACT_BOUND = float(2 ** 50)
 
 _NUMPY_CMP = {
@@ -1089,7 +1104,7 @@ def _compile_positional_expr(expr):
     reaches.  ``None`` means the expression is outside the positional
     subset (literals, ``position()``/``last()``, arithmetic,
     comparisons, ``and``/``or``, ``not()``/``true()``/``false()``) and
-    the step falls back to the per-node DOM walk.
+    its stage runs per item.
     """
     if isinstance(expr, ast.Literal):
         value = expr.value
@@ -1168,68 +1183,53 @@ def _compile_positional_expr(expr):
     return None
 
 
-def compile_positional_predicates(predicates: list):
-    """Compile a predicate chain into per-stage mask functions.
+def _positional_masker(predicate: ast.Expr):
+    """One predicate as a position mask, or None when it does not
+    compile (:func:`_compile_positional_expr`).
 
-    Each masker maps the ``(position, last)`` columns of one CSR batch
-    to a keep mask, applying :func:`_predicate_truth` semantics
-    vectorized: a numeric predicate keeps the rows whose position equals
-    its value, a boolean one keeps its own truth rows.  Returns ``None``
-    when any predicate is outside the positional subset.
+    ``masker(offsets, reverse)`` gives the keep mask of a CSR batch with
+    :func:`_predicate_truth` semantics, vectorized: a numeric predicate
+    keeps the rows whose position in their segment equals its value, a
+    boolean one keeps its own truth rows.
     """
-    maskers = []
-    for predicate in predicates:
-        compiled = _compile_positional_expr(predicate)
-        if compiled is None:
-            return None
-        fn, kind, _may_raise = compiled
+    compiled = _compile_positional_expr(predicate)
+    if compiled is None:
+        return None
+    fn, kind, _may_raise = compiled
+
+    def masker(offsets: np.ndarray, reverse: bool) -> np.ndarray:
+        pos = segment_positions(offsets, reverse=reverse).astype(np.float64)
+        value = np.asarray(fn(pos, segment_lengths(offsets)
+                              .astype(np.float64)))
         if kind == "bool":
-            def masker(pos, last, _fn=fn):
-                return np.broadcast_to(
-                    np.asarray(_fn(pos, last), dtype=bool), pos.shape)
-        else:
-            def masker(pos, last, _fn=fn):
-                return np.asarray(_fn(pos, last)) == pos
-        maskers.append(masker)
-    return maskers
+            return np.broadcast_to(value.astype(bool), pos.shape)
+        return value == pos
 
-
-def _apply_positional_chain(offsets: np.ndarray, values: np.ndarray,
-                            maskers: list, reverse: bool
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Filter a per-anchor CSR result through a compiled predicate
-    chain.  Positions renumber within the surviving rows after every
-    stage, exactly as XPath applies ``[p1][p2]`` left to right."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    for masker in maskers:
-        if not len(values):
-            break
-        pos = segment_positions(offsets, reverse=reverse) \
-            .astype(np.float64)
-        last = segment_lengths(offsets).astype(np.float64)
-        keep = masker(pos, last)
-        kept = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
-        offsets = kept[offsets]
-        values = values[keep]
-    return offsets, values
-
-
+    return masker
 
 
 class _PredicateScopes:
     """The iterative evaluator's scope for a step's predicates, one
     iteration at a time: the predicates run per item on the DOM side,
     where the loop-lifted variables they mention must read as the
-    current iteration's plain sequences."""
+    current iteration's plain sequences.  Built on the first
+    :meth:`at`, so a step whose stages all run on the columns never
+    builds it."""
 
     def __init__(self, env: BulkEnv, predicates: list):
-        self._scope = env.ctx.child_scope()
-        self._lifted = {
-            node.name: _live(env.variables[node.name], env.loop)
-            for node in ast.walk(predicates)
-            if isinstance(node, ast.VarRef) and node.name in env.variables}
+        self._env = env
+        self._predicates = predicates
+        self._scope = None
 
     def at(self, it: int) -> DynamicContext:
+        if self._scope is None:
+            env = self._env
+            self._scope = env.ctx.child_scope()
+            self._lifted = {
+                node.name: _live(env.variables[node.name], env.loop)
+                for node in ast.walk(self._predicates)
+                if isinstance(node, ast.VarRef)
+                and node.name in env.variables}
         for name, seq in self._lifted.items():
             self._scope.variables[name] = seq.items_for(it)
         return self._scope

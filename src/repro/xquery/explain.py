@@ -13,11 +13,11 @@ from __future__ import annotations
 from repro.xquery import ast
 from repro.xquery.bulk import step_route
 
-_ROUTES = {
-    "columns": "{join}, column filter",
-    "kernel": "{join}",
-    "positional": "{join}, position masks",
-    "dom": "DOM walk",
+#: One note per predicate stage of a join step, by stage kind.
+_STAGES = {
+    "columns": "column filter",
+    "items": "then per-item filter",
+    "positions": "position masks",
 }
 
 
@@ -36,11 +36,14 @@ def render_plan(module: ast.Module) -> str:
 
 
 def _route(step: ast.AxisStep) -> str:
-    route, _plan = step_route(step)
-    join = "StandOff merge join" if step.is_standoff else "Staircase join"
-    note = _ROUTES[route].format(join=join)
-    if route == "kernel" and step.predicates:
-        note += ", then per-item filter"
+    route, stages = step_route(step)
+    if route == "dom":
+        note = "DOM walk"
+    else:
+        note = ", ".join([
+            "StandOff merge join" if step.is_standoff else "Staircase join",
+            *("then per-item position filter" if plan is None
+              else _STAGES[kind] for kind, plan in stages)])
     if step.fused:
         note = "'//' fused; " + note
     return note

@@ -81,7 +81,8 @@ def position_free(predicate: ast.Expr) -> bool:
     filter-expression step) is "not free", whatever it would evaluate
     to.  A position-free predicate keeps or drops an item regardless of
     which other items it is grouped with, which is what lets a step
-    carrying it be fused or run kernel-first (:mod:`repro.xquery.bulk`).
+    carrying it be fused, and its stage run on a join keyed by
+    iteration (:func:`repro.xquery.bulk.step_route`).
 
     Assumes the builtin names mean the builtins: :func:`rewrite` leaves
     a module that declares functions of its own untouched.
@@ -178,15 +179,6 @@ def column_predicate(predicate: ast.Expr):
         return None if inner is None else ("not", inner)
     name = _attribute_name(predicate)
     return None if name is None else ("exists", name)
-
-
-def column_predicates(predicates: list):
-    """The column terms of a non-empty predicate chain, or None unless
-    every predicate is one."""
-    terms = [column_predicate(p) for p in predicates]
-    if not terms or any(term is None for term in terms):
-        return None
-    return terms
 
 
 def _is_all_nodes_step(step) -> bool:

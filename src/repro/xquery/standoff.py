@@ -12,8 +12,9 @@ about the shred, so a stored document's persisted table is used
 without its DOM), with the candidate sequence derived from the step's
 name test via the element index (selection pushdown, §4.3), its
 :class:`~repro.relational.columnar.ColumnarResult` masked by the node
-test where it was not pushed down and by the step predicates' column
-filter.
+test where it was not pushed down.  The step's predicates are the
+driver's stages, applied to that result like a Staircase step's
+(:func:`repro.xquery.bulk.step_route`).
 
 The join is keyed by iteration: a StandOff step is a sequence-level
 join, so positions count per iteration, and several fragments in one
@@ -75,7 +76,7 @@ def _candidate_ids_for_test(ctx: DynamicContext, shredded, index,
 
 
 def standoff_join(ctx: DynamicContext, op_name: str,
-                  test: NodeTest | None = None, *, keep=None,
+                  test: NodeTest | None = None, *,
                   candidates: list[Node] | None = None):
     """The StandOff family's join of one step for
     :func:`repro.xquery.bulk.fragment_step`: ``join(shredded, its,
@@ -87,8 +88,7 @@ def standoff_join(ctx: DynamicContext, op_name: str,
     *candidates* are the builtin form's explicit candidate nodes (only
     those in the joined fragment take part); otherwise *test* derives
     them.  The result is masked by a name test that was not pushed
-    down and by *keep* (``(shredded, pres) -> bool mask``, the step
-    predicates' column filter) before anything is decoded.
+    down before anything is decoded.
     """
     op = StandoffOp.from_name(op_name)
     options = ctx.options
@@ -119,8 +119,6 @@ def standoff_join(ctx: DynamicContext, op_name: str,
             # The name test was not pushed down: post-filter.
             result = result.keep_rows(np.isin(
                 result.values, shredded.elements_matching(test.name)))
-        if keep is not None:
-            result = result.keep_rows(keep(shredded, result.values))
         return result
 
     return join

@@ -135,9 +135,8 @@ class TestLLStaircaseFastPath:
         module = parse(
             'count(doc("d.xml")/s/descendant::t[@start="25"])')
         (path,) = module.body.args
-        route, terms = step_route(path.steps[-1])
-        assert route == "columns"
-        assert terms == [("compare", "start", "=", "25", False)]
+        assert step_route(path.steps[-1]) == (
+            "join", [("columns", ("compare", "start", "=", "25", False))])
         assert evaluate_module_bulk(module, ctx) == [1]
 
 
@@ -168,9 +167,9 @@ class TestConditional:
 
 
 @pytest.mark.parametrize("query", [
-    # kernel join, then per-item filter
+    # join, then a per-item stage
     'for $n in (1, 2) return doc("d.xml")//c[@id = $n]/@start',
-    # DOM walk (a positional predicate that does not compile)
+    # join, then a position stage that does not compile: run per item
     'for $n in (1, 2) return doc("d.xml")/s/t[position() = $n]/@start',
     'for $n in (2, 1) return doc("d.xml")/s/*[$n]/@start',
     # filter expression, StandOff step, prolog and let variables
@@ -577,3 +576,106 @@ class TestAttributeColumn:
         for query in COMPILED:
             assert reopened.query(query, strategy="ll").serialize() == \
                 db.query(query, strategy="basic").serialize(), query
+
+
+# ----------------------------------------------------------------------
+# one predicate chain per join step: a stage per predicate
+# ----------------------------------------------------------------------
+
+#: Annotated ``a``/``b``/``c`` elements, some with an ``i``; ``b`` and
+#: ``c`` nest, so every chain below has rows to keep and to drop.
+CHAIN_XML = (
+    '<r><a i="1" start="0" end="40">'
+    '<b i="2" start="1" end="5"/><c start="2" end="3"/>'
+    '<b start="6" end="9"><b i="1" start="7" end="8"/></b>'
+    '<b i="1" start="10" end="12"><c i="2" start="10" end="11"/></b></a>'
+    '<a i="2" start="50" end="90">'
+    '<b i="1" start="51" end="60"><b i="3" start="52" end="53"/></b>'
+    '<c i="1" start="61" end="62"/><b start="70" end="80"/></a>'
+    '<a start="100" end="120"><c start="101" end="102"/></a></r>')
+
+CHAINS = [
+    '[@i="1"][2]', "[1][@i]",                   # column + positions
+    "[@i][b]",                                  # column + per item
+    "[b][1]", '[c or @i = "2"][last()]',        # per item + positions
+    "[@i][$n]", "[position() = $n]",            # positions not compiled
+]
+
+#: Two constructed region fragments, met in both orders.
+TWO_FRAGMENTS = (
+    'let $u := <u start="0" end="9"><b i="1" start="1" end="2"/>'
+    '<b start="3" end="4"/></u> '
+    'let $v := <v start="0" end="9"><b start="1" end="3"/>'
+    '<b i="2" start="5" end="6"/></v> '
+    'for $n in (1, 2) return (if ($n = 1) then ($v, $u) else ($u, $v))')
+
+CHAIN_TABLE = [
+    *(f'for $n in (1, 2) return doc("p.xml")//{context}/{axis}::*{chain}'
+      for context, axis in (("a", "child"), ("b", "ancestor"),
+                            ("b", "preceding-sibling"))
+      for chain in CHAINS),
+    *(f'{source}/select-narrow::b{chain}'
+      for source in ('for $n in (1, 2) return doc("p.xml")//a',
+                     TWO_FRAGMENTS)
+      for chain in ("[1]", "[@i][1]", "[last()]")),
+]
+
+
+def _spy_join_walks(monkeypatch):
+    """Record every DOM walk of a Staircase-axis or StandOff step."""
+    from repro.xquery import bulk
+    from repro.xquery.axes import STAIRCASE_AXES
+
+    walked = []
+    original = bulk._dom_step
+
+    def spy(step, env, context):
+        if step.axis in STAIRCASE_AXES or step.is_standoff:
+            walked.append(step.axis)
+        return original(step, env, context)
+
+    monkeypatch.setattr(bulk, "_dom_step", spy)
+    return walked
+
+
+def _outcome(db, query, strategy):
+    try:
+        return db.query(query, strategy=strategy).serialize()
+    except ReproError as error:
+        return f"raised {error.code}"
+
+
+@pytest.mark.parametrize("query", CHAIN_TABLE)
+def test_mixed_chains_leave_the_dom_walk(monkeypatch, query):
+    """A chain mixing column terms, per-item tests and positions runs
+    as its join plus one stage per predicate: the answer is the
+    oracle's, and no Staircase-axis or StandOff step walks the DOM."""
+    db = Database()
+    db.add_document("p.xml", CHAIN_XML)
+    want = _outcome(db, query, "basic")
+    walked = _spy_join_walks(monkeypatch)
+    assert _outcome(db, query, "ll") == want
+    assert walked == []
+
+
+def test_a_raising_column_stage_falls_back_alone(monkeypatch):
+    """``[@i > 1]`` cannot cast ``"x"``: that stage runs per item and
+    raises the oracle's error, with no DOM walk and no second join."""
+    import repro.staircase.kernels_vec as kernels_vec
+
+    db = Database()
+    db.add_document("e.xml", '<r><a><b i="2"/><b i="x"/></a></r>')
+    query = 'doc("e.xml")/r/a/child::b[@i > 1][1]'
+    assert _outcome(db, query, "basic") == "raised err:FORG0001"
+    walked = _spy_join_walks(monkeypatch)
+    joins = []
+    original = kernels_vec.staircase_join
+
+    def spy(*args, **kwargs):
+        joins.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels_vec, "staircase_join", spy)
+    assert _outcome(db, query, "ll") == "raised err:FORG0001"
+    assert walked == []
+    assert joins == ["child"] * 3          # r, a, b: one join a step

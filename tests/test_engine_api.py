@@ -81,7 +81,13 @@ class TestDatabase:
         mixed = db.explain('for $x in doc("d")//a[@i and position() = 2] '
                            'return count($x/select-narrow::b[@i])')
         assert "child::a[attribute::i and (position() = 2)]" in mixed
-        assert "DOM walk" in mixed
+        assert "Staircase join, then per-item position filter" in mixed
+        assert "DOM walk" not in mixed
+        assert "DOM walk" in db.explain('doc("d")//a/parent::*')
+        assert "Staircase join, column filter, position masks" in \
+            db.explain('doc("d")//a[@i = "1"][2]')
+        assert "StandOff merge join, position masks" in db.explain(
+            'doc("d")//a/select-narrow::b[1]')
         assert "StandOff merge join, column filter" in mixed
         assert "StandOff merge join, then per-item filter" in db.explain(
             'doc("d")//a/select-narrow::b[c = "x"]')

@@ -23,8 +23,10 @@ corners that previously fell off the kernel path: the sibling axes
 text-node siblings), *constructed-fragment* contexts, which now
 shred on demand instead of dropping to the DOM walk, StandOff steps
 over several constructed fragments met in a different order in every
-iteration, and ``for`` loops over paths, whose node sequences stay
-``(iter, pre)`` columns from one join to the next.
+iteration, ``for`` loops over paths, whose node sequences stay
+``(iter, pre)`` columns from one join to the next, and predicate
+chains that mix column terms, positions and per-item tests, one stage
+per predicate on the join's rows.
 
 Seeds are fixed: every failure is reproducible from the printed
 (seed, query) pair.  The whole module is budgeted at roughly two
@@ -616,15 +618,62 @@ def test_positional_division_by_zero_matches_oracle():
 
 def test_positional_compiler_covers_the_pool():
     """The predicate pool above must actually exercise the columnar
-    compiler: every entry without a known bail-out reason compiles."""
+    compiler: every entry without a known bail-out reason is a position
+    stage with a compiled mask."""
     from repro.xquery import bulk
     from repro.xquery.parser import parse
 
     for predicate in POSITIONAL_PREDICATES:
         module = parse(f'doc("f.xml")/r/child::a{predicate}')
-        step = module.body.steps[-1]
-        maskers = bulk.compile_positional_predicates(step.predicates)
-        assert maskers is not None and len(maskers) == 1, predicate
+        route, stages = bulk.step_route(module.body.steps[-1])
+        assert route == "join" and len(stages) == 1, predicate
+        (kind, masker), = stages
+        assert kind == "positions" and masker is not None, predicate
+
+
+#: A predicate of every stage kind: column terms, compiled positions,
+#: position-free per-item tests, and ones that read ``$n`` (a per-item
+#: compare, positions that do not compile).
+CHAIN_PREDICATES = (
+    "[@i]", '[@i = "1"]', "[@i >= 2]", "[not(@j)]",
+    "[1]", "[2]", "[last()]", "[position() mod 2 = 1]",
+    "[b]", '[c or @i = "2"]', "[*]", "[not(text())]",
+    "[$n]", "[position() <= $n + 1]", "[not(@i = $n)]", "[last() - $n]",
+)
+
+#: Every axis a join runs: the Staircase axes and the StandOff operators.
+CHAIN_AXES = ("child", "descendant", "descendant-or-self", "ancestor",
+              "ancestor-or-self", "following", "preceding",
+              "following-sibling", "preceding-sibling", *STANDOFF_AXES)
+
+
+@pytest.mark.parametrize("seed", range(6700, 6704))
+def test_fuzz_predicate_chains(seed):
+    """Chains of one to three predicates of mixed stage kinds on every
+    join axis, from a stored document, a constructed fragment and both
+    at once: each predicate is its own stage on the join's rows, and
+    ``ll`` answers (or raises) as the ``basic`` oracle does."""
+    rng = random.Random(seed)
+    db = Database()
+    db.add_document("f.xml", random_xml(rng, 90, regions=True))
+    (fragment,) = region_fragments(rng, ("u",))
+    contexts = (f'doc("f.xml")//{rng.choice(TAGS)}', 'doc("f.xml")/r/*',
+                "$f//*", f'($f, doc("f.xml")//{rng.choice(TAGS)})')
+    answered = 0
+    for _q in range(10):
+        chain = "".join(rng.choice(CHAIN_PREDICATES)
+                        for _ in range(rng.choice((1, 1, 1, 2, 2, 3))))
+        query = (f"let $f := {fragment} for $n in (1, 2) return "
+                 f"{rng.choice(contexts)}/{rng.choice(CHAIN_AXES)}::"
+                 f"{rng.choice(('*', '*', '*', rng.choice(TAGS)))}{chain}")
+        oracle = outcome(db, query, strategy="basic")
+        answered += bool(oracle) and not oracle.startswith("raised")
+        for kernel in KERNELS_UNDER_TEST:
+            for workers in WORKERS_UNDER_TEST:
+                got = outcome(db, query, strategy="ll", kernel=kernel,
+                              workers=workers, shard_min_rows=1)
+                assert got == oracle, (seed, query, kernel, workers)
+    assert answered >= 3, answered
 
 
 #: Two constructed region fragments, met in a different order in each

@@ -14,12 +14,11 @@ import pytest
 from repro.config import DEFAULT_SERVE_HEAVY_PAIRS, ExecOptions
 from repro.serve.server import estimate_pair_budget
 from repro.xquery import Database, parse
-from repro.xquery.bulk import evaluate_module_bulk
+from repro.xquery.bulk import evaluate_module_bulk, step_route
 from repro.xquery.context import DynamicContext, Focus
 from repro.xquery.parser import parse_expr
 from repro.xquery.rewrite import (
     column_predicate,
-    column_predicates,
     position_free,
     rewrite,
 )
@@ -136,14 +135,17 @@ def test_not_column_predicate(predicate):
     assert column_predicate(parse_expr(predicate)) is None
 
 
-def test_column_predicates_need_every_predicate():
-    def chain(text):
-        return parse(f"a{text}").body.predicates
+def test_each_predicate_of_a_chain_is_its_own_stage():
+    def stages(text):
+        return step_route(parse(f"a{text}").body)
 
-    assert column_predicates(chain('[@a][@b = "1"]')) == [
-        ("exists", "a"), ("compare", "b", "=", "1", False)]
-    assert column_predicates(chain("[@a][u]")) is None
-    assert column_predicates([]) is None
+    assert stages('[@a][@b = "1"]') == ("join", [
+        ("columns", ("exists", "a")),
+        ("columns", ("compare", "b", "=", "1", False))])
+    route, [first, second] = stages("[@a][u]")
+    assert first == ("columns", ("exists", "a"))
+    assert second[0] == "items"
+    assert stages("") == ("join", [])
 
 
 # ----------------------------------------------------------------------
