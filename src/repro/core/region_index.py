@@ -168,8 +168,9 @@ class RegionIndex:
     """A per-document region index with incremental build and lookups.
 
     Mirrors the paper's design: one index per XML document (fragment),
-    clustered on ``start``.  Built once after shredding; immutable
-    afterwards (rebuild to update — MonetDB/XQuery semantics for 0.10).
+    clustered on ``start``.  Immutable once built: an update splices a
+    *new* index from it (:func:`repro.xmldb.splice.splice_region_table`),
+    so a query holding this one keeps reading the same table.
     """
 
     #: ``(store path, uri)`` when the table columns are mmap views of a

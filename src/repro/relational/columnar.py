@@ -30,7 +30,7 @@ the per-iteration complement of the matching ``select-*`` through it.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import chain
+from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -152,13 +152,16 @@ class ColumnarResult(Mapping):
     on first access, cached.
     """
 
-    __slots__ = ("iters", "offsets", "values", "_decoded")
+    __slots__ = ("iters", "offsets", "values", "nodes", "_decoded")
 
     def __init__(self, iters: np.ndarray, offsets: np.ndarray,
-                 values: np.ndarray):
+                 values: np.ndarray, nodes: list | None = None):
         self.iters = iters
         self.offsets = offsets
         self.values = values
+        #: The decoded node of every value row, aligned with ``values``,
+        #: when a per-item stage already decoded them (else ``None``).
+        self.nodes = nodes
         self._decoded: dict[int, list[int]] = {}
 
     # -- constructors ------------------------------------------------------
@@ -237,13 +240,20 @@ class ColumnarResult(Mapping):
         i = self._find(iteration)
         return int(self.offsets[i]), int(self.offsets[i + 1])
 
-    def keep_rows(self, keep: np.ndarray) -> "ColumnarResult":
+    def keep_rows(self, keep: np.ndarray, nodes: list | None = None
+                  ) -> "ColumnarResult":
         """The value rows where the boolean *keep* holds, under the same
-        iterations (one may be left with an empty slice)."""
+        iterations (one may be left with an empty slice).  *nodes*, or
+        else :attr:`nodes`, are the rows' decoded nodes (aligned with
+        ``values``); the survivors' are kept."""
         kept = np.concatenate((np.zeros(1, dtype=np.int64),
                                np.cumsum(keep, dtype=np.int64)))
+        if nodes is None:
+            nodes = self.nodes
+        if nodes is not None:
+            nodes = list(compress(nodes, keep.tolist()))
         return ColumnarResult(self.iters, kept[self.offsets],
-                              self.values[keep])
+                              self.values[keep], nodes)
 
     # -- lazy dict view (the compatibility adapter) ------------------------
 

@@ -184,7 +184,13 @@ class NodeColumns(Mapping):
             _keys, index, bounds = expand_ranges(
                 distinct, offsets[distinct], offsets[distinct + 1])
             pres = values[index]
-        rows = list(map(self.shredded.node_by_pre, pres.tolist()))
+        known = self.result.nodes
+        if known is None:
+            rows = list(map(self.shredded.node_by_pre, pres.tolist()))
+        elif which is None:
+            rows = known
+        else:
+            rows = list(map(known.__getitem__, index.tolist()))
         bounds = bounds.tolist()
         nodes = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
         if which is not None:

@@ -29,9 +29,10 @@ columns are the document: the file holds no XML text.
 
 The same machinery backs the ``REPRO_STORAGE=mmap`` mode: a
 :class:`~repro.xmldb.store.StoredDocument` without a store file behind
-it spills its freshly shredded columns to one in a temp directory and
-re-opens them mapped (:func:`spill_document`), keeping its in-memory
-DOM for node decoding.  Either way the stored document is the same
+it spills its columns — freshly shredded, or spliced by an update — to
+one in a temp directory and re-opens them mapped
+(:func:`spill_document`), keeping its in-memory DOM for node
+decoding.  Either way the stored document is the same
 class holding a :class:`StoreReader` as its backing.
 """
 
@@ -90,10 +91,13 @@ def _default_region_table(source: Document | StoredDocument
 
 
 def _document_entry(source: Document | StoredDocument,
-                    shredded: ShreddedDocument) -> dict:
+                    shredded: ShreddedDocument,
+                    region_table: RegionTable | None = None) -> dict:
     """One document's ``write_store`` entry (columns + metadata);
-    *source* gives the uri, the doc id and the region table."""
-    region_table = _default_region_table(source)
+    *source* gives the uri, the doc id and — unless *region_table* is
+    given — the default-config region table."""
+    if region_table is None:
+        region_table = _default_region_table(source)
     values, index = shredded.values, shredded.element_index
     columns = {
         "pre": shredded.pre,
@@ -302,14 +306,19 @@ def spill_directory() -> str:
         return _SPILL_DIR
 
 
-def spill_document(document: Document) -> tuple[str, StoreReader]:
+def spill_document(document: Document,
+                   shredded: ShreddedDocument | None = None,
+                   region_table: RegionTable | None = None
+                   ) -> tuple[str, StoreReader]:
     """Write one document's columns to a spill store and map them back.
 
-    The mmap storage backend's workhorse: the document is shredded and
-    its default region table extracted *once*, written to a store file,
-    and immediately re-opened — the caller keeps the mapped columns
-    (and its in-memory DOM for node decoding), and worker processes can
-    re-open the same file by path.
+    The mmap storage backend's workhorse: the columns — *shredded* if
+    given (an update's splice), else a shred of *document* — and the
+    default region table — *region_table* if given, else extracted
+    from *document* — are written to a store file *once*, and
+    immediately re-opened: the caller keeps the mapped columns (and its
+    in-memory DOM for node decoding), and worker processes can re-open
+    the same file by path.
     """
     global _SPILL_SEQ
     with _SPILL_LOCK:
@@ -318,7 +327,9 @@ def spill_document(document: Document) -> tuple[str, StoreReader]:
     path = os.path.join(
         spill_directory(),
         f"spill-{os.getpid()}-{seq}-doc{document.doc_id}.repro")
-    write_store(path, [_document_entry(document, shred(document))])
+    if shredded is None:
+        shredded = shred(document)
+    write_store(path, [_document_entry(document, shredded, region_table)])
     return path, StoreReader(path)
 
 

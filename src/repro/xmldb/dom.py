@@ -295,25 +295,7 @@ class Document(Node):
         holds for an attribute *a* of any element *v* or its descendants.
         """
         nodes: list[Node] = []
-
-        def walk(node: Node, level: int) -> int:
-            node.pre = len(nodes)
-            node.level = level
-            nodes.append(node)
-            count = 0
-            if isinstance(node, Element):
-                for attr in node.attributes:
-                    attr.pre = len(nodes)
-                    attr.level = level + 1
-                    attr.size = 0
-                    nodes.append(attr)
-                    count += 1
-            for child in node.children:
-                count += 1 + walk(child, level + 1)
-            node.size = count
-            return count
-
-        walk(self, 0)
+        _number(self, 0, nodes)
         self._nodes_by_pre = nodes
 
     def node_by_pre(self, pre: int) -> Node:
@@ -348,26 +330,30 @@ def renumber_fragment(root: Node) -> list[Node]:
     reassignment.
     """
     nodes: list[Node] = []
-
-    def walk(node: Node, level: int) -> int:
-        node.pre = len(nodes)
-        node.level = level
-        nodes.append(node)
-        count = 0
-        if isinstance(node, Element):
-            for attr in node.attributes:
-                attr.pre = len(nodes)
-                attr.level = level + 1
-                attr.size = 0
-                nodes.append(attr)
-                count += 1
-        for child in node.children:
-            count += 1 + walk(child, level + 1)
-        node.size = count
-        return count
-
-    walk(root, 0)
+    _number(root, 0, nodes)
     return nodes
+
+
+def _number(node: Node, level: int, nodes: list[Node]) -> int:
+    """Number *node*'s subtree in pre order, appending its nodes to
+    *nodes*; returns its size.  A module function, not a closure: a
+    recursive closure is a reference cycle, which would keep every
+    superseded node list alive until the cyclic collector runs."""
+    node.pre = len(nodes)
+    node.level = level
+    nodes.append(node)
+    count = 0
+    if isinstance(node, Element):
+        for attr in node.attributes:
+            attr.pre = len(nodes)
+            attr.level = level + 1
+            attr.size = 0
+            nodes.append(attr)
+            count += 1
+    for child in node.children:
+        count += 1 + _number(child, level + 1, nodes)
+    node.size = count
+    return count
 
 
 def document_order(nodes) -> list[Node]:

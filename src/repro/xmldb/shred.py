@@ -173,26 +173,38 @@ class ElementIndex:
 class AttributeColumn:
     """The attribute rows of one local name, dictionary-encoded.
 
-    ``owners`` holds the owning element's pre rank per row (ascending:
-    attributes are numbered right after their element), ``codes`` the
-    row's index into ``distinct``, the sorted distinct values — so a
-    string compare against a literal is one bisect plus an integer
-    compare on ``codes``.  Frozen once built; the numeric view of
-    ``distinct`` is added on first use by :meth:`numbers`.
+    ``rows`` holds the attribute rows' pre ranks and ``owners`` the
+    owning element's pre rank per row (both ascending: attributes are
+    numbered right after their element), ``codes`` the row's index
+    into ``distinct``, the sorted distinct values — so a string compare
+    against a literal is one bisect plus an integer compare on
+    ``codes``.  Frozen once built; the numeric view of ``distinct`` is
+    added on first use by :meth:`numbers`.
     """
 
-    __slots__ = ("owners", "codes", "distinct", "_numbers", "_build_lock")
+    __slots__ = ("rows", "owners", "codes", "distinct", "_numbers",
+                 "_build_lock")
 
-    def __init__(self, owners: np.ndarray, texts: list[str]):
-        distinct = sorted(set(texts))
-        code_of = {text: code for code, text in enumerate(distinct)}
+    def __init__(self, rows: np.ndarray, owners: np.ndarray,
+                 codes: np.ndarray, distinct: list[str]):
+        self.rows = rows
         self.owners = owners
-        self.codes = np.fromiter((code_of[text] for text in texts),
-                                 dtype=np.int64, count=len(texts))
+        self.codes = codes
         self.distinct = distinct
         self._numbers: tuple[np.ndarray, np.ndarray] | None = None
         self._build_lock = lockcheck.new_lock("AttributeColumn._build_lock")
-        freeze(self.owners, self.codes)
+        freeze(self.rows, self.owners, self.codes)
+
+    @classmethod
+    def encode(cls, rows: np.ndarray, owners: np.ndarray,
+               texts: list[str]) -> "AttributeColumn":
+        """The column of the rows whose values are *texts*."""
+        distinct = sorted(set(texts))
+        code_of = {text: code for code, text in enumerate(distinct)}
+        return cls(rows, owners,
+                   np.fromiter((code_of[text] for text in texts),
+                               dtype=np.int64, count=len(texts)),
+                   distinct)
 
     def spans(self, pres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per pre rank, the ``[lo, hi)`` rows it owns."""
@@ -235,7 +247,8 @@ def _attribute_column(shredded: "ShreddedDocument",
     if np.any(owners[1:] < owners[:-1]):
         raise StorageFormatError(
             f"attribute rows of @{local} are not in owner order")
-    return AttributeColumn(owners, shredded.values.strings_at(rows))
+    return AttributeColumn.encode(rows, owners,
+                                  shredded.values.strings_at(rows))
 
 
 @lockcheck.audit_lazy_stores(("_document",))
@@ -405,7 +418,8 @@ class ShreddedDocument:
     def attribute_column(self, local: str) -> AttributeColumn:
         """The dictionary-encoded rows of the attributes an ``@local``
         name test matches (built on first use, then cached with the
-        shred — an update drops both)."""
+        shred — an update splices the cached ones into the next shred,
+        :mod:`repro.xmldb.splice`)."""
         column = self._attr_columns.get(local)
         if column is None:
             with self._columns_lock:
@@ -417,6 +431,20 @@ class ShreddedDocument:
                         "ShreddedDocument._attr_columns")
                     self._attr_columns[local] = column
         return column
+
+    def attribute_columns(self) -> dict[str, AttributeColumn]:
+        """The attribute columns built so far, by local name."""
+        with self._columns_lock:
+            return dict(self._attr_columns)
+
+    def adopt_attribute_columns(self, columns: dict[str, AttributeColumn]
+                                ) -> None:
+        """Cache *columns* (built for these rows elsewhere — a splice)
+        as if :meth:`attribute_column` had built them."""
+        with self._columns_lock:
+            lockcheck.assert_locked(self._columns_lock,
+                                    "ShreddedDocument._attr_columns")
+            self._attr_columns.update(columns)
 
     def post(self) -> np.ndarray:
         """Post-order ranks derived from pre/size (pre + size)."""

@@ -12,6 +12,12 @@ The store owns everything the engine needs per document:
 Because the region representation is a *run-time* setting (a query's
 ``declare option`` preamble may change it), region indexes are built
 lazily per (document, config) pair and cached.
+
+An update (:meth:`DocumentStore.insert`/:meth:`DocumentStore.delete`)
+changes the DOM, renumbers it once, and publishes a *new* shred and new
+region indexes spliced from the old ones (:mod:`repro.xmldb.splice`) —
+the per-document maintenance §3.3 (ii) keeps local.  The old ones are
+never changed, so a query holding them reads a consistent snapshot.
 """
 
 from __future__ import annotations
@@ -27,16 +33,26 @@ from repro.config import (
     normalize_storage_backend,
 )
 from repro.core.region import Area, Region
-from repro.core.region_index import RegionIndex
+from repro.core.region_index import RegionIndex, RegionTable
 from repro.errors import RegionError, ReproError
-from repro.xmldb.dom import Document, Element
+from repro.xmldb.dom import Attr, Document, Element, Node
 from repro.xmldb.parser import parse_document
 from repro.xmldb.shred import ShreddedDocument, shred
+from repro.xmldb.splice import RowMap, splice_region_table, splice_shred
 
 
 def extract_regions(document: Document, config: StandoffConfig = DEFAULT_CONFIG
                     ) -> Iterator[tuple[int, int | float, int | float]]:
-    """Yield ``(pre, start, end)`` for every area-annotation element.
+    """Yield ``(pre, start, end)`` for every area-annotation element of
+    the (renumbered) *document*, in document order."""
+    document.renumber()
+    return element_regions(document.descendants(), config)
+
+
+def element_regions(nodes, config: StandoffConfig = DEFAULT_CONFIG
+                    ) -> Iterator[tuple[int, int | float, int | float]]:
+    """Yield ``(pre, start, end)`` for every area-annotation element
+    among *nodes* (non-elements are skipped).
 
     Under the attribute representation an element is an area-annotation
     when it carries *both* the start and the end attribute; under the
@@ -45,8 +61,7 @@ def extract_regions(document: Document, config: StandoffConfig = DEFAULT_CONFIG
     region raise :class:`RegionError` — silently ignoring them would turn
     data errors into empty query results.
     """
-    document.renumber()
-    for node in document.descendants():
+    for node in nodes:
         if not isinstance(node, Element):
             continue
         if config.uses_region_elements:
@@ -86,7 +101,9 @@ def _check(start, end, node: Element) -> None:
             f"> end {end!r}")
 
 
-@lockcheck.audit_lazy_stores(("_shredded", "_document", "_backing"))
+@lockcheck.audit_lazy_stores(("_shredded", "_document", "_backing",
+                              "_region_indexes", "_spill_path",
+                              "_unspilled"))
 class StoredDocument:
     """A document plus its derived structures, behind a storage seam.
 
@@ -100,9 +117,13 @@ class StoredDocument:
     (``REPRO_STORAGE=mmap``, or ``storage_backend=`` on the owning
     :class:`DocumentStore`/``Database``) — they are zero-copy mapped
     views of a store file: byte-identical answers, but shareable
-    read-only pages that worker processes can re-open by path.  A
-    structural update (:meth:`invalidate`) drops the backing; store
-    files are immutable.
+    read-only pages that worker processes can re-open by path.
+
+    An update (:meth:`insert`, :meth:`delete`) changes the DOM and
+    splices new derived structures from the old ones
+    (:mod:`repro.xmldb.splice`); :meth:`invalidate` drops them instead.
+    Either way the document detaches from its store file: store files
+    are immutable.
     """
 
     def __init__(self, document: Document | None = None, *,
@@ -121,8 +142,12 @@ class StoredDocument:
         self._region_indexes: dict[StandoffConfig, RegionIndex] = {}
         self.storage_backend = normalize_storage_backend(storage_backend)
         self._spill_path: str | None = None
-        # Serializes the lazy builds below.  They are not merely
-        # duplicated work when raced: both the shredder and
+        #: Under the ``mmap`` backend, the spliced shred and default
+        #: region table an update left for the next read to spill.
+        self._unspilled: tuple[ShreddedDocument, RegionTable | None] \
+            | None = None
+        # Serializes the lazy builds below and the updates.  They are
+        # not merely duplicated work when raced: both the shredder and
         # extract_regions() call document.renumber(), which *mutates*
         # the DOM's pre/size/level ranks while the other thread walks
         # them — under concurrent queries (the serving layer) two
@@ -145,7 +170,7 @@ class StoredDocument:
             if self._document is None:
                 # Store-backed: the DOM is the shred's, which builds
                 # it from the mapped columns.  Held here too, so it
-                # outlives the shred an update drops.
+                # outlives the shred an update replaces.
                 self._document = self.shredded.document
             return self._document
 
@@ -189,7 +214,8 @@ class StoredDocument:
     def _store_backing(self):
         """The store file behind the derived structures, if any; under
         the ``mmap`` backend a document without one is spilled first
-        (:func:`repro.storage.spill_document`).  Callers hold
+        (:func:`repro.storage.spill_document`) — the columns an update
+        spliced if there are any, else a fresh shred.  Callers hold
         ``_build_lock``; the lock is re-entrant, so the method still
         takes it itself — the stores below must never run unguarded.
         """
@@ -198,8 +224,10 @@ class StoredDocument:
                     and self.storage_backend == STORAGE_MMAP:
                 from repro import storage
 
+                shredded, table = self._unspilled or (None, None)
                 self._spill_path, self._backing = \
-                    storage.spill_document(self._document)
+                    storage.spill_document(self._document, shredded, table)
+                self._unspilled = None
             return self._backing
 
     def area_of_node(self, pre: int,
@@ -207,21 +235,129 @@ class StoredDocument:
         """The area of the node with the given pre rank, if annotated."""
         return self.region_index(config).area_of(pre)
 
+    # -- updates -------------------------------------------------------------
+
+    def insert(self, placements: list[tuple[Element, list[Node]]]) -> None:
+        """Append each ``(element, nodes)`` placement's *nodes* (fresh,
+        parentless) as the element's last children, in order.
+
+        The DOM is renumbered once; the shred and the cached region
+        indexes are spliced from the ones before (:meth:`_splice`).
+        """
+        with self._build_lock:
+            document = self.document
+            n_old = document.node_count
+            for parent, nodes in placements:
+                for node in nodes:
+                    parent.append(node)
+            document.renumber()
+            fresh = [(nodes[0].pre, nodes[-1].pre + nodes[-1].size + 1)
+                     for _parent, nodes in placements if nodes]
+            self._splice(RowMap(n_old, document.node_count, [], fresh),
+                         [parent for parent, _nodes in placements])
+
+    def delete(self, victims: list[Node]) -> int:
+        """Detach every victim (an attribute from its element, any other
+        node from its parent's children) that still has a parent.
+
+        Returns how many were detached — a victim inside another counts
+        too.  The DOM is renumbered once and the derived structures are
+        spliced, as for :meth:`insert`.
+        """
+        with self._build_lock:
+            document = self.document
+            n_old = document.node_count
+            cut, parents = [], []
+            for node in victims:
+                parent = node.parent
+                if parent is None:
+                    continue
+                cut.append((node.pre, node.pre + node.size + 1))
+                parents.append((parent, parent.pre))
+                if isinstance(node, Attr):
+                    parent.attributes.remove(node)
+                else:
+                    parent.children.remove(node)
+                node.parent = None
+            if cut:
+                document.renumber()
+                rows = RowMap(n_old, document.node_count, cut, [])
+                self._splice(rows, [parent for parent, pre in parents
+                                    if rows.new_of_old[pre] >= 0])
+            return len(cut)
+
+    def _splice(self, rows: RowMap, parents: list[Node]) -> None:
+        """Publish the derived structures of the renumbered DOM, spliced
+        from the current ones along *rows*; *parents* are the kept
+        nodes the update added children to or removed nodes from.
+
+        Region rows are re-extracted only for the fresh elements and for
+        the elements whose area the update can change: the *parents*
+        (an attribute-form area is its element's own attributes) or,
+        under the element form, their ancestors too (an area is read
+        from the element's descendants).  An index whose re-extraction
+        raises is dropped, so the next read rebuilds it from the DOM and
+        raises there, as it would have without the splice.  Structures
+        not built yet stay unbuilt.
+        """
+        document = self._document
+        parents = list({id(node): node for node in parents}.values())
+        touched: dict[int, Node] = {}
+        for node in parents:
+            while node is not None and id(node) not in touched:
+                touched[id(node)] = node
+                node = node.parent
+        lineage = list(touched.values())
+        fresh_nodes = list(map(document.node_by_pre, rows.fresh.tolist()))
+        fresh_elements = [node for node in fresh_nodes
+                          if isinstance(node, Element)]
+        old = self._shredded if self._unspilled is None \
+            else self._unspilled[0]
+        shredded = None if old is None else splice_shred(
+            old, document, rows, fresh_nodes, lineage)
+        indexes = {}
+        for config, index in self._region_indexes.items():
+            redone = lineage if config.uses_region_elements else parents
+            try:
+                entries = list(element_regions(
+                    [*redone, *fresh_elements], config))
+            except RegionError:
+                continue
+            indexes[config] = RegionIndex(splice_region_table(
+                index.table, rows,
+                [node for node in redone if isinstance(node, Element)],
+                entries))
+        with self._build_lock:
+            self._detach()
+            if self.storage_backend == STORAGE_MMAP \
+                    and shredded is not None:
+                default = indexes.pop(DEFAULT_CONFIG, None)
+                self._unspilled = (shredded, None if default is None
+                                   else default.table)
+                self._shredded = None
+            else:
+                self._shredded = shredded
+            self._region_indexes = indexes
+
     def invalidate(self) -> None:
-        """Drop derived structures after a structural update.
+        """Drop every derived structure: the full-drop hook for a DOM
+        changed by hand (the API's updates splice instead).
 
         The DOM is renumbered; the shredded columns and all region
-        indexes are rebuilt lazily on next use.  This is the
-        *per-document* maintenance cost the paper's §3.3 design keeps
-        local (contrast: the store-level global index rebuilds whole).
-        The store file behind them is stale after an update: the
-        document detaches from it, and a spill file is deleted (the
-        next use spills afresh).
+        indexes are rebuilt from it lazily on next use.  The store file
+        behind them is stale: the document detaches from it, and a
+        spill file is deleted (the next use spills afresh).
         """
         with self._build_lock:
             self.document.renumber()
             self._shredded = None
-            self._region_indexes.clear()
+            self._unspilled = None
+            self._region_indexes = {}
+            self._detach()
+
+    def _detach(self) -> None:
+        """Leave the store file behind (deleting it if it is a spill)."""
+        with self._build_lock:
             self._backing = None
             if self._spill_path is not None:
                 try:
@@ -329,9 +465,28 @@ class DocumentStore:
     def uris(self) -> list[str]:
         return list(self._by_uri)
 
+    def insert(self, uri: str,
+               placements: list[tuple[Element, list[Node]]]) -> None:
+        """Append nodes under elements of *uri*
+        (:meth:`StoredDocument.insert`: its derived structures are
+        spliced) and invalidate the collection-global index."""
+        self.get(uri).insert(placements)
+        self.version += 1
+
+    def delete(self, uri: str, victims: list[Node]) -> int:
+        """Detach nodes of *uri* (:meth:`StoredDocument.delete`) and,
+        if any went, invalidate the collection-global index."""
+        deleted = self.get(uri).delete(victims)
+        if deleted:
+            self.version += 1
+        return deleted
+
     def touch(self, uri: str) -> StoredDocument:
-        """Record a structural update to *uri*: rebuild its derived
-        structures lazily and invalidate the collection-global index."""
+        """Record a structural update made to *uri*'s DOM by hand: drop
+        its derived structures for the next read to rebuild from the
+        DOM (:meth:`StoredDocument.invalidate`) and invalidate the
+        collection-global index.  :meth:`insert` and :meth:`delete`
+        need no touch."""
         stored = self.get(uri)
         stored.invalidate()
         self.version += 1

@@ -801,7 +801,9 @@ def _merge_fragments(groups: list[tuple], results: list[ColumnarResult],
             seen, first = np.unique(its, return_index=True)
             iters = result.iters
             firsts = rows[first[np.searchsorted(seen, iters)]]
-        nodes = list(map(shredded.node_by_pre, result.values.tolist()))
+        nodes = result.nodes
+        if nodes is None:
+            nodes = list(map(shredded.node_by_pre, result.values.tolist()))
         bounds = result.offsets.tolist()
         pieces += zip(firsts.tolist(), iters.tolist(),
                       (nodes[a:b] for a, b in zip(bounds, bounds[1:])))
@@ -897,7 +899,7 @@ def _stage_filter(env: BulkEnv, step: ast.AxisStep, stages: list):
         for predicate, (kind, plan) in zip(step.predicates, stages):
             if not len(result.values) or kind == "positions" and not whole:
                 break
-            mask = None
+            mask = nodes = None
             try:
                 if kind == "columns":
                     mask = _term_mask(plan, shredded, result.values)
@@ -906,9 +908,9 @@ def _stage_filter(env: BulkEnv, step: ast.AxisStep, stages: list):
             except (_Undecided, _PositionalOverflow):
                 pass
             if mask is None:
-                mask = _filter_segments(shredded, iters, result, predicate,
-                                        scopes, reverse)
-            result = result.keep_rows(mask)
+                mask, nodes = _filter_segments(shredded, iters, result,
+                                               predicate, scopes, reverse)
+            result = result.keep_rows(mask, nodes)
         return result
 
     return keep
@@ -916,11 +918,14 @@ def _stage_filter(env: BulkEnv, step: ast.AxisStep, stages: list):
 
 def _filter_segments(shredded, iters: np.ndarray, result: ColumnarResult,
                      predicate: ast.Expr, scopes: _PredicateScopes,
-                     reverse: bool) -> np.ndarray:
+                     reverse: bool) -> tuple[np.ndarray, list]:
     """The keep-mask of *predicate* run by the oracle's per-item filter
     over each CSR segment's decoded nodes, in axis order, with the
-    segment's iteration's variables in scope."""
-    nodes = list(map(shredded.node_by_pre, result.values.tolist()))
+    segment's iteration's variables in scope; and those nodes, which
+    the result keeps so its survivors are not decoded again."""
+    nodes = result.nodes
+    if nodes is None:
+        nodes = list(map(shredded.node_by_pre, result.values.tolist()))
     bounds = result.offsets.tolist()
     keep = np.zeros(len(nodes), dtype=bool)
     for it, a, b in zip(iters.tolist(), bounds, bounds[1:]):
@@ -932,7 +937,7 @@ def _filter_segments(shredded, iters: np.ndarray, result: ColumnarResult,
         kept = {id(node) for node in _filter_by_predicate(
             segment[::-1] if reverse else segment, predicate, scopes.at(it))}
         keep[a:b] = [id(node) in kept for node in segment]
-    return keep
+    return keep, nodes
 
 
 class _Undecided(Exception):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from repro.config import DEFAULT_PLAN_CACHE_SIZE, ExecOptions
 from repro.exec import lockcheck
 from repro.errors import UnsupportedFeatureError, XQueryTypeError
-from repro.xmldb.dom import Attr, Document, Element, Node
+from repro.xmldb.dom import Document, Element, Node
 from repro.xmldb.store import DocumentStore, StoredDocument
 from repro.xquery import ast
 from repro.xquery.context import DocumentFocus, DynamicContext, \
@@ -315,10 +315,13 @@ class Database:
         """Insert parsed *xml_fragment* under every node selected by
         *parent_query* (which must select elements of document *uri*).
 
-        Returns the number of insertion points.  All derived structures
-        of the document (shredded columns, region indexes) and the
-        collection-global index are invalidated — the per-document vs
-        global maintenance trade-off of §3.3 (ii).
+        Returns the number of insertion points.  The DOM is renumbered
+        once, and the document's shred and cached region indexes are
+        spliced — its rows cut in at their new pre rank, only the
+        fragment's own rows read from the DOM — into new ones the next
+        read finds ready; the collection-global index is invalidated
+        (the per-document vs global maintenance trade-off of §3.3
+        (ii)).  A query still holding the old ones is unaffected.
         """
         from repro.xmldb.parser import parse_fragment
 
@@ -330,18 +333,18 @@ class Database:
                 raise XQueryTypeError(
                     "insert_nodes: parent query must select elements "
                     f"of {uri!r}")
-        for parent in parents:
-            for node in parse_fragment(xml_fragment):
-                parent.append(node)
         if parents:
-            self.store.touch(uri)
+            self.store.insert(uri, [(parent, parse_fragment(xml_fragment))
+                                    for parent in parents])
         return len(parents)
 
     def delete_nodes(self, uri: str, query: str) -> int:
         """Delete every node selected by *query* from document *uri*.
 
-        Returns the number of deleted nodes; derived structures are
-        invalidated as for :meth:`insert_nodes`.
+        Returns the number of deleted nodes (a node inside another
+        deleted one counts too).  The derived structures are spliced —
+        each deleted subtree's pre range cut out — as for
+        :meth:`insert_nodes`.
         """
         stored = self.store.get(uri)
         victims = self._update_targets(query)
@@ -351,20 +354,7 @@ class Database:
                 raise XQueryTypeError(
                     "delete_nodes: query must select non-document nodes "
                     f"of {uri!r}")
-        deleted = 0
-        for node in victims:
-            parent = node.parent
-            if parent is None:
-                continue
-            if isinstance(node, Attr):
-                parent.attributes.remove(node)
-            else:
-                parent.children.remove(node)
-            node.parent = None
-            deleted += 1
-        if deleted:
-            self.store.touch(uri)
-        return deleted
+        return self.store.delete(uri, list(victims))
 
     def explain(self, text: str) -> str:
         """Render the plan ``strategy="ll"`` runs for *text*: the

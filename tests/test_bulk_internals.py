@@ -658,6 +658,23 @@ def test_mixed_chains_leave_the_dom_walk(monkeypatch, query):
     assert walked == []
 
 
+def test_per_item_stage_decodes_each_row_once(monkeypatch):
+    """The per-item stage decodes its eight candidates; the result
+    hands the two survivors on from there, not decoded a second
+    time."""
+    from repro.xmldb.shred import ShreddedDocument
+
+    db = Database()
+    db.add_document("p.xml", CHAIN_XML)
+    query = 'doc("p.xml")//a/child::*[b]'
+    want = db.query(query, strategy="basic").serialize()
+    decoded = _spy_decode(monkeypatch, ShreddedDocument)
+    got = db.query(query, strategy="ll")
+    assert got.serialize() == want
+    assert len(got) == 2
+    assert len(decoded) == 8
+
+
 def test_a_raising_column_stage_falls_back_alone(monkeypatch):
     """``[@i > 1]`` cannot cast ``"x"``: that stage runs per item and
     raises the oracle's error, with no DOM walk and no second join."""

@@ -211,6 +211,32 @@ END_TO_END = textwrap.dedent("""
 """)
 
 
+UPDATE_CYCLE = textwrap.dedent("""
+    from repro import Database
+    from repro.exec.lockcheck import LockDisciplineError
+
+    XML = ('<v><music start="0" end="31"/>'
+           '<shot id="a" start="0" end="8"/></v>')
+    READ = 'count(doc("v.xml")//music/select-narrow::shot)'
+    for backend in ("memory", "mmap"):
+        db = Database(storage_backend=backend)
+        db.add_document("v.xml", XML)
+        assert db.query(READ).serialize() == "1"
+        db.insert_nodes("v.xml", 'doc("v.xml")/v',
+                        '<shot id="b" start="9" end="20"/>')
+        assert db.query(READ).serialize() == "2"
+        db.delete_nodes("v.xml", 'doc("v.xml")//shot[@id = "a"]')
+        assert db.query(READ).serialize() == "1"
+        stored = db.document("v.xml")
+        for attr in ("_region_indexes", "_unspilled", "_spill_path"):
+            try:
+                setattr(stored, attr, getattr(stored, attr))
+            except LockDisciplineError:
+                print("CAUGHT", attr)
+    print("CYCLE-OK")
+""")
+
+
 class TestEnvMode:
     def test_lockcheck_env_catches_unguarded_store(self):
         env = dict(os.environ)
@@ -222,6 +248,21 @@ class TestEnvMode:
         assert proc.returncode == 0, proc.stderr
         assert "CAUGHT" in proc.stdout
         assert "GUARDED-OK" in proc.stdout
+
+    def test_splicing_updates_hold_the_build_lock(self):
+        """insert -> read -> delete -> read on a StandOff document, in
+        memory and spilled: every structure a splice publishes is stored
+        under the build lock, and an unguarded store is caught."""
+        env = dict(os.environ)
+        env["REPRO_LOCKCHECK"] = "1"
+        env["PYTHONPATH"] = str(ROOT / "src")
+        proc = subprocess.run([sys.executable, "-c", UPDATE_CYCLE],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "CYCLE-OK" in proc.stdout
+        for attr in ("_region_indexes", "_unspilled", "_spill_path"):
+            assert proc.stdout.count(f"CAUGHT {attr}") == 2, proc.stdout
 
     def test_disabled_by_default(self):
         env = dict(os.environ)
