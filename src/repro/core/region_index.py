@@ -168,9 +168,13 @@ class RegionIndex:
     """A per-document region index with incremental build and lookups.
 
     Mirrors the paper's design: one index per XML document (fragment),
-    clustered on ``start``.  Immutable once built: an update splices a
-    *new* index from it (:func:`repro.xmldb.splice.splice_region_table`),
-    so a query holding this one keeps reading the same table.
+    clustered on ``start``.  Its table is read off the fragment's shred
+    (:func:`repro.xmldb.store.extract_regions`, a relation over the
+    attribute or element rows) or mapped from a store file that
+    persists it; no DOM is walked for it.  Immutable once built: an
+    update splices a *new* index from it
+    (:func:`repro.xmldb.splice.splice_region_table`), so a query
+    holding this one keeps reading the same table.
     """
 
     #: ``(store path, uri)`` when the table columns are mmap views of a

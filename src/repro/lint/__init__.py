@@ -120,7 +120,7 @@ _DEFAULT_LAZY_MODULES = (
 )
 _DEFAULT_LAZY_ATTRS = ("_shredded", "_document", "_backing",
                        "_numbers", "_region_indexes", "_spill_path",
-                       "_unspilled")
+                       "_unspilled", "_nodes")
 _DEFAULT_LAZY_DICTS = ("_region_indexes", "_stored", "_attr_columns")
 _DEFAULT_BUILD_LOCKS = ("_build_lock", "_stored_lock",
                         "_columns_lock")

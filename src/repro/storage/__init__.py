@@ -16,7 +16,9 @@ columns are the document: the file holds no XML text.
   ``context_uri=``) is the document's root row, pre 0 of its shred;
   the Staircase and StandOff joins run off the mapped columns, a
   StandOff step finding the persisted region table by asking the store
-  about the shred; ``count``/``empty``/``exists`` read segment lengths.
+  about the shred (a table the file does not hold — another standoff
+  config, a document saved with a half region — is extracted from the
+  mapped columns); ``count``/``empty``/``exists`` read segment lengths.
   The DOM is built from the columns (:func:`repro.xmldb.shred.unshred`)
   only when a node is decoded — a query result, a per-item predicate,
   the ``basic``/``udf`` walk, an update.  Re-saving an opened store
@@ -72,20 +74,21 @@ __all__ = [
 # Saving
 # ----------------------------------------------------------------------
 
-def _default_region_table(source: Document | StoredDocument
+def _default_region_table(source: Document | StoredDocument,
+                          shredded: ShreddedDocument
                           ) -> RegionTable | None:
-    """The default-config region table, or ``None`` when the document
-    cannot be extracted under the default config (e.g. it declares
-    ``xs:double`` positions).  A ``None`` table is simply not persisted;
-    region lookups then fall back to DOM extraction, which reproduces
-    the exact in-memory error semantics at query time.  A stored
-    document answers with its region index, so a table its store file
-    persists is reused without a DOM; a bare document is extracted."""
+    """The default-config region table of *shredded*, the shred about
+    to be written, or ``None`` when it cannot be extracted under the
+    default config (e.g. it declares ``xs:double`` positions).  A
+    ``None`` table is simply not persisted; region lookups then extract
+    from the mapped columns, which reproduces the exact in-memory error
+    semantics at query time.  A stored document answers with its
+    region index (read off that same shred), so a table its store file
+    persists is reused as it is."""
     try:
         if isinstance(source, StoredDocument):
             return source.region_index(DEFAULT_CONFIG).table
-        return RegionIndex.build(
-            extract_regions(source, DEFAULT_CONFIG)).table
+        return extract_regions(shredded, DEFAULT_CONFIG)
     except RegionError:
         return None
 
@@ -97,7 +100,7 @@ def _document_entry(source: Document | StoredDocument,
     *source* gives the uri, the doc id and — unless *region_table* is
     given — the default-config region table."""
     if region_table is None:
-        region_table = _default_region_table(source)
+        region_table = _default_region_table(source, shredded)
     values, index = shredded.values, shredded.element_index
     columns = {
         "pre": shredded.pre,
@@ -134,7 +137,8 @@ def save_store(path: str, source) -> str:
     :class:`~repro.xmldb.store.DocumentStore`, or an iterable of
     :class:`~repro.xmldb.store.StoredDocument`.  Region tables are
     persisted for the default standoff configuration (queries with a
-    custom ``declare option`` preamble fall back to DOM extraction).
+    custom ``declare option`` preamble extract from the mapped
+    columns).
     Everything is read from the stored document's columns and its region
     index, so re-saving an opened store builds no DOM: a table the
     store file already persists is written back as it is.
@@ -315,7 +319,7 @@ def spill_document(document: Document,
     The mmap storage backend's workhorse: the columns — *shredded* if
     given (an update's splice), else a shred of *document* — and the
     default region table — *region_table* if given, else extracted
-    from *document* — are written to a store file *once*, and
+    from those columns — are written to a store file *once*, and
     immediately re-opened: the caller keeps the mapped columns (and its
     in-memory DOM for node decoding), and worker processes can re-open
     the same file by path.

@@ -85,8 +85,9 @@ def standoffize(source: Document, *, permute: bool = True,
     out.append(root)
     out.renumber()          # assign levels for the permutation pass
     if permute:
+        # pre/size/level stay the unpermuted ranks: a store numbers
+        # the document it is given (DocumentStore.add)
         _permute(out, permute_depth, permute_fraction, seed)
-        out.renumber()
     return StandoffBundle(out, "".join(blob_parts))
 
 

@@ -300,20 +300,20 @@ class Document(Node):
 
     def node_by_pre(self, pre: int) -> Node:
         """The node with the given pre rank (after :meth:`renumber`)."""
-        if self._nodes_by_pre is None:
-            self.renumber()
-        return self._nodes_by_pre[pre]
+        return self.all_nodes()[pre]
 
     @property
     def node_count(self) -> int:
-        if self._nodes_by_pre is None:
-            self.renumber()
-        return len(self._nodes_by_pre)
+        return len(self.all_nodes())
 
     def all_nodes(self) -> list[Node]:
+        """The nodes in pre order: the list the last :meth:`renumber`
+        made (numbering first if none did).  A renumber replaces it and
+        never changes it, so it stays that numbering's snapshot; callers
+        must not change it either."""
         if self._nodes_by_pre is None:
             self.renumber()
-        return list(self._nodes_by_pre)
+        return self._nodes_by_pre
 
     def __repr__(self) -> str:
         return f"<Document {self.uri!r} doc_id={self.doc_id}>"

@@ -251,7 +251,7 @@ def _attribute_column(shredded: "ShreddedDocument",
                                   shredded.values.strings_at(rows))
 
 
-@lockcheck.audit_lazy_stores(("_document",))
+@lockcheck.audit_lazy_stores(("_document", "_nodes"))
 class ShreddedDocument:
     """Column representation of one fragment; pre rank is the row number.
 
@@ -264,7 +264,10 @@ class ShreddedDocument:
     ``np.memmap`` views of a store file, in which case the DOM does not
     exist yet and is built from the columns by :func:`unshred` only if
     a caller asks for nodes.  ``node_by_pre`` maps result pre ranks
-    back to DOM nodes for any origin.
+    back to DOM nodes for any origin, through the pre-ordered node list
+    the columns were made from: the DOM's numbering at the time, which
+    a later renumber replaces but never changes, so a shred held across
+    an update decodes to its own nodes.
     """
 
     def __init__(self, *, pre: np.ndarray, size: np.ndarray,
@@ -297,9 +300,11 @@ class ShreddedDocument:
         #: The fragment root: the document itself, or the orphan
         #: subtree's top node for constructed fragments.
         self._root = root if root is not None else document
-        #: Stored documents cache their own pre -> node list; only
-        #: orphan fragments need the snapshot kept here.
-        self._nodes = nodes
+        #: The pre -> node list the columns encode: an orphan's, or the
+        #: *document*'s current numbering (set with the DOM when that is
+        #: built from the columns).
+        self._nodes = nodes if nodes is not None or document is None \
+            else document.all_nodes()
         #: ``(store path, uri)`` once the columns are store-backed —
         #: the handle worker processes use to re-open the same file.
         self._store_ref = store_ref
@@ -320,12 +325,14 @@ class ShreddedDocument:
         one instance: double-checked, the hit is a plain attribute
         read."""
         document = self._document
-        if document is None and self._nodes is None:
+        if document is None and self._root is None:
             with self._build_lock:
                 if self._document is None:
                     uri = self._store_ref[1] if self._store_ref else ""
-                    self._document = unshred(self, uri=uri,
-                                             doc_id=self._doc_id)
+                    built = unshred(self, uri=uri, doc_id=self._doc_id)
+                    # the node list first: node_by_pre reads it unlocked
+                    self._nodes = built.all_nodes()
+                    self._document = built
                 document = self._document
         return document
 
@@ -348,10 +355,11 @@ class ShreddedDocument:
         return len(self.pre)
 
     def node_by_pre(self, pre: int) -> Node:
-        """The DOM node with the given pre rank (any fragment origin)."""
-        if self._nodes is not None:
-            return self._nodes[pre]
-        return self.document.node_by_pre(pre)
+        """The DOM node these columns encode at *pre* (any fragment
+        origin)."""
+        if self._nodes is None:
+            self.document           # builds the DOM and its node list
+        return self._nodes[pre]
 
     def name_of(self, pre: int) -> str | None:
         nid = self.name[pre]
@@ -366,6 +374,14 @@ class ShreddedDocument:
         if nid is None:
             return _NO_PRES
         return self.element_index.pres_of(nid)
+
+    def attributes_named(self, name: str) -> np.ndarray:
+        """Sorted pre ranks of the attribute rows named exactly *name*
+        (no local-name match, unlike :meth:`attribute_column`)."""
+        nid = self._name_ids.get(name)
+        if nid is None:
+            return _NO_PRES
+        return np.flatnonzero((self.name == nid) & (self.kind == Attr.kind))
 
     def all_element_pres(self) -> np.ndarray:
         """Sorted pre ranks of all element nodes (cached)."""
@@ -508,8 +524,9 @@ def _columns(nodes: list[Node]) -> dict:
 
 
 def shred(document: Document) -> ShreddedDocument:
-    """Shred a document into its column representation."""
-    document.renumber()
+    """Shred a document into its column representation, as numbered:
+    whatever changes a DOM renumbers it (parsing, :func:`unshred`, a
+    store's add, update and invalidate)."""
     return ShreddedDocument(**_columns(document.all_nodes()),
                             document=document)
 

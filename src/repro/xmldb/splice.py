@@ -16,7 +16,8 @@ the DOM:
   ancestors of an edit take their new ``size`` from the DOM;
 * the value heap, the element-name index, the cached attribute columns
   and the region tables take the same cut and concatenation, and new
-  names are appended to the dictionary.
+  names are appended to the dictionary; the region rows of the edited
+  areas are re-extracted from the new shred's columns.
 
 Everything is built new and frozen, so a reader still holding the old
 shred or region table keeps an unchanged snapshot.
@@ -250,23 +251,19 @@ def _row_keys(table: RegionTable, dtype: np.dtype) -> np.ndarray:
 
 
 def splice_region_table(table: RegionTable, rows: RowMap,
-                        redone: list[Element],
-                        entries: list[tuple]) -> RegionTable:
+                        redone: np.ndarray, fresh: RegionTable
+                        ) -> RegionTable:
     """A region table after the splice: rows of cut nodes and of the
-    *redone* elements (renumbered nodes whose area the edit may have
-    changed) are dropped, the kept ids shifted, and *entries* — the
-    ``(id, start, end)`` rows re-extracted for the redone and the fresh
+    *redone* elements (new pre ranks: the fresh elements and the kept
+    ones whose area the edit may have changed) are dropped, the kept ids
+    shifted, and *fresh* — the rows re-extracted for the redone
     elements — merged in on ``(start, end, id)``."""
     ids = rows.new_of_old[table.ids]
-    keep = ids >= 0
-    if redone:
-        keep &= ~np.isin(ids, [node.pre for node in redone])
+    keep = (ids >= 0) & ~np.isin(ids, redone)
     kept = RegionTable(table.starts[keep], table.ends[keep], ids[keep],
                        presorted=True)
-    if not entries:
+    if not len(fresh):
         return kept
-    fresh = RegionTable.from_rows([(start, end, node_id)
-                                   for node_id, start, end in entries])
     position = np.result_type(kept.starts, fresh.starts)
     dtype = np.dtype([("start", position), ("end", position),
                       ("id", "<i8")])

@@ -5,9 +5,11 @@ The store owns everything the engine needs per document:
 * the DOM (for the tree-walking evaluator and serialization);
 * the shredded column representation (for Staircase Join and the
   element-name index);
-* the **region index** extracted according to a
+* the **region index** according to a
   :class:`~repro.config.StandoffConfig` (attribute or element
-  representation, configurable names — paper §2).
+  representation, configurable names — paper §2): a ``start|end|id``
+  table read off the shred's columns by :func:`extract_regions`, never
+  off the DOM.
 
 Because the region representation is a *run-time* setting (a query's
 ``declare option`` preamble may change it), region indexes are built
@@ -23,7 +25,11 @@ never changed, so a query holding them reads a consistent snapshot.
 from __future__ import annotations
 
 import os
+from functools import partial
+from itertools import islice
 from typing import Iterator
+
+import numpy as np
 
 from repro.exec import lockcheck
 from repro.config import (
@@ -32,73 +38,113 @@ from repro.config import (
     StandoffConfig,
     normalize_storage_backend,
 )
-from repro.core.region import Area, Region
+from repro.core.region import Area
 from repro.core.region_index import RegionIndex, RegionTable
 from repro.errors import RegionError, ReproError
-from repro.xmldb.dom import Attr, Document, Element, Node
+from repro.xmldb.dom import Attr, Document, Element, Node, Text
 from repro.xmldb.parser import parse_document
 from repro.xmldb.shred import ShreddedDocument, shred
 from repro.xmldb.splice import RowMap, splice_region_table, splice_shred
 
 
-def extract_regions(document: Document, config: StandoffConfig = DEFAULT_CONFIG
-                    ) -> Iterator[tuple[int, int | float, int | float]]:
-    """Yield ``(pre, start, end)`` for every area-annotation element of
-    the (renumbered) *document*, in document order."""
-    document.renumber()
-    return element_regions(document.descendants(), config)
-
-
-def element_regions(nodes, config: StandoffConfig = DEFAULT_CONFIG
-                    ) -> Iterator[tuple[int, int | float, int | float]]:
-    """Yield ``(pre, start, end)`` for every area-annotation element
-    among *nodes* (non-elements are skipped).
+def extract_regions(shredded: ShreddedDocument,
+                    config: StandoffConfig = DEFAULT_CONFIG) -> RegionTable:
+    """The region table of the fragment *shredded* encodes (paper §4.3),
+    read off its columns in one pass: no DOM is built or walked.
 
     Under the attribute representation an element is an area-annotation
-    when it carries *both* the start and the end attribute; under the
-    element representation when it has at least one ``<region>`` child
-    with start/end child elements.  Elements with only one half of a
-    region raise :class:`RegionError` — silently ignoring them would turn
-    data errors into empty query results.
+    when it carries the attributes named exactly ``config.start_name``
+    and ``config.end_name``.  Under the element representation each
+    ``<region>`` child of an element with a start or an end child
+    element is one region of that element's area; a position is the
+    string value of the first such child (its text rows, in pre
+    order).  Half a region, an unparseable position and start > end
+    raise :class:`RegionError` — the first in document order: silently
+    ignoring them would turn data errors into empty query results.
     """
-    for node in nodes:
-        if not isinstance(node, Element):
-            continue
-        if config.uses_region_elements:
-            for region_el in node.elements(config.region_name):
-                start_el = region_el.find(config.start_name)
-                end_el = region_el.find(config.end_name)
-                if start_el is None and end_el is None:
-                    continue
-                if start_el is None or end_el is None:
-                    raise RegionError(
-                        f"<{config.region_name}> under <{node.tag}> has "
-                        f"only one of <{config.start_name}>/"
-                        f"<{config.end_name}>")
-                start = config.parse_position(start_el.string_value())
-                end = config.parse_position(end_el.string_value())
-                _check(start, end, node)
-                yield node.pre, start, end
-        else:
-            raw_start = node.get_attribute(config.start_name)
-            raw_end = node.get_attribute(config.end_name)
-            if raw_start is None and raw_end is None:
-                continue
-            if raw_start is None or raw_end is None:
+    return element_regions(shredded, config, None)
+
+
+def element_regions(shredded: ShreddedDocument, config: StandoffConfig,
+                    pres: np.ndarray | None) -> RegionTable:
+    """:func:`extract_regions` restricted to the areas of the rows
+    *pres* (all, for ``None``) — what an update's splice re-extracts."""
+    parent, names = shredded.parent, (config.start_name, config.end_name)
+    if config.uses_region_elements:
+        # one row per <region> under an element, in the order the areas
+        # are read: by annotated element, then region
+        keys = _within(parent, shredded.elements_named(config.region_name),
+                       pres)
+        keys = keys[shredded.kind[parent[keys]] == Element.kind]
+        keys = keys[np.argsort(parent[keys], kind="stable")]
+        owners, text = parent[keys], partial(_strings, shredded)
+        rows = [_within(parent, shredded.elements_named(name), keys)
+                for name in names]
+    else:
+        # one row per element with a start or an end attribute
+        rows = [_within(parent, shredded.attributes_named(name), pres)
+                for name in names]
+        keys = owners = np.union1d(parent[rows[0]], parent[rows[1]])
+        text = shredded.values.strings_at
+    starts, ends = (_first_child(keys, parent, r) for r in rows)
+    some = (starts >= 0) | (ends >= 0)
+    owners, starts, ends = owners[some], starts[some], ends[some]
+    # The regions before the first half one are whole: check them
+    # first, so the error raised is the first in document order.
+    halves = np.flatnonzero((starts < 0) | (ends < 0))
+    n = int(halves[0]) if len(halves) else len(owners)
+    parse, starts, ends = config.parse_position, text(starts[:n]), \
+        text(ends[:n])
+    try:
+        table = RegionTable(list(map(parse, starts)), list(map(parse, ends)),
+                            owners[:n]) if n else RegionTable.from_rows([])
+    except RegionError:             # raise the first one's, in order
+        for owner, start, end in zip(owners.tolist(), starts, ends):
+            start, end = parse(start), parse(end)
+            if start > end:
                 raise RegionError(
-                    f"element <{node.tag}> (pre {node.pre}) has only one "
-                    f"of @{config.start_name}/@{config.end_name}")
-            start = config.parse_position(raw_start)
-            end = config.parse_position(raw_end)
-            _check(start, end, node)
-            yield node.pre, start, end
-
-
-def _check(start, end, node: Element) -> None:
-    if start > end:
+                    f"element <{shredded.name_of(owner)}> (pre {owner}) "
+                    f"has start {start!r} > end {end!r}") from None
+    if n < len(owners):
+        tag = shredded.name_of(owners[n])
         raise RegionError(
-            f"element <{node.tag}> (pre {node.pre}) has start {start!r} "
-            f"> end {end!r}")
+            f"<{config.region_name}> under <{tag}> has only one of "
+            f"<{config.start_name}>/<{config.end_name}>"
+            if config.uses_region_elements else
+            f"element <{tag}> (pre {owners[n]}) has only one of "
+            f"@{config.start_name}/@{config.end_name}")
+    return table
+
+
+def _within(parent: np.ndarray, rows: np.ndarray,
+            pres: np.ndarray | None) -> np.ndarray:
+    """The *rows* whose parent is one of *pres* (that have one, for
+    ``None``): a restricted pass touches only their rows."""
+    owners = parent[rows]
+    return rows[owners >= 0] if pres is None else rows[np.isin(owners, pres)]
+
+
+def _first_child(keys: np.ndarray, parent: np.ndarray, rows: np.ndarray
+                 ) -> np.ndarray:
+    """Per key, the first of the ascending *rows* whose parent it is, or
+    -1 (a sentinel parent past every key, of row -1, closes the list)."""
+    heads, first = np.unique(np.append(parent[rows], np.iinfo(np.int64).max),
+                             return_index=True)
+    at = np.searchsorted(heads, keys)
+    return np.where(heads[at] == keys, np.append(rows, -1)[first[at]], -1)
+
+
+def _strings(shredded: ShreddedDocument, rows: np.ndarray) -> list[str]:
+    """The string value of each element row: its subtree's text rows
+    concatenated in pre order."""
+    texts = shredded.pres_of_kind(Text.kind)
+    lo, hi = np.searchsorted(texts, [rows, rows + shredded.size[rows]],
+                             side="right")
+    counts = hi - lo
+    index = np.arange(int(counts.sum()), dtype=np.int64) \
+        + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    strings = iter(shredded.values.strings_at(texts[index]))
+    return ["".join(islice(strings, count)) for count in counts.tolist()]
 
 
 @lockcheck.audit_lazy_stores(("_shredded", "_document", "_backing",
@@ -107,9 +153,10 @@ def _check(start, end, node: Element) -> None:
 class StoredDocument:
     """A document plus its derived structures, behind a storage seam.
 
-    The shredded columns and region indexes are built on first use.
-    Without a *backing* (the default ``memory`` backend) they are plain
-    in-process arrays made from the DOM.  With one — a
+    The shredded columns and region indexes are built on first use: the
+    shred from the DOM, each region index from the shred's columns
+    (:func:`extract_regions`).  Without a *backing* (the default
+    ``memory`` backend) they are plain in-process arrays.  With one — a
     :class:`repro.storage.StoreReader` handed in by
     :func:`repro.storage.open_store` (then the DOM itself is lazy: the
     shred builds it from the mapped columns when nodes are asked for), or
@@ -117,7 +164,10 @@ class StoredDocument:
     (``REPRO_STORAGE=mmap``, or ``storage_backend=`` on the owning
     :class:`DocumentStore`/``Database``) — they are zero-copy mapped
     views of a store file: byte-identical answers, but shareable
-    read-only pages that worker processes can re-open by path.
+    read-only pages that worker processes can re-open by path.  A store
+    file persists the default config's region table; any other config
+    is extracted from the mapped columns, so no region index builds the
+    DOM.
 
     An update (:meth:`insert`, :meth:`delete`) changes the DOM and
     splices new derived structures from the old ones
@@ -146,16 +196,14 @@ class StoredDocument:
         #: region table an update left for the next read to spill.
         self._unspilled: tuple[ShreddedDocument, RegionTable | None] \
             | None = None
-        # Serializes the lazy builds below and the updates.  They are
-        # not merely duplicated work when raced: both the shredder and
-        # extract_regions() call document.renumber(), which *mutates*
-        # the DOM's pre/size/level ranks while the other thread walks
-        # them — under concurrent queries (the serving layer) two
-        # first-touch threads could each build against a tree the
-        # other was renumbering, or each map their own shred and so
-        # build their own DOM (the node identity layer relies on one
-        # instance per stored document).  Reentrant because the builds
-        # nest (region_index -> document -> shredded).
+        # Serializes the lazy builds below and the updates, which
+        # change the DOM and renumber it.  Raced first touches would
+        # not merely duplicate work: under concurrent queries (the
+        # serving layer) two threads could each map their own shred
+        # and so build their own DOM, and the node identity layer
+        # relies on one instance per stored document.  Reentrant
+        # because the builds nest (region_index -> shredded, document
+        # -> shredded).
         self._build_lock = lockcheck.new_rlock("StoredDocument._build_lock")
 
     @property
@@ -198,14 +246,16 @@ class StoredDocument:
             index = self._region_indexes.get(config)
             if index is None:
                 # A store file persists the default config's table;
-                # custom standoff configs always extract from the DOM.
-                backing = self._store_backing() \
-                    if config == DEFAULT_CONFIG else None
-                if backing is not None and backing.has_regions(self.uri):
+                # any other is read off the (mapped) columns.  Either
+                # way the shred is built first, so an update always has
+                # one to re-extract a cached index's rows from.
+                shredded = self.shredded
+                backing = self._store_backing()
+                if config == DEFAULT_CONFIG and backing is not None \
+                        and backing.has_regions(self.uri):
                     index = backing.region_index(self.uri)
                 else:
-                    index = RegionIndex.build(
-                        extract_regions(self.document, config))
+                    index = RegionIndex(extract_regions(shredded, config))
                 lockcheck.assert_locked(self._build_lock,
                                         "StoredDocument._region_indexes")
                 self._region_indexes[config] = index
@@ -291,14 +341,15 @@ class StoredDocument:
         from the current ones along *rows*; *parents* are the kept
         nodes the update added children to or removed nodes from.
 
-        Region rows are re-extracted only for the fresh elements and for
+        Region rows are re-extracted from the new shred
+        (:func:`element_regions`) only for the fresh elements and for
         the elements whose area the update can change: the *parents*
         (an attribute-form area is its element's own attributes) or,
         under the element form, their ancestors too (an area is read
         from the element's descendants).  An index whose re-extraction
-        raises is dropped, so the next read rebuilds it from the DOM and
-        raises there, as it would have without the splice.  Structures
-        not built yet stay unbuilt.
+        raises is dropped, so the next read rebuilds it and raises
+        there, as it would have without the splice.  Structures not
+        built yet stay unbuilt (a cached index implies a shred).
         """
         document = self._document
         parents = list({id(node): node for node in parents}.values())
@@ -309,24 +360,22 @@ class StoredDocument:
                 node = node.parent
         lineage = list(touched.values())
         fresh_nodes = list(map(document.node_by_pre, rows.fresh.tolist()))
-        fresh_elements = [node for node in fresh_nodes
-                          if isinstance(node, Element)]
         old = self._shredded if self._unspilled is None \
             else self._unspilled[0]
         shredded = None if old is None else splice_shred(
             old, document, rows, fresh_nodes, lineage)
+        fresh = [node.pre for node in fresh_nodes if isinstance(node, Element)]
         indexes = {}
         for config, index in self._region_indexes.items():
-            redone = lineage if config.uses_region_elements else parents
+            nodes = lineage if config.uses_region_elements else parents
+            redone = np.asarray([node.pre for node in nodes] + fresh,
+                                dtype=np.int64)
             try:
-                entries = list(element_regions(
-                    [*redone, *fresh_elements], config))
+                entries = element_regions(shredded, config, redone)
             except RegionError:
                 continue
             indexes[config] = RegionIndex(splice_region_table(
-                index.table, rows,
-                [node for node in redone if isinstance(node, Element)],
-                entries))
+                index.table, rows, redone, entries))
         with self._build_lock:
             self._detach()
             if self.storage_backend == STORAGE_MMAP \
@@ -343,9 +392,9 @@ class StoredDocument:
         """Drop every derived structure: the full-drop hook for a DOM
         changed by hand (the API's updates splice instead).
 
-        The DOM is renumbered; the shredded columns and all region
-        indexes are rebuilt from it lazily on next use.  The store file
-        behind them is stale: the document detaches from it, and a
+        The DOM is renumbered; the shredded columns are rebuilt from it
+        lazily on next use, and the region indexes from them.  The store
+        file behind them is stale: the document detaches from it, and a
         spill file is deleted (the next use spills afresh).
         """
         with self._build_lock:

@@ -122,11 +122,11 @@ class DynamicContext:
         self.focus: Optional[Focus] = None
         self.globals: dict[str, Sequence] = {}
         # region indexes for fragments that are not stored documents
-        # (constructed nodes), keyed by id(root node); every entry is a
-        # (root, value) pair — the strong root reference pins the
-        # fragment, so a GC'd fragment's recycled address can never
-        # alias a live entry, and lookups verify identity
-        self._transient_indexes: dict[int, tuple[Node, RegionIndex]] = {}
+        # (constructed nodes), keyed by id(shred); every entry is a
+        # (shred, value) pair — the strong reference pins the shred, so
+        # a GC'd shred's recycled address can never alias a live entry,
+        # and lookups verify identity
+        self._transient_indexes: dict = {}
         # shredded columns for constructed fragments, same keying: one
         # shred per fragment per query keeps staircase axis steps over
         # constructed content on the kernel path
@@ -193,21 +193,18 @@ class DynamicContext:
 
         The store is asked about the shred, never its DOM: when the
         shred is a stored document's current one, that document's
-        cached index is used (a store file's persisted table needs no
-        DOM).  Constructed fragments get a transient index, built from
-        their nodes on demand and cached per query.
+        cached index is used.  Any other shred — a constructed
+        fragment's — gets a transient index read off its columns on
+        demand and cached per query.
         """
         stored = self.store.by_shred(shredded)
         if stored is not None:
             return stored.region_index(self.standoff_config)
-        root = shredded.root
-        key = id(root)
-        entry = self._transient_indexes.get(key)
-        if entry is None or entry[0] is not root:
-            root_doc = _TransientFragment(root)
-            index = RegionIndex.build(
-                extract_regions(root_doc, self.standoff_config))
-            self._transient_indexes[key] = (root, index)
+        entry = self._transient_indexes.get(id(shredded))
+        if entry is None or entry[0] is not shredded:
+            index = RegionIndex(
+                extract_regions(shredded, self.standoff_config))
+            self._transient_indexes[id(shredded)] = (shredded, index)
             return index
         return entry[1]
 
@@ -235,24 +232,3 @@ class DynamicContext:
             self._transient_shreds[key] = (root, shredded)
             return shredded
         return entry[1]
-
-
-class _TransientFragment:
-    """Adapter giving a bare subtree the Document-ish API that
-    :func:`~repro.xmldb.store.extract_regions` needs."""
-
-    def __init__(self, root: Node):
-        self._root = root
-
-    def renumber(self) -> None:
-        from repro.xmldb.dom import Document, renumber_fragment
-
-        if isinstance(self._root, Document):
-            self._root.renumber()
-            return
-        # Orphan subtree: the shared local numbering, so pre ranks are
-        # stable and agree with constructor output and shred-on-demand.
-        renumber_fragment(self._root)
-
-    def descendants(self):
-        return self._root.descendants_or_self()

@@ -206,3 +206,56 @@ def test_store_get_keeps_its_untyped_error(memory_db):
     with pytest.raises(ReproError) as info:
         memory_db.store.get("missing.xml")
     assert not isinstance(info.value, XQueryDynamicError)
+
+
+# ----------------------------------------------------------------------
+# region indexes are read off the columns
+# ----------------------------------------------------------------------
+
+DOUBLE = 'declare option standoff-type "xs:double";\n'
+
+
+@pytest.mark.parametrize("query", [
+    DOUBLE + 'count(doc("a.xml")//s/select-narrow::w)',
+    DOUBLE + 'count(doc("a.xml")//x/select-wide::w)',
+    'declare option standoff-region "region";\n'
+    'count(doc("b.xml")//s/select-narrow::w)',
+])
+def test_custom_config_regions_build_no_dom(memory_db, store_path,
+                                             unshred_calls, query):
+    """A config the store file holds no table for is extracted from
+    the mapped columns."""
+    want = memory_db.query(query, strategy="basic").serialize()
+    opened = storage.open_store(store_path)
+    assert opened.query(query, strategy="ll").serialize() == want
+    assert unshred_calls == []
+    assert all(stored._document is None for stored in opened.store)
+
+
+def test_transient_fragment_regions(store_path, unshred_calls):
+    query = ('count(<r><s start="0" end="9"><w start="1" end="2"/></s>'
+             '<w start="5" end="20"/></r>//s/select-narrow::w)')
+    opened = storage.open_store(store_path)
+    assert opened.query(query, strategy="ll").serialize() == \
+        opened.query(query, strategy="basic").serialize() == "1"
+    assert unshred_calls == []
+
+
+def test_half_region_raises_from_the_columns(tmp_path, unshred_calls):
+    """A half region keeps the default table out of the store file; the
+    opened store raises the in-memory error from its columns."""
+    from repro.errors import RegionError
+
+    db = Database()
+    db.add_document("h.xml",
+                    '<a><c start="0" end="9"/><b start="1"/></a>')
+    read = 'count(doc("h.xml")//c/select-narrow::b)'
+    with pytest.raises(RegionError) as info:
+        db.query(read, strategy="basic")
+    path = storage.save_store(str(tmp_path / "h.repro"), db)
+    opened = storage.open_store(path)
+    assert not storage.StoreReader(path).has_regions("h.xml")
+    with pytest.raises(RegionError) as got:
+        opened.query(read, strategy="ll")
+    assert str(got.value) == str(info.value)
+    assert unshred_calls == []

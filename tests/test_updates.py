@@ -8,7 +8,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import Database
 from repro.config import StandoffConfig
-from repro.core.region_index import RegionIndex
 from repro.errors import ReproError, XQueryTypeError
 from repro.xmldb.shred import _attribute_column, shred
 from repro.xmldb.store import extract_regions
@@ -313,9 +312,8 @@ class SpliceMachine(RuleBasedStateMachine):
             assert _column(column) == \
                 _column(_attribute_column(rebuilt, local))
         for config, index in list(self.stored._region_indexes.items()):
-            want = RegionIndex.build(
-                extract_regions(self.stored.document, config))
-            assert index.table == want.table, config
+            want = extract_regions(shred(self.stored.document), config)
+            assert index.table == want, config
 
     @invariant()
     def both_forms_indexed(self):
@@ -380,6 +378,16 @@ class TestSnapshots:
         assert np.array_equal(shredded.values.heap, heap)
         for got, want in zip((table.starts, table.ends, table.ids), rows):
             assert np.array_equal(got, want)
+
+    def test_held_shred_decodes_to_its_own_nodes(self):
+        database = Database()
+        database.add_document("n.xml", "<a><b/><c/></a>")
+        shredded = database.document("n.xml").shredded
+        database.insert_nodes("n.xml", 'doc("n.xml")//b', "<x/>")
+        assert shredded.name_of(3) == "c"
+        assert shredded.node_by_pre(3).tag == "c"
+        assert database.document("n.xml").shredded.node_by_pre(3).tag \
+            == "x"
 
 
 class TestSpliceCost:
