@@ -18,7 +18,7 @@ class RegionError(ReproError):
 
 
 class XMLSyntaxError(ReproError):
-    """The XML tokenizer or parser rejected the input document.
+    """The XML parser rejected the input document.
 
     Carries the 1-based ``line`` and ``column`` of the offending position.
     """

@@ -166,6 +166,9 @@ class QueryServer:
         self._heavy_lane: asyncio.Semaphore | None = None
         self._in_flight = 0
         self._heavy_in_flight = 0
+        #: the open connections' handler tasks and their writers
+        #: (event-loop thread only), which :meth:`stop` closes
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         #: serving counters (mutated only on the event-loop thread)
         self.stats: dict[str, int] = {
             "submitted": 0, "completed": 0, "errors": 0,
@@ -206,7 +209,15 @@ class QueryServer:
         return self
 
     async def stop(self) -> None:
-        """Tear down the dispatch pool (in-flight queries finish)."""
+        """Close the open connections (their handlers cancelled and
+        awaited, none left for the loop's shutdown to cancel mid-read),
+        then tear down the dispatch pool (in-flight queries finish)."""
+        connections, self._connections = self._connections, {}
+        for writer in connections.values():
+            writer.close()
+        for task in connections:
+            task.cancel()
+        await asyncio.gather(*connections, return_exceptions=True)
         threads, self._threads = self._threads, None
         self._admission = None
         self._heavy_lane = None
@@ -332,6 +343,8 @@ class QueryServer:
         """
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
+        this = asyncio.current_task()
+        self._connections[this] = writer
         try:
             while True:
                 line = await reader.readline()
@@ -355,7 +368,12 @@ class QueryServer:
                 task.add_done_callback(tasks.discard)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
+        except asyncio.CancelledError:
+            # :meth:`stop` ends the connection: return, not raise, so
+            # the stream protocol's done-callback finds a finished task
+            pass
         finally:
+            self._connections.pop(this, None)
             for task in tasks:
                 task.cancel()
             with suppress(Exception):

@@ -74,7 +74,8 @@ __all__ = [
 # Saving
 # ----------------------------------------------------------------------
 
-def _default_region_table(source: Document | StoredDocument,
+def _default_region_table(source: Document | ShreddedDocument
+                          | StoredDocument,
                           shredded: ShreddedDocument
                           ) -> RegionTable | None:
     """The default-config region table of *shredded*, the shred about
@@ -93,7 +94,7 @@ def _default_region_table(source: Document | StoredDocument,
         return None
 
 
-def _document_entry(source: Document | StoredDocument,
+def _document_entry(source: Document | ShreddedDocument | StoredDocument,
                     shredded: ShreddedDocument,
                     region_table: RegionTable | None = None) -> dict:
     """One document's ``write_store`` entry (columns + metadata);
@@ -205,7 +206,7 @@ class StoreReader:
             element_index=ElementIndex(col("elind_nids"),
                                        col("elind_offsets"),
                                        col("elind_pres")),
-            document=document, doc_id=meta["doc_id"],
+            document=document, uri=uri, doc_id=meta["doc_id"],
             store_ref=(self.path, uri))
 
     def has_regions(self, uri: str) -> bool:
@@ -310,30 +311,30 @@ def spill_directory() -> str:
         return _SPILL_DIR
 
 
-def spill_document(document: Document,
+def spill_document(document: Document | None,
                    shredded: ShreddedDocument | None = None,
                    region_table: RegionTable | None = None
                    ) -> tuple[str, StoreReader]:
     """Write one document's columns to a spill store and map them back.
 
     The mmap storage backend's workhorse: the columns — *shredded* if
-    given (an update's splice), else a shred of *document* — and the
-    default region table — *region_table* if given, else extracted
-    from those columns — are written to a store file *once*, and
-    immediately re-opened: the caller keeps the mapped columns (and its
-    in-memory DOM for node decoding), and worker processes can re-open
-    the same file by path.
+    given (as parsed, or an update's splice), else a shred of
+    *document* — and the default region table — *region_table* if
+    given, else extracted from those columns — are written to a store
+    file *once*, and immediately re-opened: the caller keeps the mapped
+    columns (and its in-memory DOM, if it has one, for node decoding),
+    and worker processes can re-open the same file by path.
     """
     global _SPILL_SEQ
     with _SPILL_LOCK:
         _SPILL_SEQ += 1
         seq = _SPILL_SEQ
-    path = os.path.join(
-        spill_directory(),
-        f"spill-{os.getpid()}-{seq}-doc{document.doc_id}.repro")
     if shredded is None:
         shredded = shred(document)
-    write_store(path, [_document_entry(document, shredded, region_table)])
+    path = os.path.join(
+        spill_directory(),
+        f"spill-{os.getpid()}-{seq}-doc{shredded.doc_id}.repro")
+    write_store(path, [_document_entry(shredded, shredded, region_table)])
     return path, StoreReader(path)
 
 

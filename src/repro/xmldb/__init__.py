@@ -1,4 +1,5 @@
-"""XML substrate: parser, DOM, serializer, shredder and document store."""
+"""XML substrate: parser (expat → columns, DOM on demand), DOM,
+serializer, shredder and document store."""
 
 from repro.xmldb.dom import (
     Attr,

@@ -82,9 +82,17 @@ class Node:
             node = node.parent
 
     def descendants(self) -> Iterator["Node"]:
-        for child in self.children:
-            yield child
-            yield from child.descendants()
+        """The nodes below this one in pre order (attributes excluded),
+        walked with an explicit stack: any depth, no recursion."""
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                yield child
+                if child.children:
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
 
     def descendants_or_self(self) -> Iterator["Node"]:
         yield self

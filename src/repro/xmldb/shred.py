@@ -12,10 +12,12 @@ recoverable through the ``parent`` column.
 
 There is one layout, the one a store file (:mod:`repro.storage`)
 holds: the values are a UTF-8 :class:`StringHeap` and the element index
-is an :class:`ElementIndex` CSR triple, whether :func:`shred` built them
-from a DOM or a store file maps them.  The encoding is lossless:
-:func:`unshred` builds the document back from the columns, which is how
-a store file, holding columns only, hands out nodes.
+is an :class:`ElementIndex` CSR triple, whether the parser built them
+from expat events (:func:`repro.xmldb.parser.shred_xml`: expat →
+columns, DOM on demand), :func:`shred` from a DOM or a store file maps
+them.  The encoding is lossless: :func:`unshred` builds the document
+back from the columns, which is how a parsed document and a store file,
+holding columns only, hand out nodes.
 
 All columns are frozen (``writeable=False``) at construction: a stored
 document's shred serves every query, and — via :mod:`repro.storage` —
@@ -258,14 +260,15 @@ class ShreddedDocument:
     One constructor takes the columns in the layout a store file holds
     them: the six structural columns, the name dictionary, the values
     as a :class:`StringHeap` and the element-name index as an
-    :class:`ElementIndex`.  :func:`shred` and :func:`shred_fragment`
-    build those arrays from a DOM in one pass;
+    :class:`ElementIndex`.  :func:`repro.xmldb.parser.shred_xml` builds
+    those arrays from expat events and
     :meth:`repro.storage.StoreReader.shredded` hands over the
-    ``np.memmap`` views of a store file, in which case the DOM does not
+    ``np.memmap`` views of a store file; in both cases the DOM does not
     exist yet and is built from the columns by :func:`unshred` only if
-    a caller asks for nodes.  ``node_by_pre`` maps result pre ranks
-    back to DOM nodes for any origin, through the pre-ordered node list
-    the columns were made from: the DOM's numbering at the time, which
+    a caller asks for nodes.  :func:`shred` and :func:`shred_fragment`
+    build the arrays from a DOM in one pass.  ``node_by_pre`` maps result
+    pre ranks back to DOM nodes for any origin, through the pre-ordered
+    node list the columns encode: the DOM's numbering at the time, which
     a later renumber replaces but never changes, so a shred held across
     an update decodes to its own nodes.
     """
@@ -277,7 +280,7 @@ class ShreddedDocument:
                  document: Document | None = None,
                  root: Node | None = None,
                  nodes: list[Node] | None = None,
-                 doc_id: int = 0,
+                 uri: str = "", doc_id: int = 0,
                  store_ref: tuple[str, str] | None = None):
         self.pre = pre
         self.size = size
@@ -293,9 +296,10 @@ class ShreddedDocument:
                values.offsets, values.heap, element_index.nids,
                element_index.offsets, element_index.pres)
         #: Without a *document* or an orphan's *nodes*, the DOM is
-        #: built from the columns (numbered *doc_id*, named by
-        #: *store_ref*'s uri) the first time a node is decoded.
+        #: built from the columns (named *uri*, numbered *doc_id*) the
+        #: first time a node is decoded.
         self._document = document
+        self._uri = document.uri if document is not None else uri
         self._doc_id = document.doc_id if document is not None else doc_id
         #: The fragment root: the document itself, or the orphan
         #: subtree's top node for constructed fragments.
@@ -328,8 +332,8 @@ class ShreddedDocument:
         if document is None and self._root is None:
             with self._build_lock:
                 if self._document is None:
-                    uri = self._store_ref[1] if self._store_ref else ""
-                    built = unshred(self, uri=uri, doc_id=self._doc_id)
+                    built = unshred(self, uri=self._uri,
+                                    doc_id=self._doc_id)
                     # the node list first: node_by_pre reads it unlocked
                     self._nodes = built.all_nodes()
                     self._document = built
@@ -344,6 +348,12 @@ class ShreddedDocument:
     def store_ref(self) -> tuple[str, str] | None:
         """``(store path, uri)`` when the columns are mmap-backed."""
         return self._store_ref
+
+    @property
+    def uri(self) -> str:
+        """The uri of the document these columns encode ("" for an
+        orphan fragment); read without building the DOM."""
+        return self._uri
 
     @property
     def doc_id(self) -> int:
@@ -507,20 +517,23 @@ def _columns(nodes: list[Node]) -> dict:
             names.append(label)
         name_col[i] = nid
     name = np.asarray(name_col, dtype=np.int32)
+    return dict(pre=np.arange(n, dtype=np.int64), size=size, level=level,
+                kind=kind, parent=parent, name=name, names=names,
+                values=_string_heap(value_pres, strings),
+                element_index=element_index(kind, name))
 
-    # element-name index: element pres grouped by name id, each group
-    # in document order (a stable sort of the ascending pres)
+
+def element_index(kind: np.ndarray, name: np.ndarray) -> ElementIndex:
+    """The element-name index of the rows *kind*/*name*: element pres
+    grouped by name id, each group in document order (a stable sort of
+    the ascending pres)."""
     elements = np.flatnonzero(kind == Element.kind)
     tags = name[elements]
     order = np.argsort(tags, kind="stable")
     tags = tags[order]
     starts = np.flatnonzero(np.diff(tags, prepend=-1))
-    element_index = ElementIndex(tags[starts], np.append(starts, len(tags)),
-                                 elements[order])
-    return dict(pre=np.arange(n, dtype=np.int64), size=size, level=level,
-                kind=kind, parent=parent, name=name, names=names,
-                values=_string_heap(value_pres, strings),
-                element_index=element_index)
+    return ElementIndex(tags[starts], np.append(starts, len(tags)),
+                        elements[order])
 
 
 def shred(document: Document) -> ShreddedDocument:

@@ -2,9 +2,11 @@
 
 The store owns everything the engine needs per document:
 
-* the DOM (for the tree-walking evaluator and serialization);
 * the shredded column representation (for Staircase Join and the
-  element-name index);
+  element-name index) — for a document added as text, expat → columns,
+  DOM on demand (:func:`~repro.xmldb.parser.shred_xml`);
+* the DOM (for the tree-walking evaluator and serialization), built
+  from the columns when a node is first asked for;
 * the **region index** according to a
   :class:`~repro.config.StandoffConfig` (attribute or element
   representation, configurable names — paper §2): a ``start|end|id``
@@ -42,7 +44,7 @@ from repro.core.region import Area
 from repro.core.region_index import RegionIndex, RegionTable
 from repro.errors import RegionError, ReproError
 from repro.xmldb.dom import Attr, Document, Element, Node, Text
-from repro.xmldb.parser import parse_document
+from repro.xmldb.parser import shred_xml
 from repro.xmldb.shred import ShreddedDocument, shred
 from repro.xmldb.splice import RowMap, splice_region_table, splice_shred
 
@@ -153,13 +155,15 @@ def _strings(shredded: ShreddedDocument, rows: np.ndarray) -> list[str]:
 class StoredDocument:
     """A document plus its derived structures, behind a storage seam.
 
-    The shredded columns and region indexes are built on first use: the
-    shred from the DOM, each region index from the shred's columns
-    (:func:`extract_regions`).  Without a *backing* (the default
-    ``memory`` backend) they are plain in-process arrays.  With one — a
+    A document starts from its columns (*shredded*: parsed text) or
+    from a DOM (*document*; its shred is built on first use), and each
+    region index is built on first use from the shred's columns
+    (:func:`extract_regions`).  A column-born document's DOM is lazy:
+    the shred builds it from its columns when nodes are asked for.
+    Without a *backing* (the default ``memory`` backend) the columns
+    are plain in-process arrays.  With one — a
     :class:`repro.storage.StoreReader` handed in by
-    :func:`repro.storage.open_store` (then the DOM itself is lazy: the
-    shred builds it from the mapped columns when nodes are asked for), or
+    :func:`repro.storage.open_store`, or
     created on first use by *spilling* under the ``mmap`` backend
     (``REPRO_STORAGE=mmap``, or ``storage_backend=`` on the owning
     :class:`DocumentStore`/``Database``) — they are zero-copy mapped
@@ -177,25 +181,28 @@ class StoredDocument:
     """
 
     def __init__(self, document: Document | None = None, *,
+                 shredded: ShreddedDocument | None = None,
                  storage_backend: str | None = None,
                  backing=None, uri: str | None = None):
-        if document is None:
+        if backing is not None:
             meta = backing.meta(uri)
             self.uri: str = meta["uri"]
             self.doc_id: int = meta["doc_id"]
         else:
-            self.uri = document.uri
-            self.doc_id = document.doc_id
+            source = document if shredded is None else shredded
+            self.uri, self.doc_id = source.uri, source.doc_id
         self._document = document
         self._backing = backing
-        self._shredded: ShreddedDocument | None = None
-        self._region_indexes: dict[StandoffConfig, RegionIndex] = {}
         self.storage_backend = normalize_storage_backend(storage_backend)
+        spill = shredded is not None and self.storage_backend == STORAGE_MMAP
+        self._shredded: ShreddedDocument | None = None if spill else shredded
+        self._region_indexes: dict[StandoffConfig, RegionIndex] = {}
         self._spill_path: str | None = None
-        #: Under the ``mmap`` backend, the spliced shred and default
-        #: region table an update left for the next read to spill.
+        #: Under the ``mmap`` backend, the shred (parsed, or spliced by
+        #: an update) and default region table left for the next read
+        #: to spill.
         self._unspilled: tuple[ShreddedDocument, RegionTable | None] \
-            | None = None
+            | None = (shredded, None) if spill else None
         # Serializes the lazy builds below and the updates, which
         # change the DOM and renumber it.  Raced first touches would
         # not merely duplicate work: under concurrent queries (the
@@ -216,9 +223,9 @@ class StoredDocument:
             return document
         with self._build_lock:
             if self._document is None:
-                # Store-backed: the DOM is the shred's, which builds
-                # it from the mapped columns.  Held here too, so it
-                # outlives the shred an update replaces.
+                # Column-born (parsed or store-backed): the DOM is the
+                # shred's, which builds it from its columns.  Held here
+                # too, so it outlives the shred an update replaces.
                 self._document = self.shredded.document
             return self._document
 
@@ -430,23 +437,24 @@ class DocumentStore:
 
     def add(self, uri: str, xml: str | Document, *,
             keep_whitespace_text: bool = False) -> StoredDocument:
-        """Parse (if given text) and register a document under *uri*."""
+        """Register a document under *uri*: text is shredded straight
+        into columns (:func:`~repro.xmldb.parser.shred_xml`; the DOM is
+        built from them on demand), a DOM is numbered and kept."""
         if uri in self._by_uri:
             raise ReproError(f"document {uri!r} already stored")
         if isinstance(xml, Document):
-            document = xml
-            document.uri = uri
-            document.doc_id = self._next_id
-            document.renumber()
+            xml.uri, xml.doc_id = uri, self._next_id
+            xml.renumber()
+            source = {"document": xml}
         else:
-            document = parse_document(
+            source = {"shredded": shred_xml(
                 xml, uri=uri, doc_id=self._next_id,
-                keep_whitespace_text=keep_whitespace_text)
-        self._next_id += 1
-        stored = StoredDocument(document,
+                keep_whitespace_text=keep_whitespace_text)}
+        stored = StoredDocument(**source,
                                 storage_backend=self.storage_backend)
+        self._next_id += 1
         self._by_uri[uri] = stored
-        self._by_id[document.doc_id] = stored
+        self._by_id[stored.doc_id] = stored
         self.version += 1
         return stored
 

@@ -126,6 +126,25 @@ class TestClaimsChecker:
             "§4.6: udf/basic/ll return identical results"].passed
         assert len(results) == 7
 
+    def test_pushdown_joins_fewer_candidate_rows(self):
+        """The structural half of the §3.3 (iii) claim, under both join
+        families the count covers; the join's answer is unchanged."""
+        from repro.bench import build_database
+        from repro.bench.claims import _candidate_rows
+
+        db, _label = build_database(0.05)
+        query = ('doc("xmark.xml")//site'
+                 '/select-narrow::people/select-narrow::person')
+        for strategy in ("basic", "ll"):
+            pushed, post = (_candidate_rows(db, query, strategy=strategy,
+                                            pushdown=policy)
+                            for policy in ("always", "never"))
+            assert 0 < pushed < post, strategy
+            assert db.query(query, strategy=strategy,
+                            pushdown="always").serialize() == \
+                db.query(query, strategy=strategy,
+                         pushdown="never").serialize()
+
     def test_main_exit_codes(self, capsys):
         from repro.bench.claims import main
 

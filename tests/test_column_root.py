@@ -116,12 +116,33 @@ def test_stored_query_builds_no_dom(memory_db, store_path, unshred_calls,
                                     query, context_uri):
     want = memory_db.query(query, strategy="basic",
                            context_uri=context_uri).serialize()
+    del unshred_calls[:]        # the in-memory DOM the walk asked for
     opened = storage.open_store(store_path)
     got = opened.query(query, strategy="ll",
                        context_uri=context_uri).serialize()
     assert got == want
     assert unshred_calls == []
     assert all(stored._document is None for stored in opened.store)
+
+
+@pytest.fixture(scope="module")
+def fresh_db():
+    """A database no query has decoded a node of yet."""
+    return build_db()
+
+
+@pytest.mark.parametrize("query,context_uri", COLUMN_QUERIES)
+def test_parsed_query_builds_no_dom(memory_db, fresh_db, unshred_calls,
+                                    query, context_uri):
+    """A document added as text starts from its columns, as an opened
+    store does: the same queries build no DOM in memory either."""
+    got = fresh_db.query(query, strategy="ll",
+                         context_uri=context_uri).serialize()
+    assert unshred_calls == []
+    assert got == memory_db.query(query, strategy="basic",
+                                  context_uri=context_uri).serialize()
+    assert all(fresh_db.document(uri)._document is None
+               for uri in ("xmark.xml", "a.xml", "b.xml"))
 
 
 def test_doc_is_the_root_row(store_path, unshred_calls):
@@ -226,6 +247,7 @@ def test_custom_config_regions_build_no_dom(memory_db, store_path,
     """A config the store file holds no table for is extracted from
     the mapped columns."""
     want = memory_db.query(query, strategy="basic").serialize()
+    del unshred_calls[:]        # the in-memory DOM the walk asked for
     opened = storage.open_store(store_path)
     assert opened.query(query, strategy="ll").serialize() == want
     assert unshred_calls == []
@@ -252,6 +274,7 @@ def test_half_region_raises_from_the_columns(tmp_path, unshred_calls):
     read = 'count(doc("h.xml")//c/select-narrow::b)'
     with pytest.raises(RegionError) as info:
         db.query(read, strategy="basic")
+    del unshred_calls[:]        # the in-memory DOM the walk asked for
     path = storage.save_store(str(tmp_path / "h.repro"), db)
     opened = storage.open_store(path)
     assert not storage.StoreReader(path).has_regions("h.xml")

@@ -97,6 +97,37 @@ def test_signalled_server_leaves_its_session_empty(store_path, signum,
         end_session(proc)
 
 
+def test_terminated_server_closes_idle_connections_cleanly(store_path):
+    """SIGTERM with a client connected but silent: the server closes
+    the connection and ends its handler before the loop stops, so it
+    exits 0 without a traceback on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "--store", store_path,
+         "--serve", "--port", "0"],
+        env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        banner = proc.stdout.readline()
+        assert banner.startswith("serving on "), banner
+        port = int(banner.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=30) as sock:
+            wire = sock.makefile("rw")
+            wire.write(json.dumps({"op": "ping", "id": 1}) + "\n")
+            wire.flush()
+            assert json.loads(wire.readline())["pong"]
+            proc.send_signal(signal.SIGTERM)
+            _out, err = proc.communicate(timeout=30)
+            assert wire.readline() == ""        # the server hung up
+        assert proc.returncode == 0
+        assert "Traceback" not in err, err
+        assert session_survivors(proc.pid) == []
+    finally:
+        proc.stdout.close()
+        proc.stderr.close()
+        end_session(proc)
+
+
 SCRIPT = """
 import sys
 from repro import storage

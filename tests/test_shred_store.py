@@ -379,8 +379,10 @@ class TestDocumentStore:
 
 
 class TestRenumbers:
-    """The DOM is numbered by what changes it (parse, a store's add,
-    invalidate, an update), never again by a shred or an extraction."""
+    """The DOM is numbered by what changes it (a store's add of a DOM,
+    invalidate, an update), never by parsing — the columns are built
+    numbered and the DOM takes their numbering — nor by a shred or an
+    extraction."""
 
     XML = '<a><b start="0" end="4">x</b><c start="5" end="9"/></a>'
 
@@ -401,12 +403,14 @@ class TestRenumbers:
             "s.xml", "<a><b>x<c>y</c></b><b>z</b></a>", permute=True)
         stored.shredded
         stored.region_index()
-        # parse, standoffize's permutation pass, add
-        assert len(renumbers) == 3
+        # standoffize's permutation pass, add
+        assert len(renumbers) == 2
 
     def test_plain_document(self, renumbers):
-        Database().add_document("p.xml", self.XML).shredded
-        assert len(renumbers) == 1
+        stored = Database().add_document("p.xml", self.XML)
+        stored.shredded
+        stored.document
+        assert len(renumbers) == 0
 
     def test_touch(self, renumbers):
         db = Database()

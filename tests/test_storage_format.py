@@ -459,6 +459,25 @@ class TestSpillBackend:
             assert mm.query(query).serialize() == \
                 mem.query(query).serialize(), query
 
+    def test_parsed_document_spills_its_columns_without_a_dom(self):
+        """A document added as text starts from its columns: the spill
+        writes those, and the DOM is built from the mapped ones only
+        when a node is decoded."""
+        mm = Database(storage_backend="mmap")
+        stored = mm.add_document("a.xml", DOC_A)
+        assert stored._document is None and stored._shredded is None
+        assert stored._unspilled[0].store_ref is None
+        count = 'count(doc("a.xml")//shot)'
+        assert mm.query(count, strategy="ll").serialize() == "2"
+        assert stored.shredded.store_ref is not None
+        assert stored._unspilled is None and stored._document is None
+        mem = Database(storage_backend="memory")
+        mem.add_document("a.xml", DOC_A)
+        shots = 'doc("a.xml")//shot'
+        assert mm.query(shots, strategy="ll").serialize() == \
+            mem.query(shots, strategy="basic").serialize()
+        assert stored.document is stored.shredded.document
+
     def test_store_stats_reports_backend(self):
         mm = Database(storage_backend="mmap")
         mm.add_document("a.xml", DOC_A)

@@ -14,6 +14,7 @@ from repro.xmldb import (
     parse_fragment,
     serialize,
 )
+from test_serializer_property import NOT_XML
 
 
 class TestParserBasics:
@@ -173,9 +174,8 @@ class TestSerializer:
         doc = parse_document("<a>one<b/>two</a>")
         assert serialize(doc.root_element, indent=True) == "<a>one<b/>two</a>"
 
-    @given(st.text(alphabet=st.characters(codec="utf-8",
-                                          exclude_characters="\r"),
-                   max_size=80))
+    @given(st.text(alphabet=st.characters(
+        codec="utf-8", exclude_characters="\r" + NOT_XML), max_size=80))
     @settings(max_examples=80, deadline=None)
     def test_text_roundtrip_property(self, text):
         el = Element("t")
@@ -184,9 +184,9 @@ class TestSerializer:
         reparsed = parse_document(doc_text)
         assert reparsed.root_element.string_value() == text
 
-    @given(st.text(alphabet=st.characters(codec="utf-8",
-                                          exclude_characters="\r\n\t"),
-                   max_size=60))
+    @given(st.text(alphabet=st.characters(
+        codec="utf-8", exclude_characters="\r\n\t" + NOT_XML),
+        max_size=60))
     @settings(max_examples=80, deadline=None)
     def test_attribute_roundtrip_property(self, value):
         el = Element("t", {"v": value})

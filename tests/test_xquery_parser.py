@@ -333,3 +333,35 @@ class TestNesting:
                           ast.UnaryOp)
         with pytest.raises(XQuerySyntaxError):
             parse_expr("-" * MAX_NESTING + "1")
+
+
+class TestDeepDocument:
+    """A 5 000-deep document ingests (expat builds its columns without
+    recursion), and counting, the string value and serializing it
+    answer under both strategies: the DOM built on demand, its
+    descendant walk and the serializer all use explicit stacks."""
+
+    DEPTH = 5000
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        database = Database()
+        database.add_document(
+            "deep.xml", "<x>" * self.DEPTH + "t" + "</x>" * self.DEPTH)
+        return database
+
+    @pytest.mark.parametrize("strategy", ["ll", "basic"])
+    def test_count_string_and_serialize_answer(self, db, strategy):
+        def ask(query):
+            return db.query(query, strategy=strategy).serialize()
+
+        assert ask('count(doc("deep.xml")//x)') == str(self.DEPTH)
+        assert ask('string(doc("deep.xml"))') == "t"
+        assert ask('doc("deep.xml")') == \
+            "<x>" * self.DEPTH + "t" + "</x>" * self.DEPTH
+        inner = self.DEPTH - 1
+        assert db.document("deep.xml").document.serialize(indent=True) == \
+            "\n".join(["  " * i + "<x>" for i in range(inner)]
+                      + ["  " * inner + "<x>t</x>"]
+                      + ["  " * i + "</x>" for i in reversed(range(inner))]
+                      ) + "\n"
